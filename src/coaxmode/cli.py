@@ -13,7 +13,10 @@ is comma-separated with a header row and LF line endings; JSON output is
 a single document ``{"schema": "coaxmode/1", "command": ..., "params":
 {...}, "rows": [...]}``. Numbers are serialized with shortest-round-trip
 repr (up to 17 significant digits), so identical runs are byte-identical
-and CSV and JSON carry identical values.
+and CSV and JSON carry identical values. Rows are written as they are
+computed, so a field grid of any size runs in flat memory. Every check
+that can fail runs before the first byte: a failing command writes
+nothing and creates no ``--out`` file.
 
 Exit codes: 0 success, 1 numerical failure (or failed verification),
 2 argument/validation errors.
@@ -22,18 +25,19 @@ Exit codes: 0 success, 1 numerical failure (or failed verification),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
-from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry,
-                     ModeIndex, enumerate_modes_below, mode_count_histogram)
+from .cavity import (AnnulusGeometry, CylinderGeometry, ModeIndex,
+                     enumerate_modes_below, mode_count_histogram, tm_frequency)
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
-from .fields import FieldPoint, transverse_fields
+from .fields import FieldPoint, radial_solution, transverse_fields
 from .roots import bessel_zeros, cross_product_zeros
 from .verify import MODULES, run_checks
 
@@ -44,31 +48,28 @@ class _UsageError(Exception):
     """Bad arguments detected after parsing; mapped to exit code 2."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(command: str, params: dict, columns: list[str], rows: list[dict],
-          fmt: str, out: Optional[str]) -> None:
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(_fmt(row[c]) for c in columns)
-        text = buffer.getvalue()
-    else:
-        doc = {"schema": SCHEMA, "command": command, "params": params, "rows": rows}
-        text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(command: str, params: dict, columns: tuple[str, ...],
+          rows: Iterable[tuple], fmt: str, out: Optional[str]) -> None:
+    """Write the rows, tuples in column order, as they arrive."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+            return
+        # json.dumps(doc, indent=2) byte for byte, "rows" (the last key) streamed
+        # in batches, because each encode call pays the encoder's set-up again
+        doc = {"schema": SCHEMA, "command": command, "params": params, "rows": []}
+        head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
+        encode = json.JSONEncoder(indent=2).encode
+        handle.write(head)
+        rows, sep = iter(rows), "["
+        while batch := [dict(zip(columns, row)) for row in itertools.islice(rows, 256)]:
+            # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
+            handle.write(sep + encode(batch)[1:-2].replace("\n", "\n  "))
+            sep = ","
+        handle.write(("[]" if sep == "[" else "\n  ]") + tail + "\n")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -99,6 +100,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in _load_config(args.config).items():
         if key not in _CONFIG_TYPES:
             raise _UsageError(f"unknown config key {key!r}")
+        if key == "format" and raw not in ("csv", "json"):
+            raise _UsageError(f"config key 'format' must be csv or json, got {raw!r}")
         if getattr(args, key, None) is None:
             try:
                 setattr(args, key, _CONFIG_TYPES[key](raw))
@@ -139,7 +142,8 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag}: need COUNT >= 1 and HI >= LO, got {spec!r}")
     if n == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    # end on HI itself: lo + (hi - lo) * (n - 1) / (n - 1) can round past it
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +171,8 @@ def _cmd_zeros(args) -> int:
     else:
         table = cross_product_zeros(m, a, b, count)
         params = {"kind": kind, "m": m, "count": count, "a": a, "b": b}
-    rows = [{"m": m, "n": i + 1, "value": z, "residual": r}
-            for i, (z, r) in enumerate(zip(table.zeros, table.residuals))]
-    _emit("zeros", params, ["m", "n", "value", "residual"], rows, args.format, args.out)
+    rows = ((m, i + 1, z, r) for i, (z, r) in enumerate(zip(table.zeros, table.residuals)))
+    _emit("zeros", params, ("m", "n", "value", "residual"), rows, args.format, args.out)
     return 0
 
 
@@ -193,17 +196,13 @@ def _cmd_modes(args) -> int:
     if args.histogram is not None:
         hist = mode_count_histogram(geometry, omega_max, args.histogram)
         params["histogram_bins"] = args.histogram
-        rows = [{"omega_bin_edge": edge, "cumulative_count": count}
-                for edge, count in hist]
-        _emit("modes", params, ["omega_bin_edge", "cumulative_count"], rows,
+        _emit("modes", params, ("omega_bin_edge", "cumulative_count"), hist,
               args.format, args.out)
         return 0
-    rows = [{"m": e.index.m, "n": e.index.n, "p": e.index.p, "gamma": e.gamma,
-             "omega_rad_s": e.omega, "degeneracy": e.degeneracy}
-            for e in enumerate_modes_below(geometry, omega_max)]
-    _emit("modes", params,
-          ["m", "n", "p", "gamma", "omega_rad_s", "degeneracy"], rows,
-          args.format, args.out)
+    entries = enumerate_modes_below(geometry, omega_max)
+    rows = ((e.index.m, e.index.n, e.index.p, e.gamma, e.omega, e.degeneracy) for e in entries)
+    _emit("modes", params, ("m", "n", "p", "gamma", "omega_rad_s", "degeneracy"),
+          rows, args.format, args.out)
     return 0
 
 
@@ -234,30 +233,28 @@ def _cmd_field(args) -> int:
             f"grid leaves the cavity: rho must stay in [{rho_lo}, {geometry.b}], "
             f"z in [0, {geometry.l}]")
 
+    # the mode's own failures (order envelope, conditioning) come before any output
+    tm_frequency(geometry, index)
+    radial_solution(geometry, m, n)
+
     params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),
               "b": geometry.b, "l": geometry.l, "mode": [m, n, p],
               "sign": "+" if sign > 0 else "-",
               "amplitude": [amplitude.real, amplitude.imag]}
     if isinstance(geometry, AnnulusGeometry):
         params["a"] = geometry.a
-    columns = ["rho", "phi", "z",
+    columns = ("rho", "phi", "z",
                "re_ez", "im_ez", "re_erho", "im_erho", "re_ephi", "im_ephi",
-               "re_brho", "im_brho", "re_bphi", "im_bphi"]
-    rows = []
-    for rho in rhos:
-        for phi in phis:
-            for z in zs:
-                s = transverse_fields(geometry, index, sign, amplitude,
-                                      FieldPoint(rho, phi, z))
-                rows.append({
-                    "rho": rho, "phi": phi, "z": z,
-                    "re_ez": s.e_z.real, "im_ez": s.e_z.imag,
-                    "re_erho": s.e_rho.real, "im_erho": s.e_rho.imag,
-                    "re_ephi": s.e_phi.real, "im_ephi": s.e_phi.imag,
-                    "re_brho": s.b_rho.real, "im_brho": s.b_rho.imag,
-                    "re_bphi": s.b_phi.real, "im_bphi": s.b_phi.imag,
-                })
-    _emit("field", params, columns, rows, args.format, args.out)
+               "re_brho", "im_brho", "re_bphi", "im_bphi")
+
+    def rows():
+        for rho, phi, z in itertools.product(rhos, phis, zs):
+            s = transverse_fields(geometry, index, sign, amplitude, FieldPoint(rho, phi, z))
+            yield (rho, phi, z, s.e_z.real, s.e_z.imag, s.e_rho.real, s.e_rho.imag,
+                   s.e_phi.real, s.e_phi.imag, s.b_rho.real, s.b_rho.imag,
+                   s.b_phi.real, s.b_phi.imag)
+
+    _emit("field", params, columns, rows(), args.format, args.out)
     return 0
 
 
@@ -270,10 +267,11 @@ def _cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.module}.{r.check}: {r.detail}", file=sys.stderr)
-    rows = [{"module": r.module, "check": r.check, "passed": r.passed,
-             "detail": r.detail} for r in results]
+    # CSV spells the flag as JSON does; csv.writer alone would print True/False
+    spell = json.dumps if args.format == "csv" else bool
+    rows = ((r.module, r.check, spell(r.passed), r.detail) for r in results)
     params = {"module": module or "all", "all_passed": all(r.passed for r in results)}
-    _emit("verify", params, ["module", "check", "passed", "detail"], rows,
+    _emit("verify", params, ("module", "check", "passed", "detail"), rows,
           args.format, args.out)
     return 0 if params["all_passed"] else 1
 
@@ -331,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     field.add_argument("--mode", default=None, metavar="M,N,P")
     field.add_argument("--sign", choices=("+", "-"), default=None,
                        help="azimuthal orientation e^{+imphi} or e^{-imphi}")
-    field.add_argument("--amplitude", default=None, metavar="RE[,IM]")
+    field.add_argument("--amplitude", default=None, metavar="RE[,IM]",
+                       help="default 1; a negative RE needs the --amplitude=-1,2 form")
     field.add_argument("--rho", default=None, metavar="LO:HI:COUNT")
     field.add_argument("--phi", default=None, metavar="LO:HI:COUNT")
     field.add_argument("--z", default=None, metavar="LO:HI:COUNT")

@@ -173,6 +173,31 @@ class TestFieldCommand:
         assert float(row["re_ez"]) == pytest.approx(-2.0 * float(unit["im_ez"]), rel=1e-12)
         assert float(row["im_ez"]) == pytest.approx(2.0 * float(unit["re_ez"]), rel=1e-12)
 
+    def test_negative_amplitude_attached_form(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS, "--amplitude=-1,2", "--rho", "0.5:0.5:1",
+                               "--phi", "0:0:1", "--z", "0.25:0.25:1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["amplitude"] == [-1.0, 2.0]
+
+    def test_grid_ends_on_hi(self, capsys):
+        # 0.05 * 6 / 6 rounds to 0.05000000000000001, past the end plate
+        code, out, _ = run_cli(capsys, "field", "--cavity", "cylinder", "--b", "1",
+                               "--l", "0.05", "--mode", "1,1,1", "--sign", "+",
+                               "--rho", "0:1:2", "--phi", "0:0:1", "--z", "0:0.05:7")
+        assert code == 0
+        assert [float(r["z"]) for r in parse_csv(out)][-1] == 0.05
+
+    def test_failing_mode_creates_no_out_file(self, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "field", "--cavity", "cylinder", "--b", "1",
+                                 "--l", "1", "--mode", "51,1,0", "--sign", "+",
+                                 "--rho", "0:1:3", "--phi", "0:0:1", "--z", "0:1:3",
+                                 "--out", str(path))
+        assert code == 2
+        assert "51" in err
+        assert out == ""
+        assert not path.exists()
+
 
 class TestDeterminismAndFormats:
     def test_reruns_byte_identical(self, tmp_path, capsys):
@@ -211,6 +236,30 @@ class TestDeterminismAndFormats:
         code, _, err = run_cli(capsys, "zeros", "--config", str(cfg))
         assert code == 2
         assert "radius" in err
+
+    def test_bad_config_format_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("kind = bessel\nm = 0\ncount = 1\nformat = xml\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "zeros", "--config", str(cfg))
+        assert code == 2
+        assert "'format'" in err and "xml" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--kind", "cross", "--m", "1", "--a", "1", "--b", "2", "--count", "3"),
+        ("modes", "--cavity", "annulus", "--a", "1", "--b", "2", "--l", "1",
+         "--omega-max", "1.2e9"),
+        ("modes", "--cavity", "cylinder", "--b", "1", "--l", "1", "--omega-max", "3e9",
+         "--histogram", "4"),
+        ("modes", "--cavity", "cylinder", "--b", "1", "--l", "1", "--omega-max", "1e8"),
+        ("field", "--cavity", "annulus", "--a", "1", "--b", "2", "--l", "1", "--mode", "2,1,1",
+         "--sign", "-", "--rho", "1:2:3", "--phi", "0:6:2", "--z", "0:1:2"),
+        ("verify", "specfun"),
+    ], ids=["zeros", "modes", "histogram", "empty-modes", "field", "verify"])
+    def test_streamed_json_matches_one_shot_dump(self, argv, capsys):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 class TestVerifyCommand:
