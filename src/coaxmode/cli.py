@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .cavity import (AnnulusGeometry, CylinderGeometry, ModeIndex,
-                     enumerate_modes_below, mode_count_histogram, tm_frequency)
+                     enumerate_modes_below, mode_count_histogram)
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
 from .fields import FieldPoint, radial_solution, transverse_fields
 from .roots import bessel_zeros, cross_product_zeros
@@ -234,7 +234,6 @@ def _cmd_field(args) -> int:
             f"z in [0, {geometry.l}]")
 
     # the mode's own failures (order envelope, conditioning) come before any output
-    tm_frequency(geometry, index)
     radial_solution(geometry, m, n)
 
     params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),

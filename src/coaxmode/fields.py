@@ -46,15 +46,10 @@ def _n(m: int, x: float) -> float:
     return _y_raw(m, x)[0]
 
 
-def _jp(m: int, x: float) -> float:
-    # dJ_m/dx through the three-term ladder; J_{-1} = -J_1
-    lo = -_j(1, x) if m == 0 else _j(m - 1, x)
-    return 0.5 * (lo - _j(m + 1, x))
-
-
-def _np(m: int, x: float) -> float:
-    lo = -_n(1, x) if m == 0 else _n(m - 1, x)
-    return 0.5 * (lo - _n(m + 1, x))
+def _slope(family, m: int, x: float) -> float:
+    # dX_m/dx of the cached family _j or _n via the ladder; X_{-1} = -X_1
+    lo = -family(1, x) if m == 0 else family(m - 1, x)
+    return 0.5 * (lo - family(m + 1, x))
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,23 @@ class RadialSolution:
     def slope(self, rho: float) -> float:
         """dR/drho (not d/dx)."""
         x = self.gamma * rho
-        s = self.coeff_j * _jp(self.m, x)
+        s = self.coeff_j * _slope(_j, self.m, x)
         if self.coeff_n:
-            s += self.coeff_n * _np(self.m, x)
+            s += self.coeff_n * _slope(_n, self.m, x)
         return self.gamma * s
+
+    def profile(self, rho: float) -> tuple[float, float, float]:
+        """(R, dR/drho, R/rho), with R/rho at its limit on the axis.
+
+        On the axis J_1(gamma rho)/rho -> gamma/2 and every other order's
+        R/rho -> 0.
+        """
+        r = self.value(rho)
+        if rho == 0.0:
+            over = 0.5 * self.gamma * self.coeff_j if self.m == 1 else 0.0
+        else:
+            over = r / rho
+        return r, self.slope(rho), over
 
 
 @dataclass(frozen=True)
@@ -171,28 +179,18 @@ def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
     """All five TM components of one mode at one point."""
     _check_sign(sign)
     _require_inside(geometry, point)
-    entry = tm_frequency(geometry, index)
     sol = radial_solution(geometry, index.m, index.n)
     m = index.m
-    gamma = entry.gamma
+    gamma = sol.gamma
     kz = index.p * math.pi / geometry.l
+    omega = C_LIGHT * math.hypot(gamma, kz)  # as tm_frequency has it
     ang = _angular(m, sign, point.phi)
     cz = math.cos(kz * point.z)
     sz = math.sin(kz * point.z)
-
-    rho = point.rho
-    if rho == 0.0:
-        slope = sol.slope(0.0)
-        # removable limits on the axis: J_1(g rho)/rho -> g/2, others -> 0
-        r_over_rho = 0.5 * gamma * sol.coeff_j if m == 1 else 0.0
-        r_val = sol.value(0.0)
-    else:
-        r_val = sol.value(rho)
-        slope = sol.slope(rho)
-        r_over_rho = r_val / rho
+    r_val, slope, r_over_rho = sol.profile(point.rho)
 
     inv_g2 = 1.0 / (gamma * gamma)
-    b_coeff = entry.omega * inv_g2 / (C_LIGHT * C_LIGHT)
+    b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
     e_z = amplitude * r_val * ang * cz
     e_rho = -(kz * inv_g2) * amplitude * slope * sz * ang
     e_phi = -1j * (sign * m * kz * inv_g2) * amplitude * r_over_rho * sz * ang
@@ -293,8 +291,8 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     # end-plate tangentials E_rho, E_phi: sin(0) = 0 exactly, the far plate
     # carries only the rounding of sin(p pi)
     rhos = [inner + (geometry.b - inner) * i / (_GRID - 1) for i in range(_GRID)]
-    slope_peak = max(abs(sol.slope(r)) for r in rhos)
-    over_peak = _r_over_rho_peak(sol, rhos, m)
+    # peaks of |R|, |dR/drho| and |R/rho| over each radial grid
+    _, slope_peak, over_peak = (max(map(abs, c)) for c in zip(*map(sol.profile, rhos)))
     if kz:
         wall_peak = max(wall_peak, kz * inv_g2 * slope_peak * sin_plate)
         if m:
@@ -302,9 +300,7 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
 
     # interior peak across E_z, E_rho, E_phi on an inset grid
     inset = [inner + (geometry.b - inner) * (i + 0.5) / _GRID for i in range(_GRID)]
-    value_peak = max(abs(sol.value(r)) for r in inset)
-    slope_in = max(abs(sol.slope(r)) for r in inset)
-    over_in = _r_over_rho_peak(sol, inset, m)
+    value_peak, slope_in, over_in = (max(map(abs, c)) for c in zip(*map(sol.profile, inset)))
     zs_in = [l * (i + 0.5) / _GRID for i in range(_GRID)]
     cos_in = max(abs(math.cos(kz * z)) for z in zs_in)
     sin_in = max(abs(math.sin(kz * z)) for z in zs_in)
@@ -314,19 +310,6 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     if interior_peak == 0.0:
         raise ConditioningError("interior field vanished; cannot normalize")
     return wall_peak / interior_peak
-
-
-def _r_over_rho_peak(sol: RadialSolution, rhos: list[float], m: int) -> float:
-    if m == 0:
-        return 0.0
-    peak = 0.0
-    for r in rhos:
-        if r == 0.0:
-            v = 0.5 * sol.gamma * sol.coeff_j if m == 1 else 0.0
-        else:
-            v = sol.value(r) / r
-        peak = max(peak, abs(v))
-    return peak
 
 
 def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,

@@ -19,8 +19,11 @@ cross-product family. Each bracket is refined with a Brent-style hybrid
 to ~1e-14 on the abscissa, and each refined root is verified by its
 residual before it enters the table.
 
-Completed tables are cached process-wide behind a lock: one writer
-extends a table, any number of readers can slice it.
+Tables are cached process-wide, one lock per table: one writer extends
+a table while lookups of other tables go on. A table is the same whatever
+the sequence of counts it was grown by: every root of a scan window
+enters it, and the cross-product scan resumes where its last window
+ended.
 """
 
 from __future__ import annotations
@@ -143,26 +146,39 @@ def _jm_first_zero_floor(m: int) -> float:
     return max(0.3, 0.99 * math.sqrt(m * (m + 2.0))) if m else 0.3
 
 
-class _ZeroCache:
-    """Extendable per-key root lists with exclusive-writer access."""
+class _Table:
+    """One extendable root list, its lock and where its scan resumes."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._tables: dict[tuple, list[tuple[float, float]]] = {}
+        self.lock = threading.Lock()
+        self.rows: list[tuple[float, float]] = []
+        self.resume: Optional[tuple[float, float]] = None  # (x, f(x)) of the scan
+
+
+class _ZeroCache:
+    """Extendable per-key root tables, each with exclusive-writer access."""
+
+    def __init__(self):
+        self._lock = threading.Lock()  # guards the dict only, never an extension
+        self._tables: dict[tuple, _Table] = {}
 
     def get(self, key: tuple, count: int,
-            extend: Callable[[list[tuple[float, float]], int], None]) -> list[tuple[float, float]]:
+            extend: Callable[[_Table, int], None]) -> list[tuple[float, float]]:
         with self._lock:
-            table = self._tables.setdefault(key, [])
-            if len(table) < count:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = _Table()
+        with table.lock:
+            if len(table.rows) < count:
                 extend(table, count)
-            return table[:count]
+            return table.rows[:count]
 
 
 _cache = _ZeroCache()
 
 
 def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -> None:
+    """Append zeros of J_m until ``table`` holds ``count``; it may hold more."""
     f = lambda x: _j_raw(m, x)[0]
     while len(table) < count:
         n = len(table) + 1
@@ -191,8 +207,6 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
                 if x > 1.2e4:
                     raise RootFindingError(f"scan for zero {n} of J_{m} left the envelope")
         for lo, hi, flo, fhi in _refine_bracket(f, *bracket):
-            if len(table) >= count:
-                break
             root = _brent(f, lo, hi, flo, fhi, xtol=1e-14)
             residual = abs(f(root))
             slope = abs(_j_raw(m + 1, root)[0])  # |J'_m| = |J_{m+1}| at a zero
@@ -215,7 +229,7 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
     if not isinstance(count, int) or count < 1 or count > COUNT_MAX:
         raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
     rows = _cache.get(("cyl", m), count,
-                      lambda table, want: _extend_bessel_table(m, table, want))
+                      lambda table, want: _extend_bessel_table(m, table.rows, want))
     return ZeroTable(m=m, kind="cylinder",
                      zeros=tuple(r for r, _ in rows),
                      residuals=tuple(res for _, res in rows))
@@ -228,8 +242,13 @@ def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], float]:
     return d
 
 
-def _extend_cross_table(m: int, a: float, b: float,
-                        table: list[tuple[float, float]], count: int) -> None:
+def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -> None:
+    """Scan on from ``table.resume`` until ``table.rows`` holds ``count`` roots.
+
+    Whole windows only: a window's every root enters the table and the
+    scan resumes at the window's end, so the table never depends on the
+    counts it was asked for along the way.
+    """
     d = _cross_determinant(m, a, b)
     step = min(math.pi / (b - a), 0.5) / 4.0
     # verification probes sit a quarter oscillation period away from the
@@ -237,16 +256,14 @@ def _extend_cross_table(m: int, a: float, b: float,
     # very thin annuli even a full scan step covers only a sliver of the
     # arch, so neither gives a faithful max|D| scale
     probe = 0.25 * math.pi / (b - a)
-    x = table[-1][0] + 0.25 * step if table else step
-    fx = d(x)
+    x, fx = table.resume or (step, d(step))
     guard = 0
-    while len(table) < count:
+    while len(table.rows) < count:
         x2 = x + step
         fx2 = d(x2)
         if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
+            found = []  # a window enters the table whole or not at all
             for lo, hi, flo, fhi in _refine_bracket(d, x, x2, fx, fx2):
-                if len(table) >= count:
-                    break
                 root = _brent(d, lo, hi, flo, fhi, xtol=1e-14)
                 residual = abs(d(root))
                 scale = max(abs(flo), abs(fhi),
@@ -255,8 +272,9 @@ def _extend_cross_table(m: int, a: float, b: float,
                     raise RootFindingError(
                         f"cross-product root near {root:.6g} failed verification: "
                         f"|D|={residual:.2e} vs arch scale {scale:.2e}")
-                table.append((root, residual))
-        x, fx = x2, fx2
+                found.append((root, residual))
+            table.rows.extend(found)
+        x, fx = table.resume = (x2, fx2)
         guard += 1
         if guard > 5_000_000:
             raise RootFindingError("cross-product scan exceeded its step budget")

@@ -257,6 +257,8 @@ def _y01_small(x: float) -> tuple[float, float, float]:
     terms decay from the start, so plain doubles keep full precision.
     """
     half = 0.5 * x
+    if half == 0.0:
+        raise EvaluationError(f"x/2 underflows to 0 at x = {x!r}, so log(x/2) is undefined")
     q = half * half
     a0, b0, t0 = 1.0, 0.0, 1.0          # -> J_0 and its H_k-weighted sum
     a1, b1, t1 = half, half, half       # k = 0 of b1 carries H_0 + H_1 = 1
@@ -323,11 +325,12 @@ def _y_raw(m: int, x: float) -> tuple[float, float]:
     two_over_x = 2.0 / x
     for k in range(1, m):
         ym_prev, ym = ym, k * two_over_x * ym - ym_prev
-        if math.isinf(ym):
-            raise EvaluationError(
-                f"N_{m}({x!r}) overflows double precision; "
-                "reduce the order or increase the argument"
-            )
+    # N_1 can overflow too; an overflow stays inf or turns nan up the ladder
+    if not math.isfinite(ym):
+        raise EvaluationError(
+            f"N_{m}({x!r}) overflows double precision; "
+            "reduce the order or increase the argument"
+        )
     rel = est / max(abs(y1), _amplitude(x))
     return ym, abs(ym) * (rel + 0.5 * m * _EPS)
 
@@ -335,6 +338,31 @@ def _y_raw(m: int, x: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
+
+def _evaluate(family: str, m: int, x: float,
+              slope: bool = False) -> tuple[float | complex, float]:
+    """(X_m(x), est) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX + 1.
+
+    With ``slope`` the value is dX_m/dx = (X_{|m|-1} - X_{|m|+1})/2. The
+    reflection X_{-m} = (-1)^m X_m comes last, as an exact sign flip.
+    """
+    am = abs(m)
+    if slope:
+        lo, le = _evaluate(family, am - 1, x)
+        hi, he = _evaluate(family, am + 1, x)
+        value, est = 0.5 * (lo - hi), 0.5 * (le + he)
+    elif family == "J":
+        value, est = _j_raw(am, x)
+    elif family == "N":
+        value, est = _y_raw(am, x)
+    else:
+        j, je = _j_raw(am, x)
+        n, ne = _y_raw(am, x)
+        value, est = complex(j, n if family == "H1" else -n), je + ne
+    if m < 0 and m % 2:
+        value = -value
+    return value, est
+
 
 def bessel_j(m: int, x: float) -> EvalResult:
     """Bessel function of the first kind, integer order.
@@ -347,49 +375,24 @@ def bessel_j(m: int, x: float) -> EvalResult:
     Raises DomainError / OrderError outside that envelope.
     """
     _check_order(m)
-    x = _check_x(x, positive=False)
-    value, est = _j_raw(abs(m), x)
-    if m < 0 and m % 2:
-        value = -value
-    return EvalResult(value, est)
+    return EvalResult(*_evaluate("J", m, _check_x(x, positive=False)))
 
 
 def neumann_n(m: int, x: float) -> EvalResult:
     """Neumann function (Bessel of the second kind), integer order, x > 0."""
     _check_order(m)
-    x = _check_x(x, positive=True)
-    value, est = _y_raw(abs(m), x)
-    if m < 0 and m % 2:
-        value = -value
-    return EvalResult(value, est)
+    return EvalResult(*_evaluate("N", m, _check_x(x, positive=True)))
 
 
 def hankel(kind: int, m: int, x: float) -> complex:
     """Hankel function H_m^(kind) = J_m + (-1)^(kind+1) i N_m, x > 0."""
     if kind not in (1, 2):
         raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
-    j = bessel_j(m, x).value
-    n = neumann_n(m, x).value
-    return complex(j, n) if kind == 1 else complex(j, -n)
+    _check_order(m)
+    return _evaluate("H1" if kind == 1 else "H2", m, _check_x(x, positive=True))[0]
 
 
 _FAMILIES = ("J", "N", "H1", "H2")
-
-
-def _family_value(family: str, m: int, x: float) -> tuple[float | complex, float]:
-    """(X_m(x), est) for m possibly -1..ORDER_MAX+1, shared by derivative()."""
-    am = abs(m)
-    sign = -1.0 if (m < 0 and m % 2) else 1.0
-    if family == "J":
-        v, e = _j_raw(am, x)
-        return sign * v, e
-    if family == "N":
-        v, e = _y_raw(am, x)
-        return sign * v, e
-    jv, je = _j_raw(am, x)
-    nv, ne = _y_raw(am, x)
-    kind_sign = 1.0 if family == "H1" else -1.0
-    return complex(sign * jv, kind_sign * sign * nv), je + ne
 
 
 def derivative(family: str, m: int, x: float) -> EvalResult:
@@ -403,10 +406,4 @@ def derivative(family: str, m: int, x: float) -> EvalResult:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     _check_order(m)
     x = _check_x(x, positive=(family != "J"))
-    am = abs(m)
-    lo, le = _family_value(family, am - 1, x)
-    hi, he = _family_value(family, am + 1, x)
-    value = 0.5 * (lo - hi)
-    if m < 0 and m % 2:
-        value = -value
-    return EvalResult(value, 0.5 * (le + he))
+    return EvalResult(*_evaluate(family, m, x, slope=True))

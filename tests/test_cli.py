@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import coaxmode
 from coaxmode import C_LIGHT
 from coaxmode.cli import main
 
@@ -308,9 +310,13 @@ class TestVerifyCommand:
 
 
 def test_module_entry_point_runs():
+    # the child imports the coaxmode this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coaxmode", "zeros", "--kind", "bessel",
          "--m", "0", "--count", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,n,value,residual"

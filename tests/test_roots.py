@@ -1,8 +1,10 @@
 import math
+import threading
 
 import pytest
 
 from coaxmode import bessel_j, bessel_zeros, cross_product_zeros, neumann_n
+from coaxmode import roots
 from coaxmode.errors import DomainError, GeometryError, OrderError
 
 import oracles
@@ -173,3 +175,45 @@ class TestCrossProductZeros:
             cross_product_zeros(51, 1.0, 2.0, 1)
         with pytest.raises(DomainError):
             cross_product_zeros(0, 1.0, 2.0, 2000)
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("table", [
+        lambda count: bessel_zeros(7, count),
+        lambda count: cross_product_zeros(0, 0.2, 2.0, count),
+        lambda count: cross_product_zeros(4, 0.6, 1.0, count),
+    ], ids=["bessel", "cross-0", "cross-4"])
+    def test_table_grown_in_pieces_equals_one_call(self, table):
+        roots._cache._tables.clear()
+        whole = table(40)
+        roots._cache._tables.clear()
+        for count in (2, 3, 7, 15, 22, 40):
+            grown = table(count)
+        assert grown.zeros == whole.zeros
+        assert grown.residuals == whole.residuals
+
+    def test_slow_extension_does_not_block_other_tables(self):
+        started = threading.Event()
+        release = threading.Event()
+
+        def held_extension(table, count):
+            started.set()
+            release.wait(timeout=60)
+
+        holder = threading.Thread(target=roots._cache.get,
+                                  args=(("held",), 1, held_extension))
+        done = []
+        reader = threading.Thread(target=lambda: done.append(bessel_zeros(6, 4)))
+        holder.start()
+        try:
+            assert started.wait(timeout=10)
+            reader.start()
+            reader.join(timeout=10)
+            assert done, "a lookup of another table waited on the held extension"
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            if reader.ident is not None:
+                reader.join(timeout=10)
+            roots._cache._tables.pop(("held",), None)
+        assert not holder.is_alive() and not reader.is_alive()

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coaxmode import bessel_j, neumann_n, hankel, derivative
-from coaxmode.errors import DomainError, OrderError
+from coaxmode.errors import CoaxmodeError, DomainError, EvaluationError, OrderError
 from coaxmode.specfun import ORDER_MAX, X_MAX
 
 import oracles
@@ -87,6 +87,22 @@ class TestNeumann:
         with pytest.raises(DomainError):
             neumann_n(2, -3.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: neumann_n(1, 1e-310),
+        lambda: hankel(1, 1, 1e-310),
+        lambda: derivative("N", 0, 1e-310),
+        lambda: derivative("H1", 0, 1e-310),
+        lambda: neumann_n(0, 5e-324),   # x/2 underflows to 0 before the log
+        lambda: neumann_n(1, 5e-324),
+    ], ids=["N1", "H1", "dN0", "dH1_0", "N0_min_subnormal", "N1_min_subnormal"])
+    def test_overflow_raises_typed_error(self, call):
+        with pytest.raises(EvaluationError):
+            call()
+
+    def test_tiny_argument_order_zero_stays_a_value(self):
+        # N_0 only grows like log x, so it stays finite where N_1 overflows
+        assert neumann_n(0, 1e-310).value == pytest.approx(-454.4938756003538, rel=1e-14)
+
 
 class TestHankel:
     def test_composition(self):
@@ -167,3 +183,36 @@ class TestRecursionProperty:
                 fd = (f(x + h) - f(x - h)) / (2.0 * h)
                 if abs(d) > 1e-8:
                     assert d == pytest.approx(fd, rel=1e-6), (fam, m, x)
+
+
+def _bits(v):
+    # exact representation, sign of zero included
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+class TestReflectionSampled:
+    def test_negative_orders_bit_identical(self):
+        rng = random.Random(44)
+        points = [(m, x) for m in range(ORDER_MAX + 1) for x in (0.0, 1e-300)]
+        points += [(rng.randint(0, ORDER_MAX), 10 ** rng.uniform(-6, 4)) for _ in range(400)]
+        for m, x in points:
+            for fam in ("J", "N", "H1", "H2"):
+                try:
+                    plus = derivative(fam, m, x).value
+                except CoaxmodeError as exc:
+                    with pytest.raises(type(exc)):
+                        derivative(fam, -m, x)
+                    continue
+                flipped = -plus if m % 2 else plus
+                assert _bits(derivative(fam, -m, x).value) == _bits(flipped), (fam, m, x)
+            for order in (m, -m):
+                for kind, sign in ((1, 1.0), (2, -1.0)):
+                    try:
+                        h = hankel(kind, order, x)
+                    except CoaxmodeError as exc:
+                        with pytest.raises(type(exc)):
+                            neumann_n(order, x)
+                        continue
+                    composed = complex(bessel_j(order, x).value,
+                                       sign * neumann_n(order, x).value)
+                    assert _bits(h) == _bits(composed), (kind, order, x)
