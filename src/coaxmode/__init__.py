@@ -13,7 +13,7 @@ internal and append-only), so everything here is safe to use from
 multiple threads.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .specfun import EvalResult, ORDER_MAX, X_MAX, bessel_j, derivative, hankel, neumann_n
 from .roots import ZeroTable, bessel_zeros, cross_product_zeros

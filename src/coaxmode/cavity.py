@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import DomainError, GeometryError, ResourceLimitError
 from . import roots
@@ -110,31 +110,52 @@ def tm_frequency(geometry: Geometry, index: ModeIndex) -> ModeEntry:
                      degeneracy=1 if index.m == 0 else 2)
 
 
-def _modes_for_order(geometry: Geometry, m: int, omega_max: float) -> Iterator[ModeEntry]:
+def _axial_top(geometry: Geometry, m: int, n: int, omega_max: float) -> int:
+    """Largest p with omega_mnp <= omega_max, or -1 if there is none.
+
+    The closed form P = floor((l/pi) sqrt((omega_max/c)^2 - gamma_mn^2)) is
+    stepped to the exact tm_frequency test. It is capped at ENUMERATION_CAP:
+    a tower that long exceeds the cap whatever its exact length.
+    """
+    def above(p: int) -> bool:
+        return tm_frequency(geometry, ModeIndex(m, n, p)).omega > omega_max
+
+    if above(0):
+        return -1
+    k = omega_max / C_LIGHT
+    gamma = tm_frequency(geometry, ModeIndex(m, n, 0)).gamma
+    top = int(min(geometry.l / math.pi * math.sqrt(max(k - gamma, 0.0) * (k + gamma)),
+                  ENUMERATION_CAP))
+    while above(top):
+        top -= 1
+    while top < ENUMERATION_CAP and not above(top + 1):
+        top += 1
+    return top
+
+
+def _append_order(modes: list[ModeEntry], geometry: Geometry, m: int,
+                  omega_max: float) -> None:
+    """Append every mode of angular order m below omega_max, one (m, n) tower at a time."""
     n = 1
     while True:
         if n > roots.COUNT_MAX:
             raise DomainError(
                 f"omega_max = {omega_max!r} needs more than {roots.COUNT_MAX} radial "
                 "eigenvalues per angular order; tighten the cutoff")
-        entry = tm_frequency(geometry, ModeIndex(m, n, 0))
-        if entry.omega > omega_max:
+        top = _axial_top(geometry, m, n, omega_max)
+        if top < 0:
             return
-        yield entry
-        p = 1
-        while True:
-            entry = tm_frequency(geometry, ModeIndex(m, n, p))
-            if entry.omega > omega_max:
-                break
-            yield entry
-            p += 1
+        if len(modes) + top + 1 > ENUMERATION_CAP:
+            raise ResourceLimitError(
+                f"spectrum below omega_max={omega_max!r} exceeds {ENUMERATION_CAP} modes")
+        modes.extend(tm_frequency(geometry, ModeIndex(m, n, p)) for p in range(top + 1))
         n += 1
 
 
 def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
     """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p).
 
-    Raises ResourceLimitError beyond 10^7 entries.
+    Raises ResourceLimitError beyond 10^7 entries, before building them.
     """
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
@@ -147,12 +168,7 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
                 f"{roots.ORDER_MAX}; tighten the cutoff")
         if C_LIGHT * radial_eigenvalue(geometry, m, 1) > omega_max:
             break
-        for entry in _modes_for_order(geometry, m, omega_max):
-            modes.append(entry)
-            if len(modes) > ENUMERATION_CAP:
-                raise ResourceLimitError(
-                    f"spectrum below omega_max={omega_max!r} exceeds "
-                    f"{ENUMERATION_CAP} modes")
+        _append_order(modes, geometry, m, omega_max)
         m += 1
     modes.sort(key=lambda e: (e.omega, e.index.m, e.index.n, e.index.p))
     return modes

@@ -36,14 +36,8 @@ from .specfun import _j_raw, _y_raw
 _TWO_PI = 2.0 * math.pi
 
 
-@lru_cache(maxsize=300_000)
-def _j(m: int, x: float) -> float:
-    return _j_raw(m, x)[0]
-
-
-@lru_cache(maxsize=300_000)
-def _n(m: int, x: float) -> float:
-    return _y_raw(m, x)[0]
+_j = lru_cache(maxsize=300_000)(_j_raw)
+_n = lru_cache(maxsize=300_000)(_y_raw)
 
 
 def _slope(family, m: int, x: float) -> float:

@@ -179,7 +179,7 @@ _cache = _ZeroCache()
 
 def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -> None:
     """Append zeros of J_m until ``table`` holds ``count``; it may hold more."""
-    f = lambda x: _j_raw(m, x)[0]
+    f = lambda x: _j_raw(m, x)
     while len(table) < count:
         n = len(table) + 1
         expected_lo_sign = 1.0 if n % 2 else -1.0  # sign of J_m just below zero n
@@ -209,7 +209,7 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
         for lo, hi, flo, fhi in _refine_bracket(f, *bracket):
             root = _brent(f, lo, hi, flo, fhi, xtol=1e-14)
             residual = abs(f(root))
-            slope = abs(_j_raw(m + 1, root)[0])  # |J'_m| = |J_{m+1}| at a zero
+            slope = abs(_j_raw(m + 1, root))  # |J'_m| = |J_{m+1}| at a zero
             if residual > 1e-12 or residual > 1e-10 * max(slope, 1e-30):
                 raise RootFindingError(
                     f"zero {n} of J_{m} failed verification: |J|={residual:.2e}, "
@@ -237,8 +237,7 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
 
 def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], float]:
     def d(g: float) -> float:
-        return (_j_raw(m, g * b)[0] * _y_raw(m, g * a)[0]
-                - _j_raw(m, g * a)[0] * _y_raw(m, g * b)[0])
+        return _j_raw(m, g * b) * _y_raw(m, g * a) - _j_raw(m, g * a) * _y_raw(m, g * b)
     return d
 
 

@@ -20,6 +20,9 @@ Negative orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied
 as an exact sign flip so results are bit-identical to the positive-order
 call up to that sign.
 
+Calls return values only. The accuracy over the envelope is the bound a
+seeded 30-digit reference sweep supports, stated in README "Numerical notes".
+
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.
 """
@@ -34,22 +37,19 @@ from .errors import DomainError, EvaluationError, OrderError
 ORDER_MAX = 50
 X_MAX = 1.0e4
 
-_EPS = 2.220446049250313e-16
 _EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant
 _TWO_OVER_PI = 2.0 / math.pi
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A function value with an estimated absolute error.
+    """A function value; complex for Hankel-family derivatives.
 
-    The estimate tracks series truncation plus a rounding model of the
-    summation; it is a good-faith bound, not a certified enclosure.
-    For Hankel-family derivatives the value is complex.
+    Its accuracy is the bound README "Numerical notes" states, from a
+    seeded 30-digit reference sweep over the envelope.
     """
 
     value: float | complex
-    est_abs_error: float
 
 
 def _check_order(m: int) -> None:
@@ -60,7 +60,10 @@ def _check_order(m: int) -> None:
 
 
 def _check_x(x: float, positive: bool) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"argument must be a real number, got {x!r}") from None
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     if positive and x <= 0.0:
@@ -72,41 +75,32 @@ def _check_x(x: float, positive: bool) -> float:
     return x
 
 
-def _amplitude(x: float) -> float:
-    # envelope sqrt(2/(pi x)) of the oscillatory regime, clamped near 0
-    return math.sqrt(_TWO_OVER_PI / max(x, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Ascending series for J_m
 # ---------------------------------------------------------------------------
 
-def _series_j(m: int, x: float) -> tuple[float, float]:
+def _series_j(m: int, x: float) -> float:
     half = 0.5 * x
     t = 1.0
     for i in range(1, m + 1):
         t *= half / i
     if t == 0.0:
         # (x/2)^m / m! underflowed; the true value is below ~1e-308
-        return 0.0, 5e-324
+        return 0.0
     q = half * half
     terms = [t]
     peak = abs(t)
-    abssum = abs(t)
     j = 0
     while True:
         j += 1
         t = -t * q / (j * (j + m))
         at = abs(t)
         terms.append(t)
-        abssum += at
         if at > peak:
             peak = at
         if at <= 1e-18 * peak or j >= 400:
             break
-    value = math.fsum(terms)
-    est = _EPS * abssum * (1.0 + 0.25 * len(terms)) + abs(t)
-    return value, est
+    return math.fsum(terms)
 
 
 def _series_is_safe(m: int, x: float) -> bool:
@@ -152,7 +146,7 @@ def _miller_j_all(m_max: int, x: float) -> list[float]:
 # Large-argument expansion
 # ---------------------------------------------------------------------------
 
-def _asym_pq(m: int, x: float) -> tuple[float, float, float] | None:
+def _asym_pq(m: int, x: float) -> tuple[float, float] | None:
     """Amplitude factors (P, Q) of the cosine/sine expansion, or None.
 
     Returns None when the expansion cannot reach ~5e-16 before its terms
@@ -183,7 +177,7 @@ def _asym_pq(m: int, x: float) -> tuple[float, float, float] | None:
             break
     if smallest > 5e-16:
         return None
-    return p, q, smallest
+    return p, q
 
 
 _PI_LO = 1.2246467991473532e-16  # pi - float(pi)
@@ -209,8 +203,8 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _asym_jy(m: int, x: float, pq: tuple[float, float, float]) -> tuple[float, float, float]:
-    p, q, smallest = pq
+def _asym_jy(m: int, x: float, pq: tuple[float, float]) -> tuple[float, float]:
+    p, q = pq
     # chi = x - (m/2 + 1/4) pi with a two-part pi, so the phase keeps full
     # precision even when x is large and the subtraction rounds
     t = 0.5 * m + 0.25
@@ -221,37 +215,31 @@ def _asym_jy(m: int, x: float, pq: tuple[float, float, float]) -> tuple[float, f
     s = math.sin(chi)
     c, s = c - s * delta, s + c * delta
     amp = math.sqrt(_TWO_OVER_PI / x)
-    j = amp * (c * p - s * q)
-    y = amp * (s * p + c * q)
-    est = amp * (smallest + 8.0 * _EPS)
-    return j, y, est
+    return amp * (c * p - s * q), amp * (s * p + c * q)
 
 
 _ASYM_MIN_X = 18.0
 
 
-def _j_raw(m: int, x: float) -> tuple[float, float]:
-    """J_m(x) for m >= 0, 0 <= x <= X_MAX, with error estimate."""
+def _j_raw(m: int, x: float) -> float:
+    """J_m(x) for m >= 0, 0 <= x <= X_MAX."""
     if x == 0.0:
-        return (1.0, 0.0) if m == 0 else (0.0, 0.0)
+        return 1.0 if m == 0 else 0.0
     if _series_is_safe(m, x):
         return _series_j(m, x)
     if x >= _ASYM_MIN_X and 4.0 * m * m <= 6.0 * x:
         pq = _asym_pq(m, x)
         if pq is not None:
-            j, _, est = _asym_jy(m, x, pq)
-            return j, est
-    seq = _miller_j_all(m, x)
-    est = 8.0 * _EPS * max(abs(seq[m]), _amplitude(x))
-    return seq[m], est
+            return _asym_jy(m, x, pq)[0]
+    return _miller_j_all(m, x)[m]
 
 
 # ---------------------------------------------------------------------------
 # Neumann function: integer-order limit series for orders 0 and 1
 # ---------------------------------------------------------------------------
 
-def _y01_small(x: float) -> tuple[float, float, float]:
-    """(N_0, N_1, est) from the integer-order limit series, x < 1.
+def _y01_small(x: float) -> tuple[float, float]:
+    """(N_0, N_1) from the integer-order limit series, x < 1.
 
     Log term plus harmonic-weighted power sums; with x*x/4 < 0.25 the
     terms decay from the start, so plain doubles keep full precision.
@@ -276,14 +264,12 @@ def _y01_small(x: float) -> tuple[float, float, float]:
         if abs(t0) + abs(t1) <= 1e-18 * (abs(a0) + abs(a1)) or k >= 60:
             break
     lg = math.log(half) + _EULER_GAMMA
-    y0 = _TWO_OVER_PI * (lg * a0 - 0.5 * b0)
-    y1 = _TWO_OVER_PI * (lg * a1 - 0.5 * b1 - 1.0 / x)
-    est = _EPS * (abs(lg) + 2.0 + 2.0 / x) * 4.0
-    return y0, y1, est
+    return (_TWO_OVER_PI * (lg * a0 - 0.5 * b0),
+            _TWO_OVER_PI * (lg * a1 - 0.5 * b1 - 1.0 / x))
 
 
-def _y01_midrange(x: float) -> tuple[float, float, float]:
-    """(N_0, N_1, est) via log-weighted sums over one J sequence.
+def _y01_midrange(x: float) -> tuple[float, float]:
+    """(N_0, N_1) via log-weighted sums over one J sequence.
 
         N_0 = (2/pi) [ (ln(x/2)+g) J_0 + 2 sum (-1)^{k+1} J_{2k} / k ]
         N_1 = -dN_0/dx, expanded with the derivative ladder
@@ -302,25 +288,22 @@ def _y01_midrange(x: float) -> tuple[float, float, float]:
         s0 += 2.0 * sign * seq[2 * k] / k
         s1 -= sign * (seq[2 * k - 1] - seq[2 * k + 1]) / k
         sign = -sign
-    est = _EPS * (abs(lg) + 4.0) * 6.0
-    return _TWO_OVER_PI * s0, _TWO_OVER_PI * s1, est
+    return _TWO_OVER_PI * s0, _TWO_OVER_PI * s1
 
 
-def _y01(x: float) -> tuple[float, float, float]:
+def _y01(x: float) -> tuple[float, float]:
     if x >= _ASYM_MIN_X:
-        _, y0, e0 = _asym_jy(0, x, _asym_pq(0, x))
-        _, y1, e1 = _asym_jy(1, x, _asym_pq(1, x))
-        return y0, y1, max(e0, e1)
+        return _asym_jy(0, x, _asym_pq(0, x))[1], _asym_jy(1, x, _asym_pq(1, x))[1]
     if x < 1.0:
         return _y01_small(x)
     return _y01_midrange(x)
 
 
-def _y_raw(m: int, x: float) -> tuple[float, float]:
-    """N_m(x) for m >= 0, x > 0, with error estimate."""
-    y0, y1, est = _y01(x)
+def _y_raw(m: int, x: float) -> float:
+    """N_m(x) for m >= 0, x > 0."""
+    y0, y1 = _y01(x)
     if m == 0:
-        return y0, est
+        return y0
     ym_prev, ym = y0, y1
     two_over_x = 2.0 / x
     for k in range(1, m):
@@ -331,37 +314,32 @@ def _y_raw(m: int, x: float) -> tuple[float, float]:
             f"N_{m}({x!r}) overflows double precision; "
             "reduce the order or increase the argument"
         )
-    rel = est / max(abs(y1), _amplitude(x))
-    return ym, abs(ym) * (rel + 0.5 * m * _EPS)
+    return ym
 
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
-def _evaluate(family: str, m: int, x: float,
-              slope: bool = False) -> tuple[float | complex, float]:
-    """(X_m(x), est) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX + 1.
+def _evaluate(family: str, m: int, x: float, slope: bool = False) -> float | complex:
+    """X_m(x) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX + 1.
 
     With ``slope`` the value is dX_m/dx = (X_{|m|-1} - X_{|m|+1})/2. The
     reflection X_{-m} = (-1)^m X_m comes last, as an exact sign flip.
     """
     am = abs(m)
     if slope:
-        lo, le = _evaluate(family, am - 1, x)
-        hi, he = _evaluate(family, am + 1, x)
-        value, est = 0.5 * (lo - hi), 0.5 * (le + he)
+        value = 0.5 * (_evaluate(family, am - 1, x) - _evaluate(family, am + 1, x))
     elif family == "J":
-        value, est = _j_raw(am, x)
+        value = _j_raw(am, x)
     elif family == "N":
-        value, est = _y_raw(am, x)
+        value = _y_raw(am, x)
     else:
-        j, je = _j_raw(am, x)
-        n, ne = _y_raw(am, x)
-        value, est = complex(j, n if family == "H1" else -n), je + ne
+        n = _y_raw(am, x)
+        value = complex(_j_raw(am, x), n if family == "H1" else -n)
     if m < 0 and m % 2:
         value = -value
-    return value, est
+    return value
 
 
 def bessel_j(m: int, x: float) -> EvalResult:
@@ -375,13 +353,13 @@ def bessel_j(m: int, x: float) -> EvalResult:
     Raises DomainError / OrderError outside that envelope.
     """
     _check_order(m)
-    return EvalResult(*_evaluate("J", m, _check_x(x, positive=False)))
+    return EvalResult(_evaluate("J", m, _check_x(x, positive=False)))
 
 
 def neumann_n(m: int, x: float) -> EvalResult:
     """Neumann function (Bessel of the second kind), integer order, x > 0."""
     _check_order(m)
-    return EvalResult(*_evaluate("N", m, _check_x(x, positive=True)))
+    return EvalResult(_evaluate("N", m, _check_x(x, positive=True)))
 
 
 def hankel(kind: int, m: int, x: float) -> complex:
@@ -389,7 +367,7 @@ def hankel(kind: int, m: int, x: float) -> complex:
     if kind not in (1, 2):
         raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
     _check_order(m)
-    return _evaluate("H1" if kind == 1 else "H2", m, _check_x(x, positive=True))[0]
+    return _evaluate("H1" if kind == 1 else "H2", m, _check_x(x, positive=True))
 
 
 _FAMILIES = ("J", "N", "H1", "H2")
@@ -401,9 +379,9 @@ def derivative(family: str, m: int, x: float) -> EvalResult:
     The J family also accepts x = 0 (series limit). Values for the Hankel
     families are complex.
     """
-    family = family.upper()
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family.upper() not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
+    family = family.upper()
     _check_order(m)
     x = _check_x(x, positive=(family != "J"))
-    return EvalResult(*_evaluate(family, m, x, slope=True))
+    return EvalResult(_evaluate(family, m, x, slope=True))

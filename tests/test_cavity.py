@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,33 @@ class TestEnumeration:
         monkeypatch.setattr(cavity, "ENUMERATION_CAP", 5)
         with pytest.raises(ResourceLimitError):
             enumerate_modes_below(CYL, C_LIGHT * 9.0)
+
+    def test_huge_tower_raises_before_it_is_built(self):
+        # (0,1,p) alone holds ~1e11 modes below 1e20 rad/s; building them one
+        # by one would take gigabytes, so the child runs under a memory limit
+        package_root = os.path.dirname(os.path.dirname(cavity.__file__))
+        code = (
+            "import time\n"
+            "try:\n"
+            "    import resource\n"
+            "    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "except (ImportError, ValueError):\n"
+            "    pass\n"
+            "from coaxmode import CylinderGeometry, enumerate_modes_below\n"
+            "t = time.perf_counter()\n"
+            "try:\n"
+            "    enumerate_modes_below(CylinderGeometry(1, 1), 1e20)\n"
+            "    outcome = 'returned'\n"
+            "except Exception as exc:\n"
+            "    outcome = type(exc).__name__\n"
+            "print(outcome, time.perf_counter() - t)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        outcome, seconds = proc.stdout.split()
+        assert outcome == "ResourceLimitError"
+        assert float(seconds) < 1.0
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(DomainError):
