@@ -93,11 +93,15 @@ class ModeEntry:
 
 
 def radial_eigenvalue(geometry: Geometry, m: int, n: int) -> float:
-    """gamma_mn in rad/m for either geometry (n-th radial eigenvalue)."""
+    """gamma_mn in rad/m for either geometry (n-th radial eigenvalue).
+
+    Reads entry n of the cached table in place; its order was checked
+    when it entered the table.
+    """
     if isinstance(geometry, CylinderGeometry):
-        return roots.bessel_zeros(m, n).zeros[n - 1] / geometry.b
+        return roots._bessel_rows(m, n)[n - 1][0] / geometry.b
     if isinstance(geometry, AnnulusGeometry):
-        return roots.cross_product_zeros(m, geometry.a, geometry.b, n).zeros[n - 1]
+        return roots._cross_rows(m, geometry.a, geometry.b, n)[n - 1][0]
     raise GeometryError(f"unsupported geometry {geometry!r}")
 
 

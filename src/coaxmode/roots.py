@@ -12,18 +12,32 @@ Two families are located here:
   rho = a and rho = b. gamma = 0 is excluded (the limit of D at 0+ is
   finite and nonzero, and the corresponding radial solution is trivial).
 
-Bracketing is sign-change based: McMahon guesses accelerate the J_m scan
+Bracketing is sign-change based. McMahon guesses accelerate the J_m scan
 where they are reliable (certified by the expected sign pattern), and a
-plain oversampled march covers everything else, including the whole
-cross-product family. Each bracket is refined with a Brent-style hybrid
-to ~1e-14 on the abscissa, and each refined root is verified by its
-residual before it enters the table.
+march with a step below the smallest zero gap covers everything else.
+The cross-product scan rests on the Sturm comparison windows: with
+u = sqrt(rho) R the radial equation reads u'' + (gamma^2 - c/rho^2) u = 0
+with c = m^2 - 1/4, so the n-th root obeys
+
+    (n pi/(b-a))^2 + min(c/a^2, c/b^2) <= gamma_mn^2
+                                       <= (n pi/(b-a))^2 + max(c/a^2, c/b^2).
+
+The scan for root n jumps to the window's lower end, brackets the window
+directly when it cannot hold root n+1, and otherwise marches in steps of
+pi/(4(b-a)), a scale-free fraction of the smallest root gap. The windows
+also certify the index: entry n must lie in window n, and a march that
+passes window n without a sign change raises instead of handing root n+1
+out as root n. Each bracket is refined with a Brent-style hybrid, to
+~1e-14 on the abscissa for J_m zeros and to two ulps for cross-product
+roots (a tolerance that scales with the walls), and each refined root
+is verified by its residual and by exceeding the entry before it;
+entries are therefore strictly increasing as they enter the table.
 
 Tables are cached process-wide, one lock per table: one writer extends
 a table while lookups of other tables go on. A table is the same whatever
 the sequence of counts it was grown by: every root of a scan window
 enters it, and the cross-product scan resumes where its last window
-ended.
+ended. Tables only grow, so an entry can be read without a copy.
 """
 
 from __future__ import annotations
@@ -164,6 +178,11 @@ class _ZeroCache:
 
     def get(self, key: tuple, count: int,
             extend: Callable[[_Table, int], None]) -> list[tuple[float, float]]:
+        """The live rows of table ``key``, holding at least ``count`` entries.
+
+        Rows are only ever appended, so the first ``count`` stay valid
+        after the lock is released.
+        """
         with self._lock:
             table = self._tables.get(key)
             if table is None:
@@ -171,10 +190,15 @@ class _ZeroCache:
         with table.lock:
             if len(table.rows) < count:
                 extend(table, count)
-            return table.rows[:count]
+        return table.rows
 
 
 _cache = _ZeroCache()
+
+
+def _check_increasing(root: float, previous: float, what: str) -> None:
+    if not root > previous:
+        raise RootFindingError(f"{what} at {root!r} does not exceed the entry before it")
 
 
 def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -> None:
@@ -214,7 +238,23 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
                 raise RootFindingError(
                     f"zero {n} of J_{m} failed verification: |J|={residual:.2e}, "
                     f"Newton bound {residual / max(slope, 1e-30):.2e}")
+            _check_increasing(root, table[-1][0] if table else 0.0,
+                              f"zero {len(table) + 1} of J_{m}")
             table.append((root, residual))
+
+
+def _check_order_and_count(m: int, count: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > ORDER_MAX:
+        raise OrderError(f"order must be an integer in [0, {ORDER_MAX}], got {m!r}")
+    if not isinstance(count, int) or count < 1 or count > COUNT_MAX:
+        raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
+
+
+def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:
+    """Live (zero, residual) rows of J_m, at least ``count`` of them."""
+    _check_order_and_count(m, count)
+    return _cache.get(("cyl", m), count,
+                      lambda table, want: _extend_bessel_table(m, table.rows, want))
 
 
 def bessel_zeros(m: int, count: int) -> ZeroTable:
@@ -224,12 +264,7 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
     bound below 1e-10. Tables are cached, so repeated calls with growing
     counts only pay for the extension.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > ORDER_MAX:
-        raise OrderError(f"order must be an integer in [0, {ORDER_MAX}], got {m!r}")
-    if not isinstance(count, int) or count < 1 or count > COUNT_MAX:
-        raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
-    rows = _cache.get(("cyl", m), count,
-                      lambda table, want: _extend_bessel_table(m, table.rows, want))
+    rows = _bessel_rows(m, count)[:count]
     return ZeroTable(m=m, kind="cylinder",
                      zeros=tuple(r for r, _ in rows),
                      residuals=tuple(res for _, res in rows))
@@ -241,6 +276,18 @@ def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], float]:
     return d
 
 
+def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
+    """The interval [lo, hi] that holds gamma_mn (module docstring).
+
+    It is widened by four ulps on each side for the rounding of its bounds.
+    """
+    c = m * m - 0.25
+    k2 = (n * math.pi / (b - a)) ** 2
+    q_a, q_b = c / (a * a), c / (b * b)
+    return (math.sqrt(max(k2 + min(q_a, q_b), 0.0)) * (1.0 - 4.0 * _EPS),
+            math.sqrt(k2 + max(q_a, q_b)) * (1.0 + 4.0 * _EPS))
+
+
 def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -> None:
     """Scan on from ``table.resume`` until ``table.rows`` holds ``count`` roots.
 
@@ -249,47 +296,69 @@ def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -
     counts it was asked for along the way.
     """
     d = _cross_determinant(m, a, b)
-    step = min(math.pi / (b - a), 0.5) / 4.0
-    # verification probes sit a quarter oscillation period away from the
-    # root: the bracket endpoints can land arbitrarily close to it, and for
-    # very thin annuli even a full scan step covers only a sliver of the
-    # arch, so neither gives a faithful max|D| scale
-    probe = 0.25 * math.pi / (b - a)
-    x, fx = table.resume or (step, d(step))
-    guard = 0
+    # the smallest root gap measured over m <= 50, a/b in [0.01, 0.99] is
+    # 0.444 pi/(b-a) (m = 50, a/b = 0.79, roots 1-2), so a step holds one
+    # root at most, and refining it eight ways still guards against two.
+    # The same quarter period places the verification probes: bracket
+    # endpoints can land arbitrarily close to the root and, in thin annuli,
+    # span only a sliver of the arch, so neither gives a faithful max|D| scale
+    step = probe = 0.25 * math.pi / (b - a)
     while len(table.rows) < count:
-        x2 = x + step
-        fx2 = d(x2)
-        if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
-            found = []  # a window enters the table whole or not at all
-            for lo, hi, flo, fhi in _refine_bracket(d, x, x2, fx, fx2):
-                root = _brent(d, lo, hi, flo, fhi, xtol=1e-14)
-                residual = abs(d(root))
-                scale = max(abs(flo), abs(fhi),
-                            abs(d(root - probe)), abs(d(root + probe)))
-                if residual > 1e-10 * scale:
-                    raise RootFindingError(
-                        f"cross-product root near {root:.6g} failed verification: "
-                        f"|D|={residual:.2e} vs arch scale {scale:.2e}")
-                found.append((root, residual))
-            table.rows.extend(found)
-        x, fx = table.resume = (x2, fx2)
-        guard += 1
-        if guard > 5_000_000:
-            raise RootFindingError("cross-product scan exceeded its step budget")
+        n = len(table.rows) + 1
+        lo, hi = _sturm_window(m, a, b, n)
+        # roots below n are in the table, so none lies between the resume
+        # point and lo. lo_1 is below pi/(4(b-a)) only for m = 0 and
+        # a/b < 0.142, where gamma_01 > j_01/b > pi/(4(b-a)) (the annulus
+        # lies inside the disk of radius b), so the first scan starts there
+        if table.resume is None or table.resume[0] < lo:
+            x = max(lo, step)
+            fx = d(x)
+        else:
+            x, fx = table.resume
+        pieces = None
+        if x < hi < _sturm_window(m, a, b, n + 1)[0]:
+            # window n cannot hold root n+1: [x, hi] holds root n alone
+            fhi = d(hi)
+            if fx == 0.0 or (fx > 0.0) != (fhi > 0.0):
+                pieces, end = [(x, hi, fx, fhi)], (hi, fhi)
+        while pieces is None:
+            if x > hi:
+                raise RootFindingError(
+                    f"cross-product root {n} for m={m} shows no sign change in its "
+                    f"Sturm window [{lo!r}, {hi!r}]")
+            x2 = x + step
+            fx2 = d(x2)
+            if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
+                pieces, end = _refine_bracket(d, x, x2, fx, fx2), (x2, fx2)
+            else:
+                x, fx = x2, fx2
+        found = []  # a window enters the table whole or not at all
+        previous = table.rows[-1][0] if table.rows else 0.0
+        for lo_p, hi_p, flo, fhi in pieces:
+            root = _brent(d, lo_p, hi_p, flo, fhi, xtol=0.0)
+            residual = abs(d(root))
+            scale = max(abs(flo), abs(fhi),
+                        abs(d(root - probe)), abs(d(root + probe)))
+            if residual > 1e-10 * scale:
+                raise RootFindingError(
+                    f"cross-product root near {root:.6g} failed verification: "
+                    f"|D|={residual:.2e} vs arch scale {scale:.2e}")
+            k = n + len(found)
+            lo_k, hi_k = _sturm_window(m, a, b, k)
+            if not lo_k <= root <= hi_k:
+                raise RootFindingError(
+                    f"cross-product root {root!r} for m={m} lies outside the Sturm window "
+                    f"[{lo_k!r}, {hi_k!r}] of index {k}")
+            _check_increasing(root, previous, f"cross-product root {k} for m={m}")
+            found.append((root, residual))
+            previous = root
+        table.rows.extend(found)
+        table.resume = end
 
 
-def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
-    """First ``count`` roots gamma_mn of the annular determinant.
-
-    Requires 0 < a < b with a/b >= 1e-3; below that the Neumann factor at
-    the inner wall diverges and the determinant loses all conditioning
-    (use the cylinder table instead).
-    """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > ORDER_MAX:
-        raise OrderError(f"order must be an integer in [0, {ORDER_MAX}], got {m!r}")
-    if not isinstance(count, int) or count < 1 or count > COUNT_MAX:
-        raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
+def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float]]:
+    """Live (gamma, residual) rows of the annulus a < rho < b, at least ``count``."""
+    _check_order_and_count(m, count)
     a = float(a)
     b = float(b)
     if not (0.0 < a < b) or not math.isfinite(a) or not math.isfinite(b):
@@ -298,9 +367,20 @@ def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
         raise GeometryError(
             f"a/b = {a / b:.2e} is below {MIN_RADIUS_RATIO}; the annular determinant "
             "is numerically meaningless there (a solid cylinder is the right model)")
-    rows = _cache.get(("ann", m, a, b), count,
+    return _cache.get(("ann", m, a, b), count,
                       lambda table, want: _extend_cross_table(m, a, b, table, want))
+
+
+def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
+    """First ``count`` roots gamma_mn of the annular determinant.
+
+    Requires 0 < a < b with a/b >= 1e-3; below that the Neumann factor at
+    the inner wall diverges and the determinant loses all conditioning
+    (use the cylinder table instead). Entry n lies in the n-th Sturm
+    window (module docstring), up to a few ulps of its rounding.
+    """
+    rows = _cross_rows(m, a, b, count)[:count]
     return ZeroTable(m=m, kind="annulus",
                      zeros=tuple(r for r, _ in rows),
                      residuals=tuple(res for _, res in rows),
-                     geometry_tag=(a, b))
+                     geometry_tag=(float(a), float(b)))

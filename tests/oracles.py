@@ -29,6 +29,15 @@ def cross_zero_oracle(m: int, a: float, b: float) -> list[float]:
     return _tables["cross_zeros"][f"m={m},a={a},b={b}"]
 
 
+def cross_zero_tables() -> dict[tuple[int, float, float], list[float]]:
+    """Every frozen cross-product table, keyed by (m, a, b)."""
+    tables = {}
+    for key, zeros in _tables["cross_zeros"].items():
+        fields = dict(part.split("=") for part in key.split(","))
+        tables[int(fields["m"]), float(fields["a"]), float(fields["b"])] = zeros
+    return tables
+
+
 def neumann_reference() -> list[dict]:
     """(m, x, N_m(x)) probes from the frozen limit-series run."""
     return _tables["neumann_reference"]

@@ -1,11 +1,16 @@
 import math
+import os
+import random
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from coaxmode import bessel_j, bessel_zeros, cross_product_zeros, neumann_n
+from coaxmode import (AnnulusGeometry, bessel_j, bessel_zeros, cross_product_zeros,
+                      neumann_n, radial_eigenvalue)
 from coaxmode import roots
-from coaxmode.errors import DomainError, GeometryError, OrderError
+from coaxmode.errors import DomainError, GeometryError, OrderError, RootFindingError
 
 import oracles
 
@@ -13,6 +18,25 @@ import oracles
 def cross_determinant(m, a, b, g):
     return (bessel_j(m, g * b).value * neumann_n(m, g * a).value
             - bessel_j(m, g * a).value * neumann_n(m, g * b).value)
+
+
+def sturm_window(m, a, b, n):
+    """[lo, hi] for gamma_mn from the Sturm comparison of u = sqrt(rho) R."""
+    c = m * m - 0.25
+    base = (n * math.pi / (b - a)) ** 2
+    ends = (base + c / (a * a), base + c / (b * b))
+    return math.sqrt(max(min(ends), 0.0)), math.sqrt(max(ends))
+
+
+def run_child(code, timeout=120):
+    """Run ``code`` in a fresh interpreter on this package; return its stdout."""
+    package_root = os.path.dirname(os.path.dirname(roots.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestBesselZeros:
@@ -60,6 +84,27 @@ class TestBesselZeros:
         second = bessel_zeros(4, 15)
         assert first.zeros == second.zeros
         assert first.residuals == second.residuals
+
+    def test_rejected_entry_leaves_the_table_clean(self, monkeypatch):
+        # a second zero that fails the order check must not enter the table,
+        # where it would break every later read of it
+        key = ("cyl", 9)
+        real = roots._brent
+        calls = []
+
+        def repeat_first(f, lo, hi, flo, fhi, xtol):
+            calls.append(real(f, lo, hi, flo, fhi, xtol))
+            return calls[0]
+
+        roots._cache._tables.pop(key, None)
+        try:
+            monkeypatch.setattr(roots, "_brent", repeat_first)
+            with pytest.raises(RootFindingError, match="does not exceed"):
+                bessel_zeros(9, 2)
+            monkeypatch.setattr(roots, "_brent", real)
+            assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1], abs=1e-14)
+        finally:
+            roots._cache._tables.pop(key, None)
 
     def test_argument_validation(self):
         with pytest.raises(OrderError):
@@ -177,6 +222,97 @@ class TestCrossProductZeros:
             cross_product_zeros(0, 1.0, 2.0, 2000)
 
 
+class TestSturmWindows:
+    def test_oracle_roots_lie_in_their_windows(self):
+        tables = oracles.cross_zero_tables()
+        assert tables
+        for (m, a, b), zeros in tables.items():
+            for n, root in enumerate(zeros, 1):
+                lo, hi = sturm_window(m, a, b, n)
+                assert lo < root < hi, (m, a, b, n)
+
+    def test_seeded_sweep_lies_in_windows(self):
+        rng = random.Random(20261018)
+        for m in (0, 1, 5, 20, 50):
+            for ratio in (1e-3, 0.05, 0.5, 0.9, 0.999):
+                b = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+                # gamma b stays inside the x <= 1e4 envelope of specfun
+                count = 3 if ratio == 0.999 else 10
+                zeros = cross_product_zeros(m, ratio * b, b, count).zeros
+                for n, root in enumerate(zeros, 1):
+                    lo, hi = sturm_window(m, ratio * b, b, n)
+                    assert lo * (1 - 1e-15) <= root <= hi * (1 + 1e-15), (m, ratio, b, n)
+
+    def test_planted_missed_root_raises(self, monkeypatch):
+        # D flips sign just past the first root, so the scan sees no sign
+        # change there; the first change it meets is the second root, which
+        # must not be handed out as entry 1
+        m, a, b = 0, 1.0, 2.5
+        key = ("ann", m, a, b)
+        first, second = cross_product_zeros(m, a, b, 2).zeros
+        real = roots._cross_determinant
+
+        def planted(m, a, b):
+            d = real(m, a, b)
+            return lambda g: -d(g) if g > first else d(g)
+
+        roots._cache._tables.pop(key, None)
+        try:
+            monkeypatch.setattr(roots, "_cross_determinant", planted)
+            with pytest.raises(RootFindingError, match="Sturm"):
+                cross_product_zeros(m, a, b, 1)
+            assert roots._cache._tables[key].rows == []
+            with pytest.raises(RootFindingError):
+                cross_product_zeros(m, a, b, 2)
+        finally:
+            monkeypatch.undo()
+            roots._cache._tables.pop(key, None)
+        assert cross_product_zeros(m, a, b, 2).zeros == (first, second)
+
+
+class TestScanCost:
+    def test_determinant_evaluations_per_root(self, monkeypatch):
+        real = roots._cross_determinant
+        calls = [0]
+
+        def counting(m, a, b):
+            d = real(m, a, b)
+
+            def wrapped(g):
+                calls[0] += 1
+                return d(g)
+            return wrapped
+
+        keys = [("ann", m, 1.0, 2.0) for m in range(21)]
+        for key in keys:
+            roots._cache._tables.pop(key, None)
+        monkeypatch.setattr(roots, "_cross_determinant", counting)
+        for m in range(21):
+            cross_product_zeros(m, 1.0, 2.0, 20)
+        assert calls[0] / (21 * 20) <= 15.0
+
+    def test_small_walls_scale_exactly(self):
+        # walls 1e5 times smaller scale every root by 1e5; the scan must not
+        # march from a fixed gamma in fixed steps to get there
+        out = run_child(
+            "from coaxmode import cross_product_zeros\n"
+            "for m in (0, 50):\n"
+            "    base = cross_product_zeros(m, 1.0, 2.0, 3).zeros\n"
+            "    small = cross_product_zeros(m, 1e-5, 2e-5, 3).zeros\n"
+            "    print(max(abs(s * 1e-5 - r) / r for s, r in zip(small, base)))\n")
+        assert all(float(drift) <= 1e-12 for drift in out.split())
+
+    def test_thin_annulus_is_fast(self):
+        out = run_child(
+            "import time\n"
+            "from coaxmode import cross_product_zeros\n"
+            "t = time.perf_counter()\n"
+            "for m in range(4):\n"
+            "    cross_product_zeros(m, 0.999, 1.0, 3)\n"
+            "print(time.perf_counter() - t)\n")
+        assert float(out) < 1.0
+
+
 class TestTableCache:
     @pytest.mark.parametrize("table", [
         lambda count: bessel_zeros(7, count),
@@ -191,6 +327,36 @@ class TestTableCache:
             grown = table(count)
         assert grown.zeros == whole.zeros
         assert grown.residuals == whole.residuals
+
+    def test_entry_reads_race_extensions(self):
+        # radial_eigenvalue reads entry n of the live table without a copy
+        # while other threads extend it
+        geometry = AnnulusGeometry(a=0.3, b=1.5, l=1.0)
+        whole = cross_product_zeros(2, 0.3, 1.5, 60).zeros
+        roots._cache._tables.pop(("ann", 2, 0.3, 1.5), None)
+        seen, errors = [], []
+
+        def reader(first):
+            try:
+                for n in range(first, 61, 7):
+                    seen.append((n, radial_eigenvalue(geometry, 2, n)))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(1, 7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(seen) == sum(len(range(k, 61, 7)) for k in range(1, 7))
+        assert all(value == whole[n - 1] for n, value in seen)
 
     def test_slow_extension_does_not_block_other_tables(self):
         started = threading.Event()
