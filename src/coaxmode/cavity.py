@@ -95,13 +95,12 @@ class ModeEntry:
 def radial_eigenvalue(geometry: Geometry, m: int, n: int) -> float:
     """gamma_mn in rad/m for either geometry (n-th radial eigenvalue).
 
-    Reads entry n of the cached table in place; its order was checked
-    when it entered the table.
+    Reads entry n of the cached table without copying the table.
     """
     if isinstance(geometry, CylinderGeometry):
-        return roots._bessel_rows(m, n)[n - 1][0] / geometry.b
+        return roots._bessel_zero(m, n) / geometry.b
     if isinstance(geometry, AnnulusGeometry):
-        return roots._cross_rows(m, geometry.a, geometry.b, n)[n - 1][0]
+        return roots._cross_zero(m, geometry.a, geometry.b, n)
     raise GeometryError(f"unsupported geometry {geometry!r}")
 
 

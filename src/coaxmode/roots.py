@@ -25,13 +25,15 @@ with c = m^2 - 1/4, so the n-th root obeys
 The scan for root n jumps to the window's lower end, brackets the window
 directly when it cannot hold root n+1, and otherwise marches in steps of
 pi/(4(b-a)), a scale-free fraction of the smallest root gap. The windows
-also certify the index: entry n must lie in window n, and a march that
-passes window n without a sign change raises instead of handing root n+1
-out as root n. Each bracket is refined with a Brent-style hybrid, to
-~1e-14 on the abscissa for J_m zeros and to two ulps for cross-product
-roots (a tolerance that scales with the walls), and each refined root
-is verified by its residual and by exceeding the entry before it;
-entries are therefore strictly increasing as they enter the table.
+also certify the index: entry n must lie in window n, widened by the
+determinant's rounding (16 eps b/(b-a) relative, see ``_sturm_window``),
+and a march that passes window n without a sign change raises instead of
+handing root n+1 out as root n. Each bracket is refined with a
+Brent-style hybrid, to ~1e-14 on the abscissa for J_m zeros and to two
+ulps for cross-product roots (a tolerance that scales with the walls),
+and each refined root is verified by its residual and by exceeding the
+entry before it; entries are therefore strictly increasing as they
+enter the table.
 
 Tables are cached process-wide, one lock per table: one writer extends
 a table while lookups of other tables go on. A table is the same whatever
@@ -257,6 +259,11 @@ def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:
                       lambda table, want: _extend_bessel_table(m, table.rows, want))
 
 
+def _bessel_zero(m: int, n: int) -> float:
+    """Zero n of J_m, read in place; its order was checked when it entered."""
+    return _bessel_rows(m, n)[n - 1][0]
+
+
 def bessel_zeros(m: int, count: int) -> ZeroTable:
     """First ``count`` positive zeros of J_m, each verified in place.
 
@@ -277,15 +284,20 @@ def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], float]:
 
 
 def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
-    """The interval [lo, hi] that holds gamma_mn (module docstring).
+    """The interval [lo, hi] that holds computed roots gamma_mn (module docstring).
 
-    It is widened by four ulps on each side for the rounding of its bounds.
+    The rounding of gamma b and gamma a moves the sign change of the
+    computed determinant by about 0.4 eps b/(b-a) relative (README,
+    "Numerical notes"), more than the exact window's width in thin annuli
+    at high n. Each side is widened by 16 eps b/(b-a) relative, forty
+    times that and still far below the distance between windows.
     """
     c = m * m - 0.25
     k2 = (n * math.pi / (b - a)) ** 2
     q_a, q_b = c / (a * a), c / (b * b)
-    return (math.sqrt(max(k2 + min(q_a, q_b), 0.0)) * (1.0 - 4.0 * _EPS),
-            math.sqrt(k2 + max(q_a, q_b)) * (1.0 + 4.0 * _EPS))
+    slack = 16.0 * _EPS * b / (b - a)
+    return (math.sqrt(max(k2 + min(q_a, q_b), 0.0)) * (1.0 - slack),
+            math.sqrt(k2 + max(q_a, q_b)) * (1.0 + slack))
 
 
 def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -> None:
@@ -371,13 +383,19 @@ def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, flo
                       lambda table, want: _extend_cross_table(m, a, b, table, want))
 
 
+def _cross_zero(m: int, a: float, b: float, n: int) -> float:
+    """Root n of the annulus a < rho < b, read in place like ``_bessel_zero``."""
+    return _cross_rows(m, a, b, n)[n - 1][0]
+
+
 def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
     """First ``count`` roots gamma_mn of the annular determinant.
 
     Requires 0 < a < b with a/b >= 1e-3; below that the Neumann factor at
     the inner wall diverges and the determinant loses all conditioning
     (use the cylinder table instead). Entry n lies in the n-th Sturm
-    window (module docstring), up to a few ulps of its rounding.
+    window (module docstring), widened by 16 eps b/(b-a) relative for the
+    determinant's rounding.
     """
     rows = _cross_rows(m, a, b, count)[:count]
     return ZeroTable(m=m, kind="annulus",

@@ -243,6 +243,29 @@ class TestSturmWindows:
                     lo, hi = sturm_window(m, ratio * b, b, n)
                     assert lo * (1 - 1e-15) <= root <= hi * (1 + 1e-15), (m, ratio, b, n)
 
+    @pytest.mark.parametrize("m, ratio, count, last", [
+        (0, 0.999, 30, 94247.77960636847),
+        (1, 0.999, 30, 94247.77961167993),
+        (0, 0.995, 400, 251327.41228668296),
+        (0, 0.99, 1000, None),
+    ])
+    def test_thin_annulus_high_index(self, m, ratio, count, last):
+        # from about n = 12 at a/b = 0.999 the exact window is narrower than
+        # the rounding of a computed root, ~1e-16 b/(b-a); the index check
+        # must allow for it. References: first-order perturbation of
+        # u'' + (gamma^2 - c/rho^2) u = 0 about the flat gap, within 2e-15
+        # of 40-digit mpmath roots here, and the last entry as a march from
+        # gamma = 0.125 in steps of 0.125, without windows, found it
+        a, b = ratio, 1.0
+        d, c = b - a, m * m - 0.25
+        zeros = cross_product_zeros(m, a, b, count).zeros
+        for n, root in enumerate(zeros, 1):
+            k = n * math.pi / d
+            ref = math.sqrt(k * k + c / (a * b) - c / (2 * d * k * k) * (a ** -3 - b ** -3))
+            assert abs(root - ref) <= 1e-12 * ref, (n, root, ref)
+        if last is not None:
+            assert abs(zeros[-1] - last) <= 1e-12 * last
+
     def test_planted_missed_root_raises(self, monkeypatch):
         # D flips sign just past the first root, so the scan sees no sign
         # change there; the first change it meets is the second root, which
