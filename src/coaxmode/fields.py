@@ -31,19 +31,14 @@ from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
 from .errors import ConditioningError, DomainError
 from .quadrature import integrate_adaptive
 from .roots import bessel_zeros
-from .specfun import _j_raw, _y_raw
+from .specfun import _ladder, _slope
 
 _TWO_PI = 2.0 * math.pi
 
 
-_j = lru_cache(maxsize=300_000)(_j_raw)
-_n = lru_cache(maxsize=300_000)(_y_raw)
-
-
-def _slope(family, m: int, x: float) -> float:
-    # dX_m/dx of the cached family _j or _n via the ladder; X_{-1} = -X_1
-    lo = -family(1, x) if m == 0 else family(m - 1, x)
-    return 0.5 * (lo - family(m + 1, x))
+# one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
+# which serves a value and its slope
+_cached_ladder = lru_cache(maxsize=300_000)(_ladder)
 
 
 @dataclass(frozen=True)
@@ -55,20 +50,24 @@ class RadialSolution:
     coeff_j: float
     coeff_n: float
 
-    def value(self, rho: float) -> float:
+    def _value_and_slope(self, rho: float) -> tuple[float, float]:
+        # (R, dR/drho) from one ladder
+        m = self.m
         x = self.gamma * rho
-        r = self.coeff_j * _j(self.m, x)
+        ladder = _cached_ladder(m, x, bool(self.coeff_n))
+        r = self.coeff_j * ladder[0]
+        s = self.coeff_j * _slope(m, x, ladder[0], ladder[1])
         if self.coeff_n:
-            r += self.coeff_n * _n(self.m, x)
-        return r
+            r += self.coeff_n * ladder[2]
+            s += self.coeff_n * _slope(m, x, ladder[2], ladder[3])
+        return r, self.gamma * s
+
+    def value(self, rho: float) -> float:
+        return self._value_and_slope(rho)[0]
 
     def slope(self, rho: float) -> float:
         """dR/drho (not d/dx)."""
-        x = self.gamma * rho
-        s = self.coeff_j * _slope(_j, self.m, x)
-        if self.coeff_n:
-            s += self.coeff_n * _slope(_n, self.m, x)
-        return self.gamma * s
+        return self._value_and_slope(rho)[1]
 
     def profile(self, rho: float) -> tuple[float, float, float]:
         """(R, dR/drho, R/rho), with R/rho at its limit on the axis.
@@ -76,12 +75,12 @@ class RadialSolution:
         On the axis J_1(gamma rho)/rho -> gamma/2 and every other order's
         R/rho -> 0.
         """
-        r = self.value(rho)
+        r, slope = self._value_and_slope(rho)
         if rho == 0.0:
             over = 0.5 * self.gamma * self.coeff_j if self.m == 1 else 0.0
         else:
             over = r / rho
-        return r, self.slope(rho), over
+        return r, slope, over
 
 
 @dataclass(frozen=True)
@@ -125,12 +124,11 @@ class ModeAmplitude:
 def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
     if isinstance(geometry, CylinderGeometry):
         return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=0.0)
-    na = _n(m, gamma * geometry.a)
-    if abs(na) < 1e-300:
+    ja, _, na, _ = _cached_ladder(m, gamma * geometry.a, True)
+    if not 1e-300 <= abs(na) < math.inf:
         raise ConditioningError(
-            f"N_{m}(gamma a) = {na!r} is too close to underflow to divide by")
-    return RadialSolution(m=m, gamma=gamma, coeff_j=1.0,
-                          coeff_n=-_j(m, gamma * geometry.a) / na)
+            f"N_{m}(gamma a) = {na!r} is too close to underflow or overflow to divide by")
+    return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=-ja / na)
 
 
 @lru_cache(maxsize=65536)
@@ -231,10 +229,11 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     xk = zeros[k - 1]
 
     def integrand(rho: float) -> float:
-        return rho * _j(nu, xn * rho / a) * _j(nu, xk * rho / a)
+        return (rho * _cached_ladder(nu, xn * rho / a, False)[0]
+                * _cached_ladder(nu, xk * rho / a, False)[0])
 
     result = integrate_adaptive(integrand, 0.0, a, abs_tol=1e-10 * a * a)
-    expected = 0.5 * a * a * _j(nu + 1, xn) ** 2 if n == k else 0.0
+    expected = 0.5 * a * a * _cached_ladder(nu, xn, False)[1] ** 2 if n == k else 0.0
     return result.value, expected
 
 

@@ -14,7 +14,8 @@ Two families are located here:
 
 Bracketing is sign-change based. McMahon guesses accelerate the J_m scan
 where they are reliable (certified by the expected sign pattern), and a
-march with a step below the smallest zero gap covers everything else.
+march with a step of 1.0 covers everything else; consecutive zeros are at
+least j_02 - j_01 = 3.115 apart, so neither bracket holds two.
 The cross-product scan rests on the Sturm comparison windows: with
 u = sqrt(rho) R the radial equation reads u'' + (gamma^2 - c/rho^2) u = 0
 with c = m^2 - 1/4, so the n-th root obeys
@@ -28,12 +29,21 @@ pi/(4(b-a)), a scale-free fraction of the smallest root gap. The windows
 also certify the index: entry n must lie in window n, widened by the
 determinant's rounding (16 eps b/(b-a) relative, see ``_sturm_window``),
 and a march that passes window n without a sign change raises instead of
-handing root n+1 out as root n. Each bracket is refined with a
-Brent-style hybrid, to ~1e-14 on the abscissa for J_m zeros and to two
-ulps for cross-product roots (a tolerance that scales with the walls),
-and each refined root is verified by its residual and by exceeding the
-entry before it; entries are therefore strictly increasing as they
-enter the table.
+handing root n+1 out as root n.
+
+Each bracket is polished by safeguarded Newton (``_polish``) to within
+eps x of the root, a tolerance that scales with the walls. The slope is
+exact and comes from the same ladder run as the value (``specfun._ladder``):
+J'_m = m J_m/x - J_{m+1} for J_m zeros, and for the determinant
+
+    D' = b J'_m(gamma b) N_m(gamma a) + a J_m(gamma b) N'_m(gamma a)
+         - a J'_m(gamma a) N_m(gamma b) - b J_m(gamma a) N'_m(gamma b).
+
+Newton starts from the McMahon guess for J_m zeros, and for cross-product
+roots from the flat-gap perturbation formula shifted by its error at the
+root below. Each polished root is verified by its residual, which the
+polish hands back with the root, and by exceeding the entry before it;
+entries are therefore strictly increasing as they enter the table.
 
 Tables are cached process-wide, one lock per table: one writer extends
 a table while lookups of other tables go on. A table is the same whatever
@@ -50,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, GeometryError, OrderError, RootFindingError
-from .specfun import ORDER_MAX, _j_raw, _y_raw
+from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
 
 _EPS = 2.220446049250313e-16
 
@@ -80,55 +90,49 @@ class ZeroTable:
             raise RootFindingError("zero tables must contain positive entries only")
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-           xtol: float) -> float:
-    """Root of f in [a, b] given f(a) f(b) < 0; bisection/secant/IQI hybrid."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
+def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
+            flo: float, fhi: float, x: float) -> tuple[float, tuple[float, ...]]:
+    """Root of f in [lo, hi], given f(lo) f(hi) <= 0, and f's tuple there.
+
+    f(x) returns (value, slope, ...). Safeguarded Newton in the rtsafe
+    style from the guess x (the midpoint if x lies outside the bracket):
+    each point evaluated narrows the sign bracket, and a step that leaves
+    the bracket or fails to halve the step before last is replaced by
+    bisection. The point is returned once the Newton correction, or the
+    bracket, is within eps |x| (one to two ulps). Convergence is tested
+    first, because there x - f/f' rounds onto x or the bracket's end and
+    would otherwise bisect for nothing. The returned tuple is f at the
+    returned point, so its residual costs no further evaluation.
+    """
+    if flo == 0.0:
+        return lo, f(lo)
+    if fhi == 0.0:
+        return hi, f(hi)
+    if (flo > 0.0) == (fhi > 0.0):
         raise RootFindingError("bracket endpoints do not straddle a sign change")
-    c, fc = a, fa
-    d = e = b - a
+    positive_lo = flo > 0.0
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    last = before = hi - lo  # the last two steps taken
     while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
-        mid = 0.5 * (c - b)
-        if abs(mid) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = mid
+        fx = f(x)
+        value, slope = fx[0], fx[1]
+        if value == 0.0:
+            return x, fx
+        if (value > 0.0) == positive_lo:
+            lo = x
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * mid * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * mid * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s, e = e, d
-            if 2.0 * p < 3.0 * mid * q - abs(tol * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                d = e = mid
-        a, fa = b, fb
-        if abs(d) > tol:
-            b += d
+            hi = x
+        tol = _EPS * abs(x)
+        dx = value / slope if slope else math.inf
+        if abs(dx) <= tol or hi - lo <= tol:
+            return x, fx
+        if lo < x - dx < hi and abs(2.0 * dx) <= abs(before):
+            nxt = x - dx
         else:
-            b += tol if mid > 0.0 else -tol
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+            nxt = 0.5 * (lo + hi)
+        before, last = last, x - nxt
+        x = nxt
 
 
 def _refine_bracket(f: Callable[[float], float], lo: float, hi: float,
@@ -205,7 +209,11 @@ def _check_increasing(root: float, previous: float, what: str) -> None:
 
 def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -> None:
     """Append zeros of J_m until ``table`` holds ``count``; it may hold more."""
-    f = lambda x: _j_raw(m, x)
+    def f(x: float) -> tuple[float, float, float]:
+        # (J_m, J'_m, J_{m+1}) from one ladder run
+        jm, jm1 = _ladder(m, x, False)
+        return jm, _slope(m, x, jm, jm1), jm1
+
     while len(table) < count:
         n = len(table) + 1
         expected_lo_sign = 1.0 if n % 2 else -1.0  # sign of J_m just below zero n
@@ -214,35 +222,33 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
         lo = guess - 1.3
         hi = guess + 1.3
         if lo > (table[-1][0] if table else _jm_first_zero_floor(m)):
-            flo, fhi = f(lo), f(hi)
+            flo, fhi = f(lo)[0], f(hi)[0]
             if (math.copysign(1.0, flo) == expected_lo_sign
                     and (flo > 0.0) != (fhi > 0.0)):
                 bracket = (lo, hi, flo, fhi)
         if bracket is None:
-            # march from the last confirmed zero; step 1.0 is always below
-            # the minimal gap (~2.4) between consecutive zeros
+            # march from the last confirmed zero; consecutive zeros are at
+            # least j_02 - j_01 = 3.115 apart, so a step of 1.0 holds one at most
             x = (table[-1][0] + 0.25) if table else _jm_first_zero_floor(m)
-            fx = f(x)
+            fx = f(x)[0]
             while True:
                 x2 = x + 1.0
-                fx2 = f(x2)
+                fx2 = f(x2)[0]
                 if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
                     bracket = (x, x2, fx, fx2)
                     break
                 x, fx = x2, fx2
                 if x > 1.2e4:
                     raise RootFindingError(f"scan for zero {n} of J_{m} left the envelope")
-        for lo, hi, flo, fhi in _refine_bracket(f, *bracket):
-            root = _brent(f, lo, hi, flo, fhi, xtol=1e-14)
-            residual = abs(f(root))
-            slope = abs(_j_raw(m + 1, root))  # |J'_m| = |J_{m+1}| at a zero
-            if residual > 1e-12 or residual > 1e-10 * max(slope, 1e-30):
-                raise RootFindingError(
-                    f"zero {n} of J_{m} failed verification: |J|={residual:.2e}, "
-                    f"Newton bound {residual / max(slope, 1e-30):.2e}")
-            _check_increasing(root, table[-1][0] if table else 0.0,
-                              f"zero {len(table) + 1} of J_{m}")
-            table.append((root, residual))
+        root, (jm, _, jm1) = _polish(f, *bracket, guess)
+        residual = abs(jm)
+        slope = abs(jm1)  # |J'_m| = |J_{m+1}| at a zero
+        if residual > 1e-12 or residual > 1e-10 * max(slope, 1e-30):
+            raise RootFindingError(
+                f"zero {n} of J_{m} failed verification: |J|={residual:.2e}, "
+                f"Newton bound {residual / max(slope, 1e-30):.2e}")
+        _check_increasing(root, table[-1][0] if table else 0.0, f"zero {n} of J_{m}")
+        table.append((root, residual))
 
 
 def _check_order_and_count(m: int, count: int) -> None:
@@ -277,20 +283,49 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
                      residuals=tuple(res for _, res in rows))
 
 
-def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], float]:
-    def d(g: float) -> float:
-        return _j_raw(m, g * b) * _y_raw(m, g * a) - _j_raw(m, g * a) * _y_raw(m, g * b)
+def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], tuple[float, float]]:
+    """gamma -> (D(gamma), dD/dgamma), from one ladder run at each wall.
+
+    Every determinant evaluation passes through here: the scan, the
+    Newton polish and the residual probes. The wall arguments gamma a and
+    gamma b are rounded to doubles; each value is carried to the exact
+    product to first order with the ladder's slope. Uncorrected, that
+    rounding moves the root by up to ~0.5 eps a/(b-a) relative, 1e-13
+    at a/b = 0.999.
+    """
+    def d(g: float) -> tuple[float, float]:
+        xa, ea = _two_prod(g, a)  # g a = xa + ea exactly
+        xb, eb = _two_prod(g, b)
+        ja, ja1, na, na1 = _ladder(m, xa, True)
+        jb, jb1, nb, nb1 = _ladder(m, xb, True)
+        dja, dna = _slope(m, xa, ja, ja1), _slope(m, xa, na, na1)
+        djb, dnb = _slope(m, xb, jb, jb1), _slope(m, xb, nb, nb1)
+        ja, na, jb, nb = ja + ea * dja, na + ea * dna, jb + eb * djb, nb + eb * dnb
+        return (jb * na - ja * nb,
+                b * djb * na + a * jb * dna - a * dja * nb - b * ja * dnb)
     return d
+
+
+def _cross_guess(m: int, a: float, b: float, n: int, below: float) -> float:
+    """Newton start for root n: the first-order perturbation of the flat-gap
+    standing wave, shifted by its error at root n-1 (``below``) for n > 1."""
+    d, c = b - a, m * m - 0.25
+
+    def flat(j: int) -> float:
+        k = j * math.pi / d
+        return math.sqrt(max(k * k + c / (a * b) - c / (2.0 * d * k * k) * (a ** -3 - b ** -3),
+                             0.0))
+    return flat(n) if n == 1 else flat(n) + (below - flat(n - 1))
 
 
 def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
     """The interval [lo, hi] that holds computed roots gamma_mn (module docstring).
 
-    The rounding of gamma b and gamma a moves the sign change of the
-    computed determinant by about 0.4 eps b/(b-a) relative (README,
-    "Numerical notes"), more than the exact window's width in thin annuli
-    at high n. Each side is widened by 16 eps b/(b-a) relative, forty
-    times that and still far below the distance between windows.
+    In thin annuli at high n the exact window is narrower than the
+    rounding of a computed root. Each side is widened by 16 eps b/(b-a)
+    relative: forty times the 0.4 eps b/(b-a) by which the rounding of
+    gamma a and gamma b would move a root if ``_cross_determinant`` did
+    not correct it, and still far below the distance between windows.
     """
     c = m * m - 0.25
     k2 = (n * math.pi / (b - a)) ** 2
@@ -308,6 +343,7 @@ def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -
     counts it was asked for along the way.
     """
     d = _cross_determinant(m, a, b)
+    value = lambda g: d(g)[0]
     # the smallest root gap measured over m <= 50, a/b in [0.01, 0.99] is
     # 0.444 pi/(b-a) (m = 50, a/b = 0.79, roots 1-2), so a step holds one
     # root at most, and refining it eight ways still guards against two.
@@ -324,13 +360,13 @@ def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -
         # lies inside the disk of radius b), so the first scan starts there
         if table.resume is None or table.resume[0] < lo:
             x = max(lo, step)
-            fx = d(x)
+            fx = value(x)
         else:
             x, fx = table.resume
         pieces = None
         if x < hi < _sturm_window(m, a, b, n + 1)[0]:
             # window n cannot hold root n+1: [x, hi] holds root n alone
-            fhi = d(hi)
+            fhi = value(hi)
             if fx == 0.0 or (fx > 0.0) != (fhi > 0.0):
                 pieces, end = [(x, hi, fx, fhi)], (hi, fhi)
         while pieces is None:
@@ -339,23 +375,24 @@ def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -
                     f"cross-product root {n} for m={m} shows no sign change in its "
                     f"Sturm window [{lo!r}, {hi!r}]")
             x2 = x + step
-            fx2 = d(x2)
+            fx2 = value(x2)
             if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
-                pieces, end = _refine_bracket(d, x, x2, fx, fx2), (x2, fx2)
+                pieces, end = _refine_bracket(value, x, x2, fx, fx2), (x2, fx2)
             else:
                 x, fx = x2, fx2
         found = []  # a window enters the table whole or not at all
         previous = table.rows[-1][0] if table.rows else 0.0
         for lo_p, hi_p, flo, fhi in pieces:
-            root = _brent(d, lo_p, hi_p, flo, fhi, xtol=0.0)
-            residual = abs(d(root))
+            k = n + len(found)
+            root, (d_root, _) = _polish(d, lo_p, hi_p, flo, fhi,
+                                        _cross_guess(m, a, b, k, previous))
+            residual = abs(d_root)
             scale = max(abs(flo), abs(fhi),
-                        abs(d(root - probe)), abs(d(root + probe)))
+                        abs(value(root - probe)), abs(value(root + probe)))
             if residual > 1e-10 * scale:
                 raise RootFindingError(
                     f"cross-product root near {root:.6g} failed verification: "
                     f"|D|={residual:.2e} vs arch scale {scale:.2e}")
-            k = n + len(found)
             lo_k, hi_k = _sturm_window(m, a, b, k)
             if not lo_k <= root <= hi_k:
                 raise RootFindingError(

@@ -1,24 +1,28 @@
 """Integer-order cylinder functions: J_m, N_m, H_m^(1,2) and derivatives.
 
 Self-contained evaluation to near machine precision on the tested envelope
-|m| <= 50, 0 <= x <= 1e4, with three regimes per function:
+|m| <= 50, 0 <= x <= 1e4. Every value comes from one private ladder,
+``_ladder``, which returns J and N at orders m and m+1 from a single run
+per regime:
 
-* ascending power series where it is well conditioned (small x, or order
-  large enough that the terms decrease from the start),
-* backward recurrence with even-order sum normalization for J in the
-  oscillatory mid range,
-* the large-argument cosine/sine expansion with slowly varying amplitude
-  factors P and Q once its smallest term drops below ~1e-16.
+* the large-argument cosine/sine expansion, with slowly varying amplitude
+  factors P and Q, at orders m and m+1 once its smallest term drops below
+  ~1e-16 there; J and N share each phase;
+* otherwise, for x >= 18 and m+1 < 0.9 x, the same expansion at orders 0
+  and 1 and the upward three-term recurrence;
+* otherwise J from ascending power series where they are well conditioned
+  (small x, or order large enough that the terms decrease from the
+  start), else from one backward-recurrence run with even-order sum
+  normalization. N_m climbs the stable upward recurrence from orders 0
+  and 1: below x = 1 the integer-order limit series gives those directly;
+  between 1 and 18 they come from log-weighted sums over the same
+  backward-recurrence run, whose terms never exceed ~0.4, so no regime
+  suffers cancellation amplification.
 
-N_m starts from orders 0 and 1 and climbs the (stable) upward three-term
-recurrence. Below x = 1 the integer-order limit series is summed
-directly; between 1 and the asymptotic switch, N_0 and N_1 come from
-log-weighted sums over one backward-recurrence J sequence, whose terms
-never exceed ~0.4, so no regime suffers cancellation amplification.
-
-Negative orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied
-as an exact sign flip so results are bit-identical to the positive-order
-call up to that sign.
+Derivatives come from the same run as dX_m/dx = m X_m/x - X_{m+1}. Negative
+orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied as an exact
+sign flip so results are bit-identical to the positive-order call up to
+that sign.
 
 Calls return values only. The accuracy over the envelope is the bound a
 seeded 30-digit reference sweep supports, stated in README "Numerical notes".
@@ -39,6 +43,7 @@ X_MAX = 1.0e4
 
 _EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant
 _TWO_OVER_PI = 2.0 / math.pi
+_ASYM_MIN_X = 18.0  # the large-argument expansion is tried from here on
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,23 @@ def _series_is_safe(m: int, x: float) -> bool:
 # Backward recurrence (normalized by J_0 + 2*sum J_{2k} = 1)
 # ---------------------------------------------------------------------------
 
-def _miller_j_all(m_max: int, x: float) -> list[float]:
-    start = max(m_max, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
+def _n01_terms(x: float) -> int:
+    # orders the mid-range N_0/N_1 sums need: past x + 14 x^(1/3) the
+    # J_k(x) are below ~1e-20
+    return int(x) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 12
+
+
+def _miller(m: int, x: float) -> list[float]:
+    """J_0 .. J_keep(x) from one backward-recurrence run, keep >= m + 1.
+
+    Below x = 18 keep also reaches ``_n01_terms(x)``, so the run serves
+    the mid-range N_0/N_1 sums too.
+    """
+    keep = max(m + 1, _n01_terms(x)) if x < _ASYM_MIN_X else m + 1
+    start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
     if start % 2:
         start += 1
-    out = [0.0] * (m_max + 1)
+    out = [0.0] * (keep + 1)
     jp = 0.0
     jc = 1e-30
     norm = 0.0
@@ -127,7 +144,7 @@ def _miller_j_all(m_max: int, x: float) -> list[float]:
         jp = jc
         jc = jm
         k -= 1
-        if k <= m_max:
+        if k <= keep:
             out[k] = jc
         if k % 2 == 0:
             norm += jc if k == 0 else 2.0 * jc
@@ -135,8 +152,8 @@ def _miller_j_all(m_max: int, x: float) -> list[float]:
             jc *= 1e-250
             jp *= 1e-250
             norm *= 1e-250
-            if k <= m_max:
-                for i in range(k, m_max + 1):
+            if k <= keep:
+                for i in range(k, keep + 1):
                     out[i] *= 1e-250
     inv = 1.0 / norm
     return [v * inv for v in out]
@@ -218,22 +235,6 @@ def _asym_jy(m: int, x: float, pq: tuple[float, float]) -> tuple[float, float]:
     return amp * (c * p - s * q), amp * (s * p + c * q)
 
 
-_ASYM_MIN_X = 18.0
-
-
-def _j_raw(m: int, x: float) -> float:
-    """J_m(x) for m >= 0, 0 <= x <= X_MAX."""
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if _series_is_safe(m, x):
-        return _series_j(m, x)
-    if x >= _ASYM_MIN_X and 4.0 * m * m <= 6.0 * x:
-        pq = _asym_pq(m, x)
-        if pq is not None:
-            return _asym_jy(m, x, pq)[0]
-    return _miller_j_all(m, x)[m]
-
-
 # ---------------------------------------------------------------------------
 # Neumann function: integer-order limit series for orders 0 and 1
 # ---------------------------------------------------------------------------
@@ -268,53 +269,102 @@ def _y01_small(x: float) -> tuple[float, float]:
             _TWO_OVER_PI * (lg * a1 - 0.5 * b1 - 1.0 / x))
 
 
-def _y01_midrange(x: float) -> tuple[float, float]:
-    """(N_0, N_1) via log-weighted sums over one J sequence.
+def _y01_midrange(x: float, seq: list[float]) -> tuple[float, float]:
+    """(N_0, N_1) via log-weighted sums over one backward-recurrence run.
 
         N_0 = (2/pi) [ (ln(x/2)+g) J_0 + 2 sum (-1)^{k+1} J_{2k} / k ]
         N_1 = -dN_0/dx, expanded with the derivative ladder
 
-    Every J comes from a single backward-recurrence run, the summands stay
-    below ~0.4, and the alternation is mild, so there is no cancellation
-    amplification at any x.
+    ``seq`` holds J_0 .. J_K(x) with K >= ``_n01_terms(x)``. The summands
+    stay below ~0.4 and the alternation is mild, so there is no
+    cancellation amplification at any x.
     """
-    top = int(x) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 12
-    seq = _miller_j_all(top, x)
     lg = math.log(0.5 * x) + _EULER_GAMMA
     s0 = lg * seq[0]
     s1 = lg * seq[1] - seq[0] / x
     sign = 1.0
-    for k in range(1, (len(seq) - 1) // 2):
+    for k in range(1, _n01_terms(x) // 2):
         s0 += 2.0 * sign * seq[2 * k] / k
         s1 -= sign * (seq[2 * k - 1] - seq[2 * k + 1]) / k
         sign = -sign
     return _TWO_OVER_PI * s0, _TWO_OVER_PI * s1
 
 
-def _y01(x: float) -> tuple[float, float]:
-    if x >= _ASYM_MIN_X:
-        return _asym_jy(0, x, _asym_pq(0, x))[1], _asym_jy(1, x, _asym_pq(1, x))[1]
-    if x < 1.0:
-        return _y01_small(x)
-    return _y01_midrange(x)
+# ---------------------------------------------------------------------------
+# The ladder: J and N at orders m and m+1 from one run per regime
+# ---------------------------------------------------------------------------
 
-
-def _y_raw(m: int, x: float) -> float:
-    """N_m(x) for m >= 0, x > 0."""
-    y0, y1 = _y01(x)
-    if m == 0:
-        return y0
-    ym_prev, ym = y0, y1
+def _climb(m: int, x: float, v0: float, v1: float) -> tuple[float, float]:
+    """(X_m, X_{m+1}) from X_0 = v0 and X_1 = v1 by the upward recurrence."""
     two_over_x = 2.0 / x
-    for k in range(1, m):
-        ym_prev, ym = ym, k * two_over_x * ym - ym_prev
-    # N_1 can overflow too; an overflow stays inf or turns nan up the ladder
-    if not math.isfinite(ym):
-        raise EvaluationError(
-            f"N_{m}({x!r}) overflows double precision; "
-            "reduce the order or increase the argument"
-        )
-    return ym
+    for k in range(1, m + 1):
+        v0, v1 = v1, k * two_over_x * v1 - v0
+    return v0, v1
+
+
+def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
+    """(J_m, J_{m+1}) at 0 <= x <= X_MAX, m >= 0; with_n, (J_m, J_{m+1}, N_m, N_{m+1}).
+
+    One run per regime serves all the values:
+
+    * 4 (m+1)^2 <= 6 x, x >= 18: the P/Q expansions at orders m and m+1
+      give all four values, J and N sharing each phase;
+    * m+1 < 0.9 x, x >= 18: the P/Q expansions at orders 0 and 1, then the
+      upward recurrence. That is stable for N at every order, and for J
+      below its turning point at order x: against 30-digit references
+      its J error passes that of the backward run near (m+1)/x = 0.9,
+      while the backward run loses ~1e-16 per order it crosses below x;
+    * otherwise J_m and J_{m+1} come from two ascending series where they
+      are safe, else from one backward-recurrence run, which also feeds
+      the mid-range N_0/N_1 sums. N_0 and N_1 climb the upward recurrence
+      to N_m and N_{m+1}.
+
+    An N value that overflows is returned as inf or nan; callers decide
+    whether the order they need is finite. N needs x > 0.
+    """
+    if x == 0.0:
+        return (1.0 if m == 0 else 0.0), 0.0
+    large = x >= _ASYM_MIN_X
+    if large and 4.0 * (m + 1) * (m + 1) <= 6.0 * x:
+        pq = _asym_pq(m, x)
+        pq1 = _asym_pq(m + 1, x) if pq is not None else None
+        if pq1 is not None:
+            jm, nm = _asym_jy(m, x, pq)
+            jm1, nm1 = _asym_jy(m + 1, x, pq1)
+            return (jm, jm1, nm, nm1) if with_n else (jm, jm1)
+    climb = large and m + 1 < 0.9 * x
+    if climb or large and with_n:
+        j0, y0 = _asym_jy(0, x, _asym_pq(0, x))
+        j1, y1 = _asym_jy(1, x, _asym_pq(1, x))
+    mid = 1.0 <= x < _ASYM_MIN_X
+    seq = None
+    if climb:
+        jm, jm1 = _climb(m, x, j0, j1)
+    elif _series_is_safe(m, x):
+        jm, jm1 = _series_j(m, x), _series_j(m + 1, x)
+    else:
+        seq = _miller(m, x)
+        jm, jm1 = seq[m], seq[m + 1]
+    if not with_n:
+        return jm, jm1
+    if mid:
+        y0, y1 = _y01_midrange(x, seq or _miller(m, x))
+    elif not large:
+        y0, y1 = _y01_small(x)
+    return (jm, jm1) + _climb(m, x, y0, y1)
+
+
+def _slope(m: int, x: float, value: float, above: float) -> float:
+    """dX_m/dx = m X_m/x - X_{m+1} from a ladder pair (X_m, X_{m+1}).
+
+    At m = 0 that is -X_1 exactly. At x = 0, where only J is defined,
+    J'_1 = 1/2 and every other J'_m = 0.
+    """
+    if m == 0:
+        return -above
+    if x == 0.0:
+        return 0.5 if m == 1 else 0.0
+    return m * (value / x) - above
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +372,25 @@ def _y_raw(m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _evaluate(family: str, m: int, x: float, slope: bool = False) -> float | complex:
-    """X_m(x) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX + 1.
+    """X_m(x) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX, from one ladder run.
 
-    With ``slope`` the value is dX_m/dx = (X_{|m|-1} - X_{|m|+1})/2. The
-    reflection X_{-m} = (-1)^m X_m comes last, as an exact sign flip.
+    With ``slope`` the value is dX_m/dx (``_slope``). The reflection
+    X_{-m} = (-1)^m X_m comes last, as an exact sign flip.
     """
     am = abs(m)
-    if slope:
-        value = 0.5 * (_evaluate(family, am - 1, x) - _evaluate(family, am + 1, x))
-    elif family == "J":
-        value = _j_raw(am, x)
-    elif family == "N":
-        value = _y_raw(am, x)
+    ladder = _ladder(am, x, family != "J")
+    pairs = zip(ladder[::2], ladder[1::2])  # (J_m, J_{m+1}) and (N_m, N_{m+1})
+    values = [_slope(am, x, v, above) if slope else v for v, above in pairs]
+    if family == "J":
+        value = values[0]
     else:
-        n = _y_raw(am, x)
-        value = complex(_j_raw(am, x), n if family == "H1" else -n)
+        j, n = values
+        # N_1 can overflow too; an overflow stays inf or turns nan up the ladder
+        if not math.isfinite(n):
+            raise EvaluationError(
+                f"{'dN' if slope else 'N'}_{am}({x!r}) overflows double precision; "
+                "reduce the order or increase the argument")
+        value = n if family == "N" else complex(j, n if family == "H1" else -n)
     if m < 0 and m % 2:
         value = -value
     return value

@@ -43,6 +43,11 @@ def neumann_reference() -> list[dict]:
     return _tables["neumann_reference"]
 
 
+def ladder_reference() -> list[dict]:
+    """(m, x, [J_m, J_{m+1}], [N_m, N_{m+1}]) probes from the frozen 30-digit run."""
+    return _tables["ladder_reference"]
+
+
 # textbook anchor values, quoted to double precision
 X01 = 2.404825557695773
 X02 = 5.520078110286311

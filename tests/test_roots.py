@@ -89,20 +89,20 @@ class TestBesselZeros:
         # a second zero that fails the order check must not enter the table,
         # where it would break every later read of it
         key = ("cyl", 9)
-        real = roots._brent
+        real = roots._polish
         calls = []
 
-        def repeat_first(f, lo, hi, flo, fhi, xtol):
-            calls.append(real(f, lo, hi, flo, fhi, xtol))
+        def repeat_first(f, lo, hi, flo, fhi, x):
+            calls.append(real(f, lo, hi, flo, fhi, x))
             return calls[0]
 
         roots._cache._tables.pop(key, None)
         try:
-            monkeypatch.setattr(roots, "_brent", repeat_first)
+            monkeypatch.setattr(roots, "_polish", repeat_first)
             with pytest.raises(RootFindingError, match="does not exceed"):
                 bessel_zeros(9, 2)
-            monkeypatch.setattr(roots, "_brent", real)
-            assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1], abs=1e-14)
+            monkeypatch.setattr(roots, "_polish", real)
+            assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1][0], abs=1e-14)
         finally:
             roots._cache._tables.pop(key, None)
 
@@ -267,9 +267,9 @@ class TestSturmWindows:
             assert abs(zeros[-1] - last) <= 1e-12 * last
 
     def test_planted_missed_root_raises(self, monkeypatch):
-        # D flips sign just past the first root, so the scan sees no sign
-        # change there; the first change it meets is the second root, which
-        # must not be handed out as entry 1
+        # D and its slope flip sign just past the first root, so the scan
+        # sees no sign change there; the first change it meets is the second
+        # root, which must not be handed out as entry 1
         m, a, b = 0, 1.0, 2.5
         key = ("ann", m, a, b)
         first, second = cross_product_zeros(m, a, b, 2).zeros
@@ -277,7 +277,11 @@ class TestSturmWindows:
 
         def planted(m, a, b):
             d = real(m, a, b)
-            return lambda g: -d(g) if g > first else d(g)
+
+            def flipped(g):
+                value, slope = d(g)
+                return (-value, -slope) if g > first else (value, slope)
+            return flipped
 
         roots._cache._tables.pop(key, None)
         try:
@@ -312,7 +316,32 @@ class TestScanCost:
         monkeypatch.setattr(roots, "_cross_determinant", counting)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
+        # every call counts: scan, Newton polish and residual probes
         assert calls[0] / (21 * 20) <= 15.0
+        assert calls[0] / (21 * 20) <= 10.0
+
+    def test_ladder_runs_per_bessel_zero(self, monkeypatch):
+        # a J zero costs its two bracket checks and a few Newton steps, each
+        # one ladder run that also supplies the slope and J_{m+1}
+        real = roots._ladder
+        calls = [0]
+
+        def counting(m, x, with_n):
+            calls[0] += 1
+            return real(m, x, with_n)
+
+        keys = [("cyl", m) for m in range(51)]
+        for key in keys:
+            roots._cache._tables.pop(key, None)
+        monkeypatch.setattr(roots, "_ladder", counting)
+        try:
+            for m in range(51):
+                bessel_zeros(m, 100)
+        finally:
+            monkeypatch.undo()
+            for key in keys:
+                roots._cache._tables.pop(key, None)
+        assert calls[0] / (51 * 100) <= 6.0
 
     def test_small_walls_scale_exactly(self):
         # walls 1e5 times smaller scale every root by 1e5; the scan must not

@@ -6,6 +6,7 @@ import pytest
 
 from coaxmode import EvalResult, bessel_j, neumann_n, hankel, derivative
 from coaxmode.errors import CoaxmodeError, DomainError, EvaluationError, OrderError
+from coaxmode import specfun
 from coaxmode.specfun import ORDER_MAX, X_MAX
 
 import oracles
@@ -200,6 +201,30 @@ class TestRecursionProperty:
                 fd = (f(x + h) - f(x - h)) / (2.0 * h)
                 if abs(d) > 1e-8:
                     assert d == pytest.approx(fd, rel=1e-6), (fam, m, x)
+
+
+class TestLadderOracle:
+    def test_ladder_within_readme_bounds(self):
+        # J within 1e-13 of the amplitude sqrt(2/(pi max(x, 1))), N within
+        # 1e-14 of max(|N|, amplitude), at orders m and m+1 of one ladder run
+        probes = oracles.ladder_reference()
+        assert len(probes) == 400
+        for probe in probes:
+            m, x = probe["m"], probe["x"]
+            amp = math.sqrt(2.0 / (math.pi * max(x, 1.0)))
+            values = specfun._ladder(m, x, True)
+            for got, ref in zip(values[:2], probe["j"]):
+                assert abs(got - ref) <= 1e-13 * amp, (m, x, got, ref)
+            for got, ref in zip(values[2:], probe["n"]):
+                assert abs(got - ref) <= 1e-14 * max(abs(ref), amp), (m, x, got, ref)
+
+    def test_public_calls_read_the_ladder(self):
+        for probe in oracles.ladder_reference()[:100]:
+            m, x = probe["m"], probe["x"]
+            jm, jm1, nm, nm1 = specfun._ladder(m, x, True)
+            assert bessel_j(m, x).value == jm
+            assert specfun._ladder(m, x, False) == (jm, jm1)
+            assert neumann_n(m, x).value == nm
 
 
 def _bits(v):

@@ -11,15 +11,19 @@ The oracles here are deliberately independent of the package under test:
 * Neumann reference values: high-term-count evaluation of the
   integer-order limit series (log term + harmonic-number sums) in
   50-digit arithmetic.
+* Ladder reference values: J_m, J_{m+1}, N_m and N_{m+1} at seeded points
+  (m <= 50, 1e-3 <= x <= 1e4, log-uniform in x) from mpmath besselj and
+  bessely in 30-digit arithmetic.
 
 Run from the repository root:  python tests/tools/gen_oracle_tables.py
 """
 
 import json
 import pathlib
+import random
 
 import numpy as np
-from mpmath import mp, mpf, factorial, log, psi
+from mpmath import besselj, bessely, factorial, log, mp, mpf, psi
 from scipy.optimize import brentq
 from scipy.special import jv, yv
 
@@ -31,6 +35,8 @@ ZERO_ORDERS = range(0, 6)
 ZEROS_PER_ORDER = 20
 CROSS_CASES = [(m, a, b) for m in (0, 1, 2) for a, b in ((1.0, 2.0), (1.0, 1.1), (0.5, 3.0))]
 CROSS_COUNT = 10
+LADDER_SEED = 20261018
+LADDER_POINTS = 400
 
 
 def j_series(m: int, x) -> mpf:
@@ -104,6 +110,21 @@ def neumann_limit_series(m: int, x) -> mpf:
     return term_log + term_finite - (1 / mp.pi) * (x / 2) ** m * series
 
 
+def ladder_reference(count: int) -> list[dict]:
+    """Seeded (m, x) points with [J_m, J_{m+1}] and [N_m, N_{m+1}]."""
+    rng = random.Random(LADDER_SEED)
+    probes = []
+    with mp.workdps(30):
+        for _ in range(count):
+            m = rng.randint(0, 50)
+            x = 10.0 ** rng.uniform(-3.0, 4.0)
+            arg = mpf(x)
+            probes.append({"m": m, "x": x,
+                           "j": [float(besselj(m, arg)), float(besselj(m + 1, arg))],
+                           "n": [float(bessely(m, arg)), float(bessely(m + 1, arg))]})
+    return probes
+
+
 def main() -> None:
     bessel = {str(m): bessel_zero_oracle(m, ZEROS_PER_ORDER) for m in ZERO_ORDERS}
     cross = {
@@ -123,6 +144,7 @@ def main() -> None:
         "bessel_zeros": bessel,
         "cross_zeros": cross,
         "neumann_reference": neumann,
+        "ladder_reference": ladder_reference(LADDER_POINTS),
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
