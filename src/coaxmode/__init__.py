@@ -5,7 +5,8 @@ The package is layered bottom-up:
 * ``specfun``   - J_m, N_m, H_m^(1,2) and derivatives, self-contained
 * ``roots``     - zeros of J_m and of the annular cross-product
 * ``cavity``    - geometries, mode indexing, spectra below a cutoff
-* ``fields``    - E_z, transverse E/B, superposition, verification probes
+* ``fields``    - E_z, transverse E/B, separable grids, superposition,
+  verification probes
 * ``cli``       - the ``coaxmode`` command
 
 All public operations are pure functions of their arguments (caches are
@@ -21,7 +22,7 @@ from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeEntry, ModeIndex, enumerate_modes_below,
                      mode_count_histogram, radial_eigenvalue, tm_frequency)
 from .fields import (FieldPoint, FieldSample, ModeAmplitude, RadialSolution,
-                     boundary_residual, ez_mode, helmholtz_residual,
+                     boundary_residual, ez_mode, field_grid, helmholtz_residual,
                      orthogonality_check, radial_solution, real_basis,
                      superpose, transverse_fields)
 from .quadrature import QuadratureResult, gauss_legendre_rule, integrate_adaptive
@@ -35,7 +36,7 @@ __all__ = [
     "ModeIndex", "ModeEntry", "tm_frequency", "radial_eigenvalue",
     "enumerate_modes_below", "mode_count_histogram",
     "FieldPoint", "FieldSample", "ModeAmplitude", "RadialSolution",
-    "radial_solution", "ez_mode", "transverse_fields", "superpose",
+    "radial_solution", "ez_mode", "transverse_fields", "field_grid", "superpose",
     "real_basis", "orthogonality_check", "boundary_residual",
     "helmholtz_residual",
     "QuadratureResult", "gauss_legendre_rule", "integrate_adaptive",

@@ -14,9 +14,15 @@ a single document ``{"schema": "coaxmode/1", "command": ..., "params":
 {...}, "rows": [...]}``. Numbers are serialized with shortest-round-trip
 repr (up to 17 significant digits), so identical runs are byte-identical
 and CSV and JSON carry identical values. Rows are written as they are
-computed, so a field grid of any size runs in flat memory. Every check
-that can fail runs before the first byte: a failing command writes
-nothing and creates no ``--out`` file.
+computed, in batches of 256, so a field grid of any size runs in flat
+memory. A batch whose cells are all ints and floats is formatted by one
+%-template per command, built from the column names, which writes the
+bytes csv.writer and json.dumps(indent=2) would write; batches with text
+cells, and JSON batches holding NaN or infinities, go through csv.writer
+and the JSON encoder. ``field`` takes its rows from ``fields.field_grid``,
+which evaluates the mode's separable factors once per rho, phi and z.
+Every check that can fail runs before the first byte: a failing command
+writes nothing and creates no ``--out`` file.
 
 Exit codes: 0 success, 1 numerical failure (or failed verification),
 2 argument/validation errors.
@@ -37,7 +43,7 @@ from . import __version__
 from .cavity import (AnnulusGeometry, CylinderGeometry, ModeIndex,
                      enumerate_modes_below, mode_count_histogram)
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
-from .fields import FieldPoint, radial_solution, transverse_fields
+from .fields import field_grid
 from .roots import bessel_zeros, cross_product_zeros
 from .verify import MODULES, run_checks
 
@@ -48,26 +54,55 @@ class _UsageError(Exception):
     """Bad arguments detected after parsing; mapped to exit code 2."""
 
 
+def _is_numeric(batch: list) -> bool:
+    # int and float cells print as their repr in both formats; bool is an int
+    # subclass that JSON spells true/false, so it takes the encoder path
+    return (set(map(type, batch)) == {tuple}
+            and set(map(type, itertools.chain.from_iterable(batch))) <= {int, float})
+
+
 def _emit(command: str, params: dict, columns: tuple[str, ...],
           rows: Iterable[tuple], fmt: str, out: Optional[str]) -> None:
-    """Write the rows, tuples in column order, as they arrive."""
+    """Write the rows, tuples in column order, as they arrive.
+
+    Rows go out in batches of 256. A batch of numeric rows is formatted by
+    one %-template per call, which prints each cell's repr exactly where
+    csv.writer or json.dumps would put it; any other batch goes through
+    csv.writer or the JSON encoder itself.
+    """
+    rows = iter(rows)
     with (open(out, "w", encoding="utf-8", newline="\n") if out
           else contextlib.nullcontext(sys.stdout)) as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(rows)
+            template = ",".join(["%r"] * len(columns)) + "\n"
+            while batch := list(itertools.islice(rows, 256)):
+                if _is_numeric(batch):
+                    handle.write("".join(map(template.__mod__, batch)))
+                else:
+                    writer.writerows(batch)
             return
         # json.dumps(doc, indent=2) byte for byte, "rows" (the last key) streamed
         # in batches, because each encode call pays the encoder's set-up again
         doc = {"schema": SCHEMA, "command": command, "params": params, "rows": []}
         head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
         encode = json.JSONEncoder(indent=2).encode
+        # one row object, indented two levels below the document
+        template = "\n    {\n" + ",\n".join(
+            "      " + json.dumps(name).replace("%", "%%") + ": %r" for name in columns
+        ) + "\n    }"
         handle.write(head)
-        rows, sep = iter(rows), "["
-        while batch := [dict(zip(columns, row)) for row in itertools.islice(rows, 256)]:
-            # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
-            handle.write(sep + encode(batch)[1:-2].replace("\n", "\n  "))
+        sep = "["
+        while batch := list(itertools.islice(rows, 256)):
+            numeric = _is_numeric(batch)
+            text = ",".join(map(template.__mod__, batch)) if numeric else ""
+            # repr spells non-finite floats nan/inf where JSON has NaN/Infinity
+            if not numeric or "nan" in text or "inf" in text:
+                # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
+                text = encode([dict(zip(columns, row)) for row in batch])[1:-2].replace(
+                    "\n", "\n  ")
+            handle.write(sep + text)
             sep = ","
         handle.write(("[]" if sep == "[" else "\n  ]") + tail + "\n")
 
@@ -140,10 +175,13 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag}: {exc}") from exc
     if n < 1 or hi < lo:
         raise _UsageError(f"{flag}: need COUNT >= 1 and HI >= LO, got {spec!r}")
-    if n == 1:
-        return [lo]
     # end on HI itself: lo + (hi - lo) * (n - 1) / (n - 1) can round past it
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+    values = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+    # NaN passes the comparisons above, and a finite LO and HI can still span
+    # more than a float holds
+    if not (math.isfinite(hi) and all(map(math.isfinite, values))):
+        raise _UsageError(f"{flag}: LO, HI and every sample must be finite, got {spec!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +271,8 @@ def _cmd_field(args) -> int:
             f"grid leaves the cavity: rho must stay in [{rho_lo}, {geometry.b}], "
             f"z in [0, {geometry.l}]")
 
-    # the mode's own failures (order envelope, conditioning) come before any output
-    radial_solution(geometry, m, n)
-
+    # the grid and the mode are checked here, before any output
+    rows = field_grid(geometry, index, sign, amplitude, rhos, phis, zs)
     params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),
               "b": geometry.b, "l": geometry.l, "mode": [m, n, p],
               "sign": "+" if sign > 0 else "-",
@@ -245,15 +282,7 @@ def _cmd_field(args) -> int:
     columns = ("rho", "phi", "z",
                "re_ez", "im_ez", "re_erho", "im_erho", "re_ephi", "im_ephi",
                "re_brho", "im_brho", "re_bphi", "im_bphi")
-
-    def rows():
-        for rho, phi, z in itertools.product(rhos, phis, zs):
-            s = transverse_fields(geometry, index, sign, amplitude, FieldPoint(rho, phi, z))
-            yield (rho, phi, z, s.e_z.real, s.e_z.imag, s.e_rho.real, s.e_rho.imag,
-                   s.e_phi.real, s.e_phi.imag, s.b_rho.real, s.b_rho.imag,
-                   s.b_phi.real, s.b_phi.imag)
-
-    _emit("field", params, columns, rows(), args.format, args.out)
+    _emit("field", params, columns, rows, args.format, args.out)
     return 0
 
 

@@ -12,9 +12,17 @@ and vanish identically for p = 0 and on the end plates; E_z and E_phi
 vanish on the radial walls through R itself.
 
 The azimuthal angle is reduced mod 2 pi before use, so samples at phi
-and phi + 2 pi are bit-identical whenever the addition was exact. On the
-axis the removable 1/rho singularities are replaced by their limits:
-J_1(gamma rho)/rho -> gamma/2, everything else -> 0.
+and phi + 2 pi are bit-identical whenever the addition was exact; a
+non-finite phi is a DomainError. On the axis the removable 1/rho
+singularities are replaced by their limits: J_1(gamma rho)/rho -> gamma/2,
+everything else -> 0.
+
+``field_grid`` samples one mode over a rho x phi x z product grid. The mode
+separates into R(rho), e^{ismphi} and cos/sin(kz z), so the grid evaluates
+one radial profile per rho, one phase per phi and one axial pair per z,
+and each row costs five complex products. Those products share their
+per-mode factors, and their association order, with ``transverse_fields``,
+so every grid row is bit-identical to the per-point call.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, radial_eigenvalue, tm_frequency)
@@ -137,12 +145,14 @@ def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
 
 
-def _require_inside(geometry: Geometry, point: FieldPoint) -> None:
+def _require_inside(geometry: Geometry, rho: float, phi: float, z: float) -> None:
     lo = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
-    if not (lo <= point.rho <= geometry.b) or not (0.0 <= point.z <= geometry.l):
+    if not (lo <= rho <= geometry.b) or not (0.0 <= z <= geometry.l):
         raise DomainError(
-            f"point (rho={point.rho!r}, z={point.z!r}) lies outside the cavity "
+            f"point (rho={rho!r}, z={z!r}) lies outside the cavity "
             f"closure rho in [{lo}, {geometry.b}], z in [0, {geometry.l}]")
+    if not math.isfinite(phi):
+        raise DomainError(f"phi must be finite, got {phi!r}")
 
 
 def _check_sign(sign: int) -> int:
@@ -159,41 +169,104 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
             point: FieldPoint) -> complex:
     """Axial field of one mode at one point."""
     _check_sign(sign)
-    _require_inside(geometry, point)
+    _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
     kz = index.p * math.pi / geometry.l
     return (amplitude * sol.value(point.rho)
             * _angular(index.m, sign, point.phi) * math.cos(kz * point.z))
 
 
+def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
+                  gamma: float) -> tuple[float, complex, complex, complex, complex]:
+    """kz and the amplitude-carrying factors of E_rho, E_phi, B_rho and B_phi.
+
+    Each component is factor * radial * axial * angular, multiplied left to
+    right in that order; the grid and the per-point path both rely on it to
+    give the same bits.
+    """
+    kz = index.p * math.pi / geometry.l
+    omega = C_LIGHT * math.hypot(gamma, kz)  # as tm_frequency has it
+    inv_g2 = 1.0 / (gamma * gamma)
+    b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
+    m = index.m
+    return (kz,
+            -(kz * inv_g2) * amplitude,
+            -1j * (sign * m * kz * inv_g2) * amplitude,
+            (sign * m * b_coeff) * amplitude,
+            1j * b_coeff * amplitude)
+
+
 def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
                       amplitude: complex, point: FieldPoint) -> FieldSample:
     """All five TM components of one mode at one point."""
     _check_sign(sign)
-    _require_inside(geometry, point)
+    _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
-    m = index.m
-    gamma = sol.gamma
-    kz = index.p * math.pi / geometry.l
-    omega = C_LIGHT * math.hypot(gamma, kz)  # as tm_frequency has it
-    ang = _angular(m, sign, point.phi)
+    kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
+                                                     sol.gamma)
+    ang = _angular(index.m, sign, point.phi)
     cz = math.cos(kz * point.z)
     sz = math.sin(kz * point.z)
     r_val, slope, r_over_rho = sol.profile(point.rho)
+    return FieldSample(e_z=amplitude * r_val * ang * cz,
+                       e_rho=k_rho * slope * sz * ang,
+                       e_phi=k_phi * r_over_rho * sz * ang,
+                       b_rho=k_brho * r_over_rho * cz * ang,
+                       b_phi=k_bphi * slope * cz * ang)
 
-    inv_g2 = 1.0 / (gamma * gamma)
-    b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
-    e_z = amplitude * r_val * ang * cz
-    e_rho = -(kz * inv_g2) * amplitude * slope * sz * ang
-    e_phi = -1j * (sign * m * kz * inv_g2) * amplitude * r_over_rho * sz * ang
-    b_rho = (sign * m * b_coeff) * amplitude * r_over_rho * cz * ang
-    b_phi = 1j * b_coeff * amplitude * slope * cz * ang
-    return FieldSample(e_z=e_z, e_rho=e_rho, e_phi=e_phi, b_rho=b_rho, b_phi=b_phi)
+
+def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
+               rhos: Iterable[float], phis: Iterable[float],
+               zs: Iterable[float]) -> Iterator[tuple[float, ...]]:
+    """One mode sampled over the product grid rhos x phis x zs.
+
+    Yields flat rows (rho, phi, z, re_ez, im_ez, re_erho, im_erho, re_ephi,
+    im_ephi, re_brho, im_brho, re_bphi, im_bphi) in ``itertools.product``
+    order, z fastest. Every value is bit-identical to ``transverse_fields``
+    at the same point. The sign, every coordinate and the mode are checked
+    before this returns, so a bad grid raises before the first row.
+    """
+    _check_sign(sign)
+    rhos, phis, zs = tuple(rhos), tuple(phis), tuple(zs)
+    # each coordinate once, the other two at a point every cavity contains
+    for rho in rhos:
+        _require_inside(geometry, rho, 0.0, 0.0)
+    for phi in phis:
+        _require_inside(geometry, geometry.b, phi, 0.0)
+    for z in zs:
+        _require_inside(geometry, geometry.b, 0.0, z)
+    sol = radial_solution(geometry, index.m, index.n)
+    kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
+                                                     sol.gamma)
+
+    def rows() -> Iterator[tuple[float, ...]]:
+        angs = [_angular(index.m, sign, phi) for phi in phis]
+        axial = [(z, math.cos(kz * z), math.sin(kz * z)) for z in zs]
+        for rho in rhos:
+            r_val, slope, r_over_rho = sol.profile(rho)
+            a_r = amplitude * r_val
+            # factor * radial * axial per z; the phase multiplies last, as in transverse_fields
+            per_z = [(z, cz, k_rho * slope * sz, k_phi * r_over_rho * sz,
+                      k_brho * r_over_rho * cz, k_bphi * slope * cz) for z, cz, sz in axial]
+            for phi, ang in zip(phis, angs):
+                a_r_ang = a_r * ang
+                for z, cz, e_rho_z, e_phi_z, b_rho_z, b_phi_z in per_z:
+                    e_z = a_r_ang * cz
+                    e_rho = e_rho_z * ang
+                    e_phi = e_phi_z * ang
+                    b_rho = b_rho_z * ang
+                    b_phi = b_phi_z * ang
+                    yield (rho, phi, z, e_z.real, e_z.imag, e_rho.real, e_rho.imag,
+                           e_phi.real, e_phi.imag, b_rho.real, b_rho.imag,
+                           b_phi.real, b_phi.imag)
+
+    return rows()
 
 
 def superpose(geometry: Geometry, amplitudes: Iterable[ModeAmplitude],
               point: FieldPoint) -> FieldSample:
     """Componentwise sum over modes, accumulated in input order."""
+    _require_inside(geometry, point.rho, point.phi, point.z)
     total = ZERO_SAMPLE
     for term in amplitudes:
         total = total + transverse_fields(geometry, term.index, term.sign,

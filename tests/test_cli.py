@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import coaxmode
-from coaxmode import C_LIGHT
+from coaxmode import C_LIGHT, cli
 from coaxmode.cli import main
 
 import oracles
@@ -189,6 +189,23 @@ class TestFieldCommand:
         assert code == 0
         assert [float(r["z"]) for r in parse_csv(out)][-1] == 0.05
 
+    @pytest.mark.parametrize("flag,spec", [
+        ("--rho", "nan:1:3"), ("--z", "nan:1:2"), ("--phi", "0:inf:3"),
+        ("--phi", "nan:1:2"), ("--phi", "-1e308:1e308:3"), ("--phi", "0:1e308:5"),
+        ("--rho", "0:nan:1"),
+    ])
+    def test_non_finite_grid_bound_exit_2(self, flag, spec, tmp_path, capsys):
+        grid = {"--rho": "0:1:3", "--phi": "0:6:2", "--z": "0:1:2"}
+        grid[flag] = spec
+        path = tmp_path / "grid.csv"
+        for out in ([], ["--out", str(path)]):
+            code, stdout, err = run_cli(capsys, *self.ARGS, *(f"{f}={v}" for f, v in grid.items()),
+                                        *out)
+            assert code == 2
+            assert stdout == ""
+            assert flag in err and "finite" in err
+        assert not path.exists()
+
     def test_failing_mode_creates_no_out_file(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"
         code, out, err = run_cli(capsys, "field", "--cavity", "cylinder", "--b", "1",
@@ -257,11 +274,51 @@ class TestDeterminismAndFormats:
         ("field", "--cavity", "annulus", "--a", "1", "--b", "2", "--l", "1", "--mode", "2,1,1",
          "--sign", "-", "--rho", "1:2:3", "--phi", "0:6:2", "--z", "0:1:2"),
         ("verify", "specfun"),
-    ], ids=["zeros", "modes", "histogram", "empty-modes", "field", "verify"])
+        # kz^2 / gamma^2 * amplitude overflows: the transverse E columns hold NaN
+        ("field", "--cavity", "cylinder", "--b", "1", "--l", "0.01", "--mode", "1,1,3",
+         "--sign", "+", "--amplitude=1e308,0", "--rho", "0:1:3", "--phi", "0:6:2",
+         "--z", "0:0.01:2"),
+    ], ids=["zeros", "modes", "histogram", "empty-modes", "field", "verify", "field-nonfinite"])
     def test_streamed_json_matches_one_shot_dump(self, argv, capsys):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        if "--amplitude=1e308,0" in argv:
+            assert out.count("NaN") == 4 * 12
+
+    COLUMNS = ("module", "check", "passed", "detail")
+    EDGE = [(-0.0, 5e-324, 1e300, -1e-300), (0, -7, 2**70, 0.1), (1.5, 1e16, 1e-7, 123456789.0)]
+    NON_FINITE = [(math.nan, math.inf, -math.inf, 1.0)]
+    TEXT = [("fields", "wall, outer", "true", 'max |E_t| = 1e-16, "ok"'),
+            ("roots", "index", "false", "n=3\nnext line")]
+    ROW_SETS = {
+        "numeric": EDGE * 100,
+        "non-finite": EDGE * 100 + NON_FINITE,  # only the second batch holds nan/inf
+        "empty": [],
+        "text": TEXT * 3,
+        "mixed": EDGE + TEXT + NON_FINITE,
+        "bool": [(True, False, 1, 2.0)],
+    }
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_emit_csv_matches_csv_writer(self, name, tmp_path):
+        rows = self.ROW_SETS[name]
+        path = tmp_path / "rows.csv"
+        cli._emit("x", {}, self.COLUMNS, iter(rows), "csv", str(path))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(self.COLUMNS)
+        writer.writerows(rows)
+        assert path.read_bytes().decode("utf-8") == expected.getvalue()
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_emit_json_matches_one_shot_dump(self, name, tmp_path):
+        rows = self.ROW_SETS[name]
+        path = tmp_path / "rows.json"
+        cli._emit("x", {"k": [1.0, None]}, self.COLUMNS, iter(rows), "json", str(path))
+        doc = {"schema": cli.SCHEMA, "command": "x", "params": {"k": [1.0, None]},
+               "rows": [dict(zip(self.COLUMNS, row)) for row in rows]}
+        assert path.read_bytes().decode("utf-8") == json.dumps(doc, indent=2) + "\n"
 
 
 class TestVerifyCommand:

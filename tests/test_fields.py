@@ -1,14 +1,15 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from coaxmode import (AnnulusGeometry, CylinderGeometry, FieldPoint, ModeAmplitude,
-                      ModeIndex, bessel_j, boundary_residual, ez_mode,
+                      ModeIndex, bessel_j, boundary_residual, ez_mode, field_grid,
                       helmholtz_residual, orthogonality_check, radial_solution,
                       superpose, transverse_fields)
 from coaxmode.fields import ZERO_SAMPLE
-from coaxmode.errors import DomainError
+from coaxmode.errors import DomainError, OrderError
 
 import oracles
 
@@ -129,6 +130,79 @@ class TestTransverseFields:
         assert s1.e_phi == pytest.approx(expected, rel=1e-12)
         s2 = transverse_fields(CYL, ModeIndex(2, 1, 1), 1, 1.0, FieldPoint(0.0, 0.0, 0.3))
         assert s2 == ZERO_SAMPLE
+
+
+class TestNonFinitePhi:
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_every_point_call_rejects_it(self, phi):
+        idx = ModeIndex(1, 1, 1)
+        point = FieldPoint(0.5, phi, 0.5)
+        with pytest.raises(DomainError, match="phi"):
+            ez_mode(CYL, idx, 1, 1.0, point)
+        with pytest.raises(DomainError, match="phi"):
+            transverse_fields(CYL, idx, 1, 1.0, point)
+        with pytest.raises(DomainError, match="phi"):
+            superpose(CYL, [ModeAmplitude(idx, 1, 1.0)], point)
+        with pytest.raises(DomainError, match="phi"):
+            superpose(CYL, [], point)
+        with pytest.raises(DomainError, match="phi"):
+            field_grid(CYL, idx, 1, 1.0, [0.5], [0.0, phi], [0.5])
+
+
+def _sample_hex(sample) -> list[str]:
+    return [v.hex() for c in (sample.e_z, sample.e_rho, sample.e_phi, sample.b_rho,
+                              sample.b_phi) for v in (c.real, c.imag)]
+
+
+class TestFieldGrid:
+    def test_rows_bit_identical_to_point_calls(self):
+        rng = random.Random(20261018)
+        rows = 0
+        for geom in (CYL, ANN, AnnulusGeometry(a=0.5, b=1.0, l=0.75)):
+            lo = geom.a if isinstance(geom, AnnulusGeometry) else 0.0
+            # the walls and end plates, and (cylinder) the axis limits of m = 0, 1
+            rhos = [lo, geom.b] + [rng.uniform(lo, geom.b) for _ in range(2)]
+            zs = [0.0, geom.l, rng.uniform(0.0, geom.l)]
+            phis = [0.0, rng.uniform(-7.0, 7.0), 2.0 * math.pi]
+            for m in (0, 1, 2, 5):
+                for p in (0, 1, 3):
+                    for sign in (1, -1):
+                        idx = ModeIndex(m, rng.randint(1, 3), p)
+                        amplitude = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                        if p == 1 and sign < 0:
+                            amplitude = amplitude.real  # a float amplitude takes float products
+                        grid = list(field_grid(geom, idx, sign, amplitude, rhos, phis, zs))
+                        points = [(r, f, z) for r in rhos for f in phis for z in zs]
+                        assert [row[:3] for row in grid] == points
+                        for row in grid:
+                            sample = transverse_fields(geom, idx, sign, amplitude,
+                                                       FieldPoint(*row[:3]))
+                            assert [v.hex() for v in row[3:]] == _sample_hex(sample), (
+                                type(geom).__name__, idx, sign, row[:3])
+                        rows += len(grid)
+        assert rows == 3 * 4 * 3 * 2 * 36
+
+    def test_checks_run_before_the_first_row(self):
+        idx = ModeIndex(1, 1, 1)
+        grid = ([0.5], [0.0], [0.5])
+        with pytest.raises(DomainError):
+            field_grid(CYL, idx, 2, 1.0, *grid)
+        with pytest.raises(DomainError):
+            field_grid(CYL, idx, 1, 1.0, [0.5, 1.5], [0.0], [0.5])
+        with pytest.raises(DomainError):
+            field_grid(CYL, idx, 1, 1.0, [0.5], [0.0], [0.5, -0.1])
+        with pytest.raises(DomainError):
+            field_grid(ANN, idx, 1, 1.0, [0.5], [0.0], [0.5])
+        with pytest.raises(DomainError):
+            field_grid(CYL, idx, 1, 1.0, [math.nan], [0.0], [0.5])
+        with pytest.raises(OrderError):
+            field_grid(CYL, ModeIndex(51, 1, 0), 1, 1.0, *grid)
+
+    def test_takes_one_pass_iterables(self):
+        rows = list(field_grid(CYL, ModeIndex(0, 1, 1), 1, 1.0, iter([0.2, 0.4]),
+                               (phi for phi in (0.0, 1.0)), iter([0.5])))
+        assert [row[:3] for row in rows] == [(0.2, 0.0, 0.5), (0.2, 1.0, 0.5),
+                                             (0.4, 0.0, 0.5), (0.4, 1.0, 0.5)]
 
 
 class TestSuperpose:
