@@ -9,36 +9,50 @@ The package is layered bottom-up:
   verification probes
 * ``cli``       - the ``coaxmode`` command
 
+Importing the package loads none of the layers. Each public name below is
+imported from its layer on first access (PEP 562) and is the very object
+that layer defines, so ``python -m coaxmode zeros`` loads specfun and roots
+only, and ``--version`` loads no layer at all.
+
 All public operations are pure functions of their arguments (caches are
 internal and append-only), so everything here is safe to use from
 multiple threads.
 """
 
+from importlib import import_module
+
 __version__ = "0.2.0"
 
-from .specfun import EvalResult, ORDER_MAX, X_MAX, bessel_j, derivative, hankel, neumann_n
-from .roots import ZeroTable, bessel_zeros, cross_product_zeros
-from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
-                     ModeEntry, ModeIndex, enumerate_modes_below,
-                     mode_count_histogram, radial_eigenvalue, tm_frequency)
-from .fields import (FieldPoint, FieldSample, ModeAmplitude, RadialSolution,
-                     boundary_residual, ez_mode, field_grid, helmholtz_residual,
-                     orthogonality_check, radial_solution, real_basis,
-                     superpose, transverse_fields)
-from .quadrature import QuadratureResult, gauss_legendre_rule, integrate_adaptive
-from . import errors
+# public name -> the layer that defines it; "errors" is the layer itself
+_ORIGIN = {
+    **dict.fromkeys(("EvalResult", "ORDER_MAX", "X_MAX", "bessel_j", "neumann_n", "hankel",
+                     "derivative"), "specfun"),
+    **dict.fromkeys(("ZeroTable", "bessel_zeros", "cross_product_zeros"), "roots"),
+    **dict.fromkeys(("CylinderGeometry", "AnnulusGeometry", "Geometry", "C_LIGHT",
+                     "ModeIndex", "ModeEntry", "tm_frequency", "radial_eigenvalue",
+                     "enumerate_modes_below", "mode_count_histogram"), "cavity"),
+    **dict.fromkeys(("FieldPoint", "FieldSample", "ModeAmplitude", "RadialSolution",
+                     "radial_solution", "ez_mode", "transverse_fields", "field_grid",
+                     "superpose", "real_basis", "orthogonality_check", "boundary_residual",
+                     "helmholtz_residual"), "fields"),
+    **dict.fromkeys(("QuadratureResult", "gauss_legendre_rule", "integrate_adaptive"),
+                    "quadrature"),
+    "errors": "errors",
+}
 
-__all__ = [
-    "__version__",
-    "EvalResult", "ORDER_MAX", "X_MAX", "bessel_j", "neumann_n", "hankel", "derivative",
-    "ZeroTable", "bessel_zeros", "cross_product_zeros",
-    "CylinderGeometry", "AnnulusGeometry", "Geometry", "C_LIGHT",
-    "ModeIndex", "ModeEntry", "tm_frequency", "radial_eigenvalue",
-    "enumerate_modes_below", "mode_count_histogram",
-    "FieldPoint", "FieldSample", "ModeAmplitude", "RadialSolution",
-    "radial_solution", "ez_mode", "transverse_fields", "field_grid", "superpose",
-    "real_basis", "orthogonality_check", "boundary_residual",
-    "helmholtz_residual",
-    "QuadratureResult", "gauss_legendre_rule", "integrate_adaptive",
-    "errors",
-]
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name: str):
+    # a public name, or one of the layers that defines them
+    layer = _ORIGIN.get(name, name)
+    if layer not in _ORIGIN.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{layer}")
+    value = module if name == layer else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,6 +24,12 @@ which evaluates the mode's separable factors once per rho, phi and z.
 Every check that can fail runs before the first byte: a failing command
 writes nothing and creates no ``--out`` file.
 
+Each command imports the layers it runs inside the command, so a cold
+process loads only those: ``zeros`` loads roots (and specfun under it),
+``modes`` cavity, ``field`` cavity and fields, and ``verify`` the layers of
+the suites it runs. ``--version`` and the flags argparse rejects load no
+layer.
+
 Exit codes: 0 success, 1 numerical failure (or failed verification),
 2 argument/validation errors.
 """
@@ -40,12 +46,7 @@ import sys
 from typing import Iterable, Optional
 
 from . import __version__
-from .cavity import (AnnulusGeometry, CylinderGeometry, ModeIndex,
-                     enumerate_modes_below, mode_count_histogram)
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
-from .fields import field_grid
-from .roots import bessel_zeros, cross_product_zeros
-from .verify import MODULES, run_checks
 
 SCHEMA = "coaxmode/1"
 
@@ -152,6 +153,7 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def _geometry(args: argparse.Namespace):
+    from .cavity import AnnulusGeometry, CylinderGeometry
     cavity_kind = _require(args, "cavity")
     b = _require(args, "b")
     l = _require(args, "l")
@@ -189,6 +191,7 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_zeros(args) -> int:
+    from .roots import bessel_zeros, cross_product_zeros
     kind = _require(args, "kind")
     if kind == "cross":
         a = _require(args, "a")
@@ -225,6 +228,7 @@ def _omega_max(args) -> float:
 
 
 def _cmd_modes(args) -> int:
+    from .cavity import AnnulusGeometry, enumerate_modes_below, mode_count_histogram
     geometry = _geometry(args)
     omega_max = _omega_max(args)
     params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),
@@ -245,6 +249,8 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_field(args) -> int:
+    from .cavity import AnnulusGeometry, ModeIndex
+    from .fields import field_grid
     geometry = _geometry(args)
     mode_spec = _require(args, "mode")
     try:
@@ -287,6 +293,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import MODULES, run_checks
     module = args.module_pos or args.module
     if module is not None and module not in MODULES:
         raise _UsageError(f"unknown module {module!r}; pick one of {', '.join(MODULES)}")
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run the invariant suites")
     verify.add_argument("module_pos", nargs="?", default=None,
-                        help=f"optional module filter: {', '.join(MODULES)}")
+                        help="optional module filter: specfun, roots, cavity, fields")
     verify.add_argument("--module", default=None, help="module filter (same as positional)")
     verify.add_argument("--inject-zero-tolerance", action="store_true",
                         help=argparse.SUPPRESS)

@@ -161,6 +161,11 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
+def _check_amplitude(amplitude: complex) -> None:
+    if not cmath.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {amplitude!r}")
+
+
 def _angular(m: int, sign: int, phi: float) -> complex:
     return cmath.exp(1j * (sign * m * math.fmod(phi, _TWO_PI)))
 
@@ -169,6 +174,7 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
             point: FieldPoint) -> complex:
     """Axial field of one mode at one point."""
     _check_sign(sign)
+    _check_amplitude(amplitude)
     _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
     kz = index.p * math.pi / geometry.l
@@ -182,18 +188,24 @@ def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: co
 
     Each component is factor * radial * axial * angular, multiplied left to
     right in that order; the grid and the per-point path both rely on it to
-    give the same bits.
+    give the same bits. A non-finite amplitude, or a finite one that
+    overflows a factor, is a DomainError.
     """
+    _check_amplitude(amplitude)
     kz = index.p * math.pi / geometry.l
     omega = C_LIGHT * math.hypot(gamma, kz)  # as tm_frequency has it
     inv_g2 = 1.0 / (gamma * gamma)
     b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
     m = index.m
-    return (kz,
-            -(kz * inv_g2) * amplitude,
-            -1j * (sign * m * kz * inv_g2) * amplitude,
-            (sign * m * b_coeff) * amplitude,
-            1j * b_coeff * amplitude)
+    k_rho = -(kz * inv_g2) * amplitude
+    k_phi = -1j * (sign * m * kz * inv_g2) * amplitude
+    k_brho = (sign * m * b_coeff) * amplitude
+    k_bphi = 1j * b_coeff * amplitude
+    finite = cmath.isfinite
+    if not (finite(k_rho) and finite(k_phi) and finite(k_brho) and finite(k_bphi)):
+        raise DomainError(f"amplitude {amplitude!r} overflows the transverse fields "
+                          f"of mode ({index.m}, {index.n}, {index.p})")
+    return kz, k_rho, k_phi, k_brho, k_bphi
 
 
 def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,

@@ -149,6 +149,34 @@ class TestNonFinitePhi:
             field_grid(CYL, idx, 1, 1.0, [0.5], [0.0, phi], [0.5])
 
 
+class TestNonFiniteAmplitude:
+    @pytest.mark.parametrize("amplitude", [math.nan, complex(1.0, math.nan), math.inf,
+                                           complex(-math.inf, 0.0)])
+    def test_every_call_rejects_it(self, amplitude):
+        idx = ModeIndex(1, 1, 1)
+        point = FieldPoint(0.5, 0.0, 0.5)
+        with pytest.raises(DomainError, match="amplitude"):
+            ez_mode(CYL, idx, 1, amplitude, point)
+        with pytest.raises(DomainError, match="amplitude"):
+            transverse_fields(CYL, idx, 1, amplitude, point)
+        with pytest.raises(DomainError, match="amplitude"):
+            superpose(CYL, [ModeAmplitude(idx, 1, amplitude)], point)
+        with pytest.raises(DomainError, match="amplitude"):
+            field_grid(CYL, idx, 1, amplitude, [0.5], [0.0], [0.5])
+
+    def test_overflowing_factor_is_rejected(self):
+        # -(kz / gamma^2) A overflows for A = 1e308, kz = 300 pi, gamma ~ 3.83
+        geom = CylinderGeometry(b=1.0, l=0.01)
+        idx = ModeIndex(1, 1, 3)
+        point = FieldPoint(0.5, 0.0, 0.001)
+        with pytest.raises(DomainError, match="overflows"):
+            transverse_fields(geom, idx, 1, 1e308, point)
+        with pytest.raises(DomainError, match="overflows"):
+            field_grid(geom, idx, 1, 1e308, [0.5], [0.0], [0.001])
+        # E_z carries A R cos(kz z) alone, which stays finite
+        assert cmath.isfinite(ez_mode(geom, idx, 1, 1e308, point))
+
+
 def _sample_hex(sample) -> list[str]:
     return [v.hex() for c in (sample.e_z, sample.e_rho, sample.e_phi, sample.b_rho,
                               sample.b_phi) for v in (c.real, c.imag)]

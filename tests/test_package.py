@@ -1,0 +1,119 @@
+"""The package's public names, and what each CLI command loads from a cold start."""
+
+import importlib
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+import coaxmode
+from coaxmode import verify
+from coaxmode.cli import main
+
+# the public API of coaxmode 0.2.0: defining layer -> the names it exports
+PUBLIC_API = {
+    "specfun": ("EvalResult", "ORDER_MAX", "X_MAX", "bessel_j", "neumann_n", "hankel",
+                "derivative"),
+    "roots": ("ZeroTable", "bessel_zeros", "cross_product_zeros"),
+    "cavity": ("CylinderGeometry", "AnnulusGeometry", "Geometry", "C_LIGHT", "ModeIndex",
+               "ModeEntry", "tm_frequency", "radial_eigenvalue", "enumerate_modes_below",
+               "mode_count_histogram"),
+    "fields": ("FieldPoint", "FieldSample", "ModeAmplitude", "RadialSolution",
+               "radial_solution", "ez_mode", "transverse_fields", "field_grid", "superpose",
+               "real_basis", "orthogonality_check", "boundary_residual", "helmholtz_residual"),
+    "quadrature": ("QuadratureResult", "gauss_legendre_rule", "integrate_adaptive"),
+}
+
+
+class TestPublicApi:
+    def test_all_lists_the_api(self):
+        names = [name for layer in PUBLIC_API.values() for name in layer]
+        assert sorted(coaxmode.__all__) == sorted(["__version__", "errors", *names])
+        assert len(set(coaxmode.__all__)) == len(coaxmode.__all__)
+        assert set(coaxmode.__all__) <= set(dir(coaxmode))
+
+    def test_each_name_is_its_layers_object(self):
+        for layer, names in PUBLIC_API.items():
+            module = importlib.import_module(f"coaxmode.{layer}")
+            assert getattr(coaxmode, layer) is module
+            for name in names:
+                assert getattr(coaxmode, name) is getattr(module, name), name
+        assert coaxmode.errors is importlib.import_module("coaxmode.errors")
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from coaxmode import *", namespace)
+        for name in coaxmode.__all__:
+            assert namespace[name] is getattr(coaxmode, name), name
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            coaxmode.no_such_name
+        assert not hasattr(coaxmode, "bessel_zeros_")
+        with pytest.raises(ImportError):
+            exec("from coaxmode import no_such_name", {})
+
+    def test_version_flag_matches_pyproject(self, capsys):
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"),
+                             re.MULTILINE).group(1)
+        assert coaxmode.__version__ == declared
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"coaxmode {declared}\n"
+
+    def test_verify_help_lists_the_suites(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert ", ".join(verify.MODULES) in capsys.readouterr().out
+
+
+# `python -m coaxmode ARGS`, reporting on stderr the modules the command added
+_CHILD = """
+import runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("coaxmode", run_name="__main__", alter_sys=True)
+finally:
+    print("loaded:", *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+_BASE = {"coaxmode", "coaxmode.cli", "coaxmode.errors"}
+_FIELD_GRID = ("--cavity", "cylinder", "--b", "1", "--l", "1", "--mode", "1,1,1", "--sign", "+",
+               "--rho", "0:1:2", "--phi", "0:1:2", "--z", "0:1:2")
+
+
+def _cold_run(*argv) -> set[str]:
+    # the child imports the coaxmode this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    return set(proc.stderr.rsplit("loaded:", 1)[1].split())
+
+
+class TestColdImports:
+    """Fresh processes: in-process CLI calls run with every layer already loaded."""
+
+    @pytest.mark.parametrize("argv,layers", [
+        (("--version",), set()),
+        (("zeros", "--kind", "bessel", "--m", "0", "--count", "3"), {"specfun", "roots"}),
+        (("modes", "--cavity", "cylinder", "--b", "1", "--l", "1", "--omega-max", "3e9",
+          "--histogram", "8"), {"specfun", "roots", "cavity"}),
+        (("field", *_FIELD_GRID), {"specfun", "roots", "cavity", "quadrature", "fields"}),
+        (("verify", "specfun"), {"verify", "specfun", "roots"}),
+        (("verify", "roots"), {"verify", "specfun", "roots"}),
+    ])
+    def test_command_loads_only_its_layers(self, argv, layers):
+        loaded = _cold_run(*argv)
+        assert {m for m in loaded if m.startswith("coaxmode")} == (
+            _BASE | {f"coaxmode.{layer}" for layer in layers})
+        if not layers:
+            assert "dataclasses" not in loaded
