@@ -104,12 +104,16 @@ def radial_eigenvalue(geometry: Geometry, m: int, n: int) -> float:
     raise GeometryError(f"unsupported geometry {geometry!r}")
 
 
+def _omega(gamma: float, p: int, l: float) -> float:
+    """omega_mnp from gamma_mn: the one expression every frequency comes from."""
+    return C_LIGHT * math.hypot(gamma, p * math.pi / l)
+
+
 @lru_cache(maxsize=100_000)
 def tm_frequency(geometry: Geometry, index: ModeIndex) -> ModeEntry:
     """Resolve one TM mode: eigenvalue, angular frequency, degeneracy."""
     gamma = radial_eigenvalue(geometry, index.m, index.n)
-    omega = C_LIGHT * math.hypot(gamma, index.p * math.pi / geometry.l)
-    return ModeEntry(index=index, gamma=gamma, omega=omega,
+    return ModeEntry(index=index, gamma=gamma, omega=_omega(gamma, index.p, geometry.l),
                      degeneracy=1 if index.m == 0 else 2)
 
 
@@ -155,20 +159,64 @@ def _append_order(modes: list[ModeEntry], geometry: Geometry, m: int,
         n += 1
 
 
+def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
+    """Whether the order scan below omega_max would end by passing ORDER_MAX.
+
+    gamma_m1 grows with m, so the scan passes M = ORDER_MAX exactly when
+    c gamma_{M,1} <= omega_max. On the way it would first raise
+    ResourceLimitError, or DomainError for more than COUNT_MAX radial
+    eigenvalues, if the spectrum of orders 0..M were that large; this says
+    True only where a count bound rules both out, so every cutoff keeps the
+    error the scan would give. Below k = omega_max/c an order has fewer
+    than k b/pi + 1 radial eigenvalues in the cylinder (j_{m,n} >= j_{0,n} >
+    (n - 1/4) pi), and in the annulus fewer than n once Sturm window n of
+    order 0 starts above k (root n of every order lies above the low end
+    of that window); a tower holds at most k l/pi + 2 axial indices. A
+    closed-form lower bound on gamma_{M,1} (the J_M zero floor, or the
+    first Sturm window's low end) rules most cutoffs out before that
+    eigenvalue is computed.
+    """
+    top = roots.ORDER_MAX
+    k = omega_max / C_LIGHT
+    if isinstance(geometry, CylinderGeometry):
+        radial = k * geometry.b / math.pi + 1.0
+        floor = roots._jm_first_zero_floor(top) / geometry.b
+    elif isinstance(geometry, AnnulusGeometry):
+        a, b = geometry.a, geometry.b
+        # window n of order 0 starts near sqrt((n pi/(b-a))^2 - 1/(4a^2)); the
+        # window itself certifies the count, rounding and slack included
+        radial = int(min((b - a) / math.pi * math.hypot(k, 0.5 / a), roots.COUNT_MAX)) + 1
+        if roots._sturm_window(0, a, b, radial)[0] <= k:
+            return False
+        floor = roots._sturm_window(top, a, b, 1)[0]
+    else:
+        return False  # the scan raises GeometryError at its first eigenvalue
+    axial = k * geometry.l / math.pi + 2.0
+    return (radial < roots.COUNT_MAX
+            and (top + 1) * radial * axial <= ENUMERATION_CAP
+            and C_LIGHT * floor <= omega_max
+            and C_LIGHT * radial_eigenvalue(geometry, top, 1) <= omega_max)
+
+
 def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
     """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p).
 
-    Raises ResourceLimitError beyond 10^7 entries, before building them.
+    Raises ResourceLimitError beyond 10^7 entries, before building them,
+    and DomainError when the cutoff needs angular orders beyond
+    roots.ORDER_MAX; where a count bound shows that nothing else would
+    stop the scan first, before any order is scanned.
     """
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
+    beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
+                         f"{roots.ORDER_MAX}; tighten the cutoff")
+    if _stops_at_order_envelope(geometry, omega_max):
+        raise beyond
     modes: list[ModeEntry] = []
     m = 0
     while True:
         if m > roots.ORDER_MAX:
-            raise DomainError(
-                f"omega_max = {omega_max!r} needs angular orders beyond "
-                f"{roots.ORDER_MAX}; tighten the cutoff")
+            raise beyond
         if C_LIGHT * radial_eigenvalue(geometry, m, 1) > omega_max:
             break
         _append_order(modes, geometry, m, omega_max)

@@ -28,7 +28,7 @@ Each command imports the layers it runs inside the command, so a cold
 process loads only those: ``zeros`` loads roots (and specfun under it),
 ``modes`` cavity, ``field`` cavity and fields, and ``verify`` the layers of
 the suites it runs. ``--version`` and the flags argparse rejects load no
-layer.
+layer, and neither csv nor json: only ``_emit`` imports those.
 
 Exit codes: 0 success, 1 numerical failure (or failed verification),
 2 argument/validation errors.
@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
-import json
 import math
 import sys
 from typing import Iterable, Optional
@@ -69,8 +67,11 @@ def _emit(command: str, params: dict, columns: tuple[str, ...],
     Rows go out in batches of 256. A batch of numeric rows is formatted by
     one %-template per call, which prints each cell's repr exactly where
     csv.writer or json.dumps would put it; any other batch goes through
-    csv.writer or the JSON encoder itself.
+    csv.writer or the JSON encoder itself. csv and json load here, so
+    ``--version`` and the arguments argparse rejects never import them.
     """
+    import csv
+    import json
     rows = iter(rows)
     with (open(out, "w", encoding="utf-8", newline="\n") if out
           else contextlib.nullcontext(sys.stdout)) as handle:
@@ -303,7 +304,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.module}.{r.check}: {r.detail}", file=sys.stderr)
     # CSV spells the flag as JSON does; csv.writer alone would print True/False
-    spell = json.dumps if args.format == "csv" else bool
+    spell = {True: "true", False: "false"}.get if args.format == "csv" else bool
     rows = ((r.module, r.check, spell(r.passed), r.detail) for r in results)
     params = {"module": module or "all", "all_passed": all(r.passed for r in results)}
     _emit("verify", params, ("module", "check", "passed", "detail"), rows,

@@ -30,18 +30,22 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
-                     ModeIndex, radial_eigenvalue, tm_frequency)
+                     ModeIndex, _omega, radial_eigenvalue, tm_frequency)
 from .errors import ConditioningError, DomainError
 from .quadrature import integrate_adaptive
 from .roots import bessel_zeros
 from .specfun import _ladder, _slope
 
 _TWO_PI = 2.0 * math.pi
+# below this, a field component's bound leaves room for the rounding of the
+# bound and of the products it bounds
+_PRODUCT_LIMIT = 0.999 * sys.float_info.max
 
 
 # one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
@@ -71,7 +75,11 @@ class RadialSolution:
         return r, self.gamma * s
 
     def value(self, rho: float) -> float:
-        return self._value_and_slope(rho)[0]
+        ladder = _cached_ladder(self.m, self.gamma * rho, bool(self.coeff_n))
+        r = self.coeff_j * ladder[0]
+        if self.coeff_n:
+            r += self.coeff_n * ladder[2]
+        return r
 
     def slope(self, rho: float) -> float:
         """dR/drho (not d/dx)."""
@@ -193,7 +201,7 @@ def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: co
     """
     _check_amplitude(amplitude)
     kz = index.p * math.pi / geometry.l
-    omega = C_LIGHT * math.hypot(gamma, kz)  # as tm_frequency has it
+    omega = _omega(gamma, index.p, geometry.l)
     inv_g2 = 1.0 / (gamma * gamma)
     b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
     m = index.m
@@ -220,11 +228,17 @@ def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
     cz = math.cos(kz * point.z)
     sz = math.sin(kz * point.z)
     r_val, slope, r_over_rho = sol.profile(point.rho)
-    return FieldSample(e_z=amplitude * r_val * ang * cz,
-                       e_rho=k_rho * slope * sz * ang,
-                       e_phi=k_phi * r_over_rho * sz * ang,
-                       b_rho=k_brho * r_over_rho * cz * ang,
-                       b_phi=k_bphi * slope * cz * ang)
+    e_z = amplitude * r_val * ang * cz
+    e_rho = k_rho * slope * sz * ang
+    e_phi = k_phi * r_over_rho * sz * ang
+    b_rho = k_brho * r_over_rho * cz * ang
+    b_phi = k_bphi * slope * cz * ang
+    finite = cmath.isfinite
+    if not (finite(e_z) and finite(e_rho) and finite(e_phi) and finite(b_rho)
+            and finite(b_phi)):
+        raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
+                          f"({index.m}, {index.n}, {index.p}) at rho = {point.rho!r}")
+    return FieldSample(e_z, e_rho, e_phi, b_rho, b_phi)
 
 
 def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
@@ -250,12 +264,21 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
     sol = radial_solution(geometry, index.m, index.n)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
                                                      sol.gamma)
+    profiles = [sol.profile(rho) for rho in rhos]
+    # each component is factor * radial * axial * phase, and |axial|, |phase| <= 1,
+    # so every part of every partial product is at most |factor| max|radial|
+    # (Cauchy-Schwarz); below the limit none of them overflows
+    value_peak, slope_peak, over_peak = (max(map(abs, c)) for c in zip((0.0,) * 3, *profiles))
+    for factor, peak in ((amplitude, value_peak), (k_rho, slope_peak), (k_phi, over_peak),
+                         (k_brho, over_peak), (k_bphi, slope_peak)):
+        if math.hypot(factor.real, factor.imag) * peak > _PRODUCT_LIMIT:
+            raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
+                              f"({index.m}, {index.n}, {index.p}) on this grid")
 
     def rows() -> Iterator[tuple[float, ...]]:
         angs = [_angular(index.m, sign, phi) for phi in phis]
         axial = [(z, math.cos(kz * z), math.sin(kz * z)) for z in zs]
-        for rho in rhos:
-            r_val, slope, r_over_rho = sol.profile(rho)
+        for rho, (r_val, slope, r_over_rho) in zip(rhos, profiles):
             a_r = amplitude * r_val
             # factor * radial * axial per z; the phase multiplies last, as in transverse_fields
             per_z = [(z, cz, k_rho * slope * sz, k_phi * r_over_rho * sz,
@@ -421,8 +444,10 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
         phi = rnd.uniform(0.0, _TWO_PI)
         z = geometry.l * rnd.uniform(0.1, 0.9)
         e0 = ez(rho, phi, z)
-        d_rho = (ez(rho + h, phi, z) - 2.0 * e0 + ez(rho - h, phi, z)) / (h * h)
-        d_rho += (ez(rho + h, phi, z) - ez(rho - h, phi, z)) / (2.0 * h * rho)
+        e_out = ez(rho + h, phi, z)
+        e_in = ez(rho - h, phi, z)
+        d_rho = (e_out - 2.0 * e0 + e_in) / (h * h)
+        d_rho += (e_out - e_in) / (2.0 * h * rho)
         d_z = (ez(rho, phi, z + g) - 2.0 * e0 + ez(rho, phi, z - g)) / (g * g)
         residual = abs(d_rho + d_z - (m2 / (rho * rho)) * e0 + k2 * e0)
         worst = max(worst, residual / scale)

@@ -7,17 +7,21 @@ per regime:
 
 * the large-argument cosine/sine expansion, with slowly varying amplitude
   factors P and Q, at orders m and m+1 once its smallest term drops below
-  ~1e-16 there; J and N share each phase;
+  ~1e-16 there. One loop sums P and Q at both orders, each order with its
+  own terms and stopping rule, and one phase reduction serves all four
+  values: chi_{m+1} = chi_m - pi/2, so cos and sin at m+1 are sin and
+  -cos at m;
 * otherwise, for x >= 18 and m+1 < 0.9 x, the same expansion at orders 0
   and 1 and the upward three-term recurrence;
-* otherwise J from ascending power series where they are well conditioned
-  (small x, or order large enough that the terms decrease from the
-  start), else from one backward-recurrence run with even-order sum
-  normalization. N_m climbs the stable upward recurrence from orders 0
-  and 1: below x = 1 the integer-order limit series gives those directly;
-  between 1 and 18 they come from log-weighted sums over the same
-  backward-recurrence run, whose terms never exceed ~0.4, so no regime
-  suffers cancellation amplification.
+* otherwise J_m and J_{m+1} from their ascending power series, summed in
+  one loop, where those are well conditioned (small x, or order large
+  enough that the terms decrease from the start), else from one
+  backward-recurrence run with even-order sum normalization, which steps
+  two orders at a time and keeps only the orders it returns. N_m climbs
+  the stable upward recurrence from orders 0 and 1: below x = 1 the
+  integer-order limit series gives those directly; between 1 and 18 they
+  come from log-weighted sums over the same backward-recurrence run, whose
+  terms never exceed ~0.4, so no regime suffers cancellation amplification.
 
 Derivatives come from the same run as dX_m/dx = m X_m/x - X_{m+1}. Negative
 orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied as an exact
@@ -81,31 +85,44 @@ def _check_x(x: float, positive: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ascending series for J_m
+# Ascending series for J_m and J_{m+1}
 # ---------------------------------------------------------------------------
 
-def _series_j(m: int, x: float) -> float:
+def _series_pair(m: int, x: float) -> tuple[float, float]:
+    """(J_m, J_{m+1}) from their ascending series, summed in one loop.
+
+    Each order keeps its own terms and stopping rule; the leading term of
+    order m+1 is that of order m times (x/2)/(m+1), the product the
+    order-(m+1) loop would form. A leading term that underflows gives 0.
+    """
     half = 0.5 * x
-    t = 1.0
+    t0 = 1.0
     for i in range(1, m + 1):
-        t *= half / i
-    if t == 0.0:
-        # (x/2)^m / m! underflowed; the true value is below ~1e-308
-        return 0.0
+        t0 *= half / i
+    t1 = t0 * (half / (m + 1))
     q = half * half
-    terms = [t]
-    peak = abs(t)
+    terms0, terms1 = [t0], [t1]
+    peak0, peak1 = abs(t0), abs(t1)
+    live0, live1 = t0 != 0.0, t1 != 0.0
+    m1 = m + 1
     j = 0
-    while True:
+    while live0 or live1:
         j += 1
-        t = -t * q / (j * (j + m))
-        at = abs(t)
-        terms.append(t)
-        if at > peak:
-            peak = at
-        if at <= 1e-18 * peak or j >= 400:
-            break
-    return math.fsum(terms)
+        if live0:
+            t0 = -t0 * q / (j * (j + m))
+            at = t0 if t0 > 0.0 else -t0
+            terms0.append(t0)
+            if at > peak0:
+                peak0 = at
+            live0 = at > 1e-18 * peak0 and j < 400
+        if live1:
+            t1 = -t1 * q / (j * (j + m1))
+            at = t1 if t1 > 0.0 else -t1
+            terms1.append(t1)
+            if at > peak1:
+                peak1 = at
+            live1 = at > 1e-18 * peak1 and j < 400
+    return math.fsum(terms0), math.fsum(terms1)
 
 
 def _series_is_safe(m: int, x: float) -> bool:
@@ -123,79 +140,55 @@ def _n01_terms(x: float) -> int:
     return int(x) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 12
 
 
-def _miller(m: int, x: float) -> list[float]:
-    """J_0 .. J_keep(x) from one backward-recurrence run, keep >= m + 1.
+def _miller(m: int, x: float, full: bool) -> tuple[float, float, list[float] | None]:
+    """(J_m, J_{m+1}, seq) from one backward-recurrence run.
 
-    Below x = 18 keep also reaches ``_n01_terms(x)``, so the run serves
-    the mid-range N_0/N_1 sums too.
+    With ``full``, seq holds J_0 .. J_K(x) for some K >= max(m + 1,
+    ``_n01_terms(x)``), for the mid-range N_0/N_1 sums; otherwise seq is
+    None and only orders m and m+1 are kept and normalized. The start
+    depends on m and x only, so J_m carries the same bits either way.
+
+    The run steps two orders at a time from an even start, so every second
+    value is an even order and enters the normalization sum without a
+    parity test. It starts at 1e-30 and needs no rescaling: it runs only
+    for 1 <= x < 57 and m <= 50, where its values stay below ~1e131.
     """
-    keep = max(m + 1, _n01_terms(x)) if x < _ASYM_MIN_X else m + 1
+    top = max(m + 1, _n01_terms(x)) if full else m + 1
     start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
-    if start % 2:
-        start += 1
-    out = [0.0] * (keep + 1)
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
+    start += start % 2
+    hi = top + top % 2              # the even order at or just above top
+    lo = 0 if full else hi - 2      # the kept orders are lo .. hi
     two_over_x = 2.0 / x
+    jp, jc, norm = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of 2 J_2i over 2i >= k
     k = start
-    while k > 0:
-        jm = k * two_over_x * jc - jp
-        jp = jc
-        jc = jm
-        k -= 1
-        if k <= keep:
-            out[k] = jc
-        if k % 2 == 0:
-            norm += jc if k == 0 else 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            if k <= keep:
-                for i in range(k, keep + 1):
-                    out[i] *= 1e-250
+    while k > hi:
+        jp = k * two_over_x * jc - jp
+        jc = (k - 1) * two_over_x * jp - jc
+        k -= 2
+        norm += 2.0 * jc
+    kept = [jc]                     # J_hi, J_{hi-1}, ... down to J_lo
+    while k > 2:
+        jp = k * two_over_x * jc - jp
+        jc = (k - 1) * two_over_x * jp - jc
+        k -= 2
+        norm += 2.0 * jc
+        if k >= lo:
+            kept += (jp, jc)
+    jp = 2 * two_over_x * jc - jp   # J_1
+    jc = 1 * two_over_x * jp - jc   # J_0, which enters the sum once
+    norm += jc
+    if lo == 0:
+        kept += (jp, jc)
     inv = 1.0 / norm
-    return [v * inv for v in out]
+    if full:
+        seq = [v * inv for v in reversed(kept)]
+        return seq[m], seq[m + 1], seq
+    return kept[hi - m] * inv, kept[hi - m - 1] * inv, None
 
 
 # ---------------------------------------------------------------------------
 # Large-argument expansion
 # ---------------------------------------------------------------------------
-
-def _asym_pq(m: int, x: float) -> tuple[float, float] | None:
-    """Amplitude factors (P, Q) of the cosine/sine expansion, or None.
-
-    Returns None when the expansion cannot reach ~5e-16 before its terms
-    start to grow, in which case the caller falls back to recurrence.
-    """
-    mu = 4.0 * m * m
-    ex = 8.0 * x
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    smallest = math.inf
-    for k in range(1, 64):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * ex)
-        at = abs(term)
-        if at >= smallest:
-            break
-        smallest = at
-        r = k & 3
-        if r == 1:
-            q += term
-        elif r == 2:
-            p -= term
-        elif r == 3:
-            q -= term
-        else:
-            p += term
-        if at < 1e-17:
-            break
-    if smallest > 5e-16:
-        return None
-    return p, q
-
 
 _PI_LO = 1.2246467991473532e-16  # pi - float(pi)
 _SPLIT = 134217729.0             # 2**27 + 1, Dekker splitter
@@ -220,10 +213,68 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _asym_jy(m: int, x: float, pq: tuple[float, float]) -> tuple[float, float]:
-    p, q = pq
-    # chi = x - (m/2 + 1/4) pi with a two-part pi, so the phase keeps full
-    # precision even when x is large and the subtraction rounds
+# term k of the expansion: k (as a float, which multiplies as the int does),
+# (2k-1)^2, whether it adds to Q (odd k) or to P, and its sign (+Q, -P, -Q, +P
+# for k = 1, 2, 3, 4 mod 4); -1.0 * t is an exact negation, so P and Q carry
+# the bits of a branch on k mod 4
+_ASYM_TERMS = tuple((float(k), (2.0 * k - 1.0) ** 2, k % 2 == 1,
+                     -1.0 if k % 4 in (2, 3) else 1.0) for k in range(1, 64))
+
+
+def _asym(m: int, x: float) -> tuple[float, float, float, float] | None:
+    """(J_m, J_{m+1}, N_m, N_{m+1}) from the large-argument expansion, or None.
+
+    One loop sums the amplitude factors P and Q at orders m and m+1. Each
+    order keeps its own terms and stopping rule (its smallest term, or one
+    below 1e-17), and the call returns None when either order cannot reach
+    ~5e-16 before its terms start to grow; the caller then falls back to
+    recurrence. One phase serves both orders: chi = x - (m/2 + 1/4) pi is
+    reduced with a two-part pi, so it keeps full precision even when x is
+    large and the subtraction rounds, and chi_{m+1} = chi - pi/2 turns
+    (cos, sin) at m+1 into (sin, -cos) at m.
+    """
+    mu0 = 4.0 * m * m
+    mu1 = 4.0 * (m + 1) * (m + 1)
+    ex = 8.0 * x
+    p0 = p1 = 1.0
+    q0 = q1 = 0.0
+    t0 = t1 = 1.0
+    small0 = small1 = math.inf
+    live0 = live1 = True
+    for k, odd, on_q, sign in _ASYM_TERMS:
+        den = k * ex
+        if live0:
+            t0 *= (mu0 - odd) / den
+            at = t0 if t0 > 0.0 else -t0
+            if at >= small0:
+                if small0 > 5e-16:
+                    return None
+                live0 = False
+            else:
+                small0 = at
+                if on_q:
+                    q0 += sign * t0
+                else:
+                    p0 += sign * t0
+                live0 = at >= 1e-17
+        if live1:
+            t1 *= (mu1 - odd) / den
+            at = t1 if t1 > 0.0 else -t1
+            if at >= small1:
+                if small1 > 5e-16:
+                    return None
+                live1 = False
+            else:
+                small1 = at
+                if on_q:
+                    q1 += sign * t1
+                else:
+                    p1 += sign * t1
+                live1 = at >= 1e-17
+        if not (live0 or live1):
+            break
+    if small0 > 5e-16 or small1 > 5e-16:
+        return None
     t = 0.5 * m + 0.25
     a_hi, a_err = _two_prod(t, math.pi)
     chi, res = _two_sum(x, -a_hi)
@@ -232,7 +283,8 @@ def _asym_jy(m: int, x: float, pq: tuple[float, float]) -> tuple[float, float]:
     s = math.sin(chi)
     c, s = c - s * delta, s + c * delta
     amp = math.sqrt(_TWO_OVER_PI / x)
-    return amp * (c * p - s * q), amp * (s * p + c * q)
+    return (amp * (c * p0 - s * q0), amp * (s * p1 + c * q1),
+            amp * (s * p0 + c * q0), amp * (s * q1 - c * p1))
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +359,14 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
 
     One run per regime serves all the values:
 
-    * 4 (m+1)^2 <= 6 x, x >= 18: the P/Q expansions at orders m and m+1
-      give all four values, J and N sharing each phase;
-    * m+1 < 0.9 x, x >= 18: the P/Q expansions at orders 0 and 1, then the
+    * 4 (m+1)^2 <= 6 x, x >= 18: the P/Q expansion at orders m and m+1
+      gives all four values from one loop and one phase;
+    * m+1 < 0.9 x, x >= 18: the same expansion at orders 0 and 1, then the
       upward recurrence. That is stable for N at every order, and for J
       below its turning point at order x: against 30-digit references
       its J error passes that of the backward run near (m+1)/x = 0.9,
       while the backward run loses ~1e-16 per order it crosses below x;
-    * otherwise J_m and J_{m+1} come from two ascending series where they
+    * otherwise J_m and J_{m+1} come from their ascending series where they
       are safe, else from one backward-recurrence run, which also feeds
       the mid-range N_0/N_1 sums. N_0 and N_1 climb the upward recurrence
       to N_m and N_{m+1}.
@@ -326,29 +378,24 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
         return (1.0 if m == 0 else 0.0), 0.0
     large = x >= _ASYM_MIN_X
     if large and 4.0 * (m + 1) * (m + 1) <= 6.0 * x:
-        pq = _asym_pq(m, x)
-        pq1 = _asym_pq(m + 1, x) if pq is not None else None
-        if pq1 is not None:
-            jm, nm = _asym_jy(m, x, pq)
-            jm1, nm1 = _asym_jy(m + 1, x, pq1)
-            return (jm, jm1, nm, nm1) if with_n else (jm, jm1)
+        values = _asym(m, x)
+        if values is not None:
+            return values if with_n else values[:2]
     climb = large and m + 1 < 0.9 * x
     if climb or large and with_n:
-        j0, y0 = _asym_jy(0, x, _asym_pq(0, x))
-        j1, y1 = _asym_jy(1, x, _asym_pq(1, x))
+        j0, j1, y0, y1 = _asym(0, x)
     mid = 1.0 <= x < _ASYM_MIN_X
     seq = None
     if climb:
         jm, jm1 = _climb(m, x, j0, j1)
     elif _series_is_safe(m, x):
-        jm, jm1 = _series_j(m, x), _series_j(m + 1, x)
+        jm, jm1 = _series_pair(m, x)
     else:
-        seq = _miller(m, x)
-        jm, jm1 = seq[m], seq[m + 1]
+        jm, jm1, seq = _miller(m, x, with_n and mid)
     if not with_n:
         return jm, jm1
     if mid:
-        y0, y1 = _y01_midrange(x, seq or _miller(m, x))
+        y0, y1 = _y01_midrange(x, seq or _miller(m, x, True)[2])
     elif not large:
         y0, y1 = _y01_small(x)
     return (jm, jm1) + _climb(m, x, y0, y1)

@@ -6,6 +6,13 @@ seconds together. ``tolerance_scale`` exists for failure-path testing:
 scaling every tolerance to zero must make the numeric checks fail.
 Each suite imports the layers it checks when it runs, so ``run_checks``
 for specfun or roots loads neither cavity nor fields.
+
+The cavity suite compares the cutoff enumeration with an exhaustive loop
+over every (m, n, p) up to 20. That loop reads each radial eigenvalue
+gamma_mn once, through ``cavity.radial_eigenvalue``, and forms omega for
+all 21 axial indices with ``cavity._omega``, the expression
+``tm_frequency`` uses, so the two sides compare bit for bit while no
+``tm_frequency`` entry is made per triple.
 """
 
 from __future__ import annotations
@@ -178,15 +185,18 @@ def _roots_checks(tol_scale: float) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _brute_force_modes(geometry, omega_max, cap=20):
+    """Every (m, n, p) up to ``cap`` with omega <= omega_max, in index order.
+
+    One eigenvalue read per (m, n); see the module docstring.
+    """
     from . import cavity
     found = []
     for m in range(0, cap + 1):
         for n in range(1, cap + 1):
-            for p in range(0, cap + 1):
-                entry = cavity.tm_frequency(geometry, cavity.ModeIndex(m, n, p))
-                if entry.omega <= omega_max:
-                    found.append((m, n, p))
-    return sorted(found)
+            gamma = cavity.radial_eigenvalue(geometry, m, n)
+            found.extend((m, n, p) for p in range(0, cap + 1)
+                         if cavity._omega(gamma, p, geometry.l) <= omega_max)
+    return found
 
 
 def _cavity_checks(tol_scale: float) -> list[CheckResult]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import coaxmode.cavity as cavity
+from coaxmode import verify
 from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex,
                       enumerate_modes_below, mode_count_histogram,
                       radial_eigenvalue, tm_frequency)
@@ -187,3 +188,49 @@ class TestValidation:
             ModeIndex(0, 0, 0)
         with pytest.raises(DomainError):
             ModeIndex(0, 1, -1)
+
+
+class TestOrderEnvelope:
+    @pytest.mark.parametrize("geom,cut", [
+        (CylinderGeometry(b=1.0, l=1e-3), 60.0),
+        (AnnulusGeometry(a=0.5, b=1.0, l=1e-3), 120.0),
+    ])
+    def test_rejected_before_any_order_is_scanned(self, geom, cut, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cavity, "_append_order", scan)
+        with pytest.raises(DomainError, match="angular orders beyond 50"):
+            enumerate_modes_below(geom, C_LIGHT * cut)
+
+    def test_cutoffs_just_inside_still_scan(self):
+        # gamma_{50,1} b = 57.117...; the order-50 tower is the last one built
+        omega = C_LIGHT * radial_eigenvalue(CylinderGeometry(b=1.0, l=1e-3), 50, 1)
+        modes = enumerate_modes_below(CylinderGeometry(b=1.0, l=1e-3), omega * (1 - 1e-12))
+        assert max(e.index.m for e in modes) == 49
+        with pytest.raises(DomainError, match="angular orders beyond"):
+            enumerate_modes_below(CylinderGeometry(b=1.0, l=1e-3), omega)
+
+
+class TestVerifySuite:
+    SUITE_CUTS = ((CYL, 6.0), (ANN, 5.0))
+
+    def test_brute_force_equals_the_oracle(self):
+        for geom, cut in self.SUITE_CUTS:
+            found = verify._brute_force_modes(geom, C_LIGHT * cut)
+            assert found == sorted(oracles.brute_force_mode_set(geom, C_LIGHT * cut))
+
+    def test_a_dropped_mode_fails_the_comparison(self, monkeypatch):
+        real = cavity.enumerate_modes_below
+        monkeypatch.setattr(cavity, "enumerate_modes_below",
+                            lambda geom, omega_max: real(geom, omega_max)[1:])
+        results = {r.check: r.passed for r in verify.run_checks("cavity")}
+        assert results.pop("enumeration_vs_brute_force") is False
+        assert all(results.values())
+
+    def test_suite_keeps_few_frequency_entries(self):
+        # the brute force reads each gamma_mn once instead of resolving 8,820
+        # modes per geometry through tm_frequency
+        tm_frequency.cache_clear()
+        assert all(r.passed for r in verify.run_checks("cavity"))
+        assert tm_frequency.cache_info().currsize <= 100

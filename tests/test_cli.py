@@ -221,6 +221,20 @@ class TestFieldCommand:
             assert "amplitude" in err
         assert not path.exists()
 
+    def test_finite_amplitude_overflowing_a_row_exit_2(self, tmp_path, capsys):
+        # A and every per-mode factor are finite, but the slope of this small
+        # cavity's profile carries E_rho and B_phi past the largest double
+        path = tmp_path / "grid.csv"
+        for out in ([], ["--out", str(path)]):
+            code, stdout, err = run_cli(
+                capsys, "field", "--cavity", "cylinder", "--b", "1e-4", "--l", "6.4e-9",
+                "--mode", "1,1,3", "--sign", "+", "--rho", "0:0.0001:3", "--phi", "0:1:2",
+                "--z", "0:6.4e-9:7", "--amplitude=1e308", *out)
+            assert code == 2
+            assert stdout == ""
+            assert "amplitude" in err and "overflows" in err
+        assert not path.exists()
+
     def test_failing_mode_creates_no_out_file(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"
         code, out, err = run_cli(capsys, "field", "--cavity", "cylinder", "--b", "1",

@@ -8,6 +8,7 @@ from coaxmode import (AnnulusGeometry, CylinderGeometry, FieldPoint, ModeAmplitu
                       ModeIndex, bessel_j, boundary_residual, ez_mode, field_grid,
                       helmholtz_residual, orthogonality_check, radial_solution,
                       superpose, transverse_fields)
+from coaxmode import fields
 from coaxmode.fields import ZERO_SAMPLE
 from coaxmode.errors import DomainError, OrderError
 
@@ -314,3 +315,27 @@ class TestHelmholtz:
     ])
     def test_wave_equation_residual(self, geom, idx):
         assert helmholtz_residual(geom, idx, npoints=40) <= 1e-4
+
+    def test_stencil_evaluates_five_points(self, monkeypatch):
+        # the radial second difference and the radial slope share E_z at rho +- h
+        calls = []
+        real = fields.ez_mode
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fields, "ez_mode", counted)
+        helmholtz_residual(ANN, ModeIndex(2, 1, 2), npoints=12)
+        assert len(calls) == 5 * 12
+
+
+class TestRadialValue:
+    def test_value_is_the_profile_value(self):
+        for geom, idx in ((CYL, ModeIndex(0, 1, 1)), (CYL, ModeIndex(3, 2, 0)),
+                          (ANN, ModeIndex(2, 3, 1))):
+            sol = radial_solution(geom, idx.m, idx.n)
+            lo = geom.a if isinstance(geom, AnnulusGeometry) else 0.0
+            for i in range(17):
+                rho = lo + (geom.b - lo) * i / 16
+                assert sol.value(rho).hex() == sol.profile(rho)[0].hex()

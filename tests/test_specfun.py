@@ -225,6 +225,19 @@ class TestLadderOracle:
             assert bessel_j(m, x).value == jm
             assert specfun._ladder(m, x, False) == (jm, jm1)
             assert neumann_n(m, x).value == nm
+        # the backward run keeps every order for the N_0/N_1 sums only when N
+        # is asked for; J must carry the same bits either way, as in the series
+        rng = random.Random(45)
+        regimes = {"series": 0, "backward": 0}
+        for _ in range(400):
+            m, x = rng.randint(0, 50), rng.uniform(4.0, 57.0)
+            if x >= 18.0 and (4 * (m + 1) ** 2 <= 6 * x or m + 1 < 0.9 * x):
+                continue  # the large-argument regimes
+            regimes["series" if specfun._series_is_safe(m, x) else "backward"] += 1
+            j_only = specfun._ladder(m, x, False)
+            with_n = specfun._ladder(m, x, True)
+            assert [v.hex() for v in j_only] == [v.hex() for v in with_n[:2]], (m, x)
+        assert min(regimes.values()) >= 20, regimes
 
 
 def _bits(v):
