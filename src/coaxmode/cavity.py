@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import DomainError, GeometryError, ResourceLimitError
@@ -109,29 +108,30 @@ def _omega(gamma: float, p: int, l: float) -> float:
     return C_LIGHT * math.hypot(gamma, p * math.pi / l)
 
 
-@lru_cache(maxsize=100_000)
-def tm_frequency(geometry: Geometry, index: ModeIndex) -> ModeEntry:
-    """Resolve one TM mode: eigenvalue, angular frequency, degeneracy."""
-    gamma = radial_eigenvalue(geometry, index.m, index.n)
-    return ModeEntry(index=index, gamma=gamma, omega=_omega(gamma, index.p, geometry.l),
+def _mode_entry(index: ModeIndex, gamma: float, l: float) -> ModeEntry:
+    return ModeEntry(index=index, gamma=gamma, omega=_omega(gamma, index.p, l),
                      degeneracy=1 if index.m == 0 else 2)
 
 
-def _axial_top(geometry: Geometry, m: int, n: int, omega_max: float) -> int:
+def tm_frequency(geometry: Geometry, index: ModeIndex) -> ModeEntry:
+    """Resolve one TM mode: eigenvalue, angular frequency, degeneracy."""
+    return _mode_entry(index, radial_eigenvalue(geometry, index.m, index.n), geometry.l)
+
+
+def _axial_top(gamma: float, l: float, omega_max: float) -> int:
     """Largest p with omega_mnp <= omega_max, or -1 if there is none.
 
     The closed form P = floor((l/pi) sqrt((omega_max/c)^2 - gamma_mn^2)) is
-    stepped to the exact tm_frequency test. It is capped at ENUMERATION_CAP:
+    stepped to the exact ``_omega`` test. It is capped at ENUMERATION_CAP:
     a tower that long exceeds the cap whatever its exact length.
     """
     def above(p: int) -> bool:
-        return tm_frequency(geometry, ModeIndex(m, n, p)).omega > omega_max
+        return _omega(gamma, p, l) > omega_max
 
     if above(0):
         return -1
     k = omega_max / C_LIGHT
-    gamma = tm_frequency(geometry, ModeIndex(m, n, 0)).gamma
-    top = int(min(geometry.l / math.pi * math.sqrt(max(k - gamma, 0.0) * (k + gamma)),
+    top = int(min(l / math.pi * math.sqrt(max(k - gamma, 0.0) * (k + gamma)),
                   ENUMERATION_CAP))
     while above(top):
         top -= 1
@@ -140,22 +140,29 @@ def _axial_top(geometry: Geometry, m: int, n: int, omega_max: float) -> int:
     return top
 
 
-def _append_order(modes: list[ModeEntry], geometry: Geometry, m: int,
-                  omega_max: float) -> None:
-    """Append every mode of angular order m below omega_max, one (m, n) tower at a time."""
+def _append_order(towers: list[tuple[int, int, float, int]], size: int,
+                  geometry: Geometry, m: int, omega_max: float) -> int:
+    """Append each (m, n, gamma_mn, top p) tower of order m below omega_max.
+
+    ``size`` counts the modes of the towers before; the new count is
+    returned. Only the sizes are known here, so the cap raises before any
+    mode is built.
+    """
     n = 1
     while True:
         if n > roots.COUNT_MAX:
             raise DomainError(
                 f"omega_max = {omega_max!r} needs more than {roots.COUNT_MAX} radial "
                 "eigenvalues per angular order; tighten the cutoff")
-        top = _axial_top(geometry, m, n, omega_max)
+        gamma = radial_eigenvalue(geometry, m, n)
+        top = _axial_top(gamma, geometry.l, omega_max)
         if top < 0:
-            return
-        if len(modes) + top + 1 > ENUMERATION_CAP:
+            return size
+        size += top + 1
+        if size > ENUMERATION_CAP:
             raise ResourceLimitError(
                 f"spectrum below omega_max={omega_max!r} exceeds {ENUMERATION_CAP} modes")
-        modes.extend(tm_frequency(geometry, ModeIndex(m, n, p)) for p in range(top + 1))
+        towers.append((m, n, gamma, top))
         n += 1
 
 
@@ -212,15 +219,18 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
                          f"{roots.ORDER_MAX}; tighten the cutoff")
     if _stops_at_order_envelope(geometry, omega_max):
         raise beyond
-    modes: list[ModeEntry] = []
+    towers: list[tuple[int, int, float, int]] = []
+    size = 0
     m = 0
     while True:
         if m > roots.ORDER_MAX:
             raise beyond
         if C_LIGHT * radial_eigenvalue(geometry, m, 1) > omega_max:
             break
-        _append_order(modes, geometry, m, omega_max)
+        size = _append_order(towers, size, geometry, m, omega_max)
         m += 1
+    modes = [_mode_entry(ModeIndex(m, n, p), gamma, geometry.l)
+             for m, n, gamma, top in towers for p in range(top + 1)]
     modes.sort(key=lambda e: (e.omega, e.index.m, e.index.n, e.index.p))
     return modes
 

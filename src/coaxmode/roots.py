@@ -23,13 +23,16 @@ with c = m^2 - 1/4, so the n-th root obeys
     (n pi/(b-a))^2 + min(c/a^2, c/b^2) <= gamma_mn^2
                                        <= (n pi/(b-a))^2 + max(c/a^2, c/b^2).
 
-The scan for root n jumps to the window's lower end, brackets the window
-directly when it cannot hold root n+1, and otherwise marches in steps of
-pi/(4(b-a)), a scale-free fraction of the smallest root gap. The windows
-also certify the index: entry n must lie in window n, widened by the
-determinant's rounding (16 eps b/(b-a) relative, see ``_sturm_window``),
-and a march that passes window n without a sign change raises instead of
-handing root n+1 out as root n.
+The scan for root n starts one step above root n-1, or at the window's
+lower end if that is higher, brackets the window directly when it cannot
+hold root n+1, and otherwise marches in steps of pi/(4(b-a)). The step
+rests on the root gap: the smallest gap measured over m <= 50 and a/b from
+1e-3 to 0.999 is 0.444 pi/(b-a), so no root lies within one step above
+the root below it, a step holds one root at most, and the first sign
+change of the march is root n. The windows also certify the index: entry
+n must lie in window n, widened by the determinant's rounding (16 eps
+b/(b-a) relative, see ``_sturm_window``), and a march that passes window
+n without a sign change raises instead of handing root n+1 out as root n.
 
 Each bracket is polished by safeguarded Newton (``_polish``) to within
 eps x of the root, a tolerance that scales with the walls. The slope is
@@ -46,10 +49,10 @@ polish hands back with the root, and by exceeding the entry before it;
 entries are therefore strictly increasing as they enter the table.
 
 Tables are cached process-wide, one lock per table: one writer extends
-a table while lookups of other tables go on. A table is the same whatever
-the sequence of counts it was grown by: every root of a scan window
-enters it, and the cross-product scan resumes where its last window
-ended. Tables only grow, so an entry can be read without a copy.
+a table while lookups of other tables go on. Each root is found from the
+root below it alone, so a table is the same whatever the sequence of
+counts it was grown by. Tables only grow, so an entry can be read without
+a copy.
 """
 
 from __future__ import annotations
@@ -135,24 +138,6 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
         x = nxt
 
 
-def _refine_bracket(f: Callable[[float], float], lo: float, hi: float,
-                    flo: float, fhi: float) -> list[tuple[float, float, float, float]]:
-    """Split a sign-change window until each piece holds exactly one change.
-
-    Oscillations tighten as the order grows; an eight-fold subsample per
-    window catches the (rare) case of more than one root per scan step.
-    """
-    xs = [lo + (hi - lo) * i / 8.0 for i in range(9)]
-    fs = [flo] + [f(x) for x in xs[1:-1]] + [fhi]
-    pieces = []
-    for x0, x1, f0, f1 in zip(xs, xs[1:], fs, fs[1:]):
-        if f0 == 0.0 or (f0 > 0.0) != (f1 > 0.0):
-            pieces.append((x0, x1, f0, f1))
-    if not pieces:
-        raise RootFindingError("sign change vanished while verifying a bracket")
-    return pieces
-
-
 def _mcmahon_guess(m: int, n: int) -> float:
     mu = 4.0 * m * m
     beta = (n + 0.5 * m - 0.25) * math.pi
@@ -167,12 +152,11 @@ def _jm_first_zero_floor(m: int) -> float:
 
 
 class _Table:
-    """One extendable root list, its lock and where its scan resumes."""
+    """One extendable root list and its lock."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.rows: list[tuple[float, float]] = []
-        self.resume: Optional[tuple[float, float]] = None  # (x, f(x)) of the scan
 
 
 class _ZeroCache:
@@ -183,7 +167,7 @@ class _ZeroCache:
         self._tables: dict[tuple, _Table] = {}
 
     def get(self, key: tuple, count: int,
-            extend: Callable[[_Table, int], None]) -> list[tuple[float, float]]:
+            extend: Callable[[list, int], None]) -> list[tuple[float, float]]:
         """The live rows of table ``key``, holding at least ``count`` entries.
 
         Rows are only ever appended, so the first ``count`` stay valid
@@ -195,7 +179,7 @@ class _ZeroCache:
                 table = self._tables[key] = _Table()
         with table.lock:
             if len(table.rows) < count:
-                extend(table, count)
+                extend(table.rows, count)
         return table.rows
 
 
@@ -262,7 +246,7 @@ def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:
     """Live (zero, residual) rows of J_m, at least ``count`` of them."""
     _check_order_and_count(m, count)
     return _cache.get(("cyl", m), count,
-                      lambda table, want: _extend_bessel_table(m, table.rows, want))
+                      lambda rows, want: _extend_bessel_table(m, rows, want))
 
 
 def _bessel_zero(m: int, n: int) -> float:
@@ -335,41 +319,33 @@ def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
             math.sqrt(k2 + max(q_a, q_b)) * (1.0 + slack))
 
 
-def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -> None:
-    """Scan on from ``table.resume`` until ``table.rows`` holds ``count`` roots.
-
-    Whole windows only: a window's every root enters the table and the
-    scan resumes at the window's end, so the table never depends on the
-    counts it was asked for along the way.
-    """
+def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, float]],
+                        count: int) -> None:
+    """Append roots until ``table`` holds ``count``, each from the root below
+    it and its own Sturm window alone (module docstring)."""
     d = _cross_determinant(m, a, b)
     value = lambda g: d(g)[0]
-    # the smallest root gap measured over m <= 50, a/b in [0.01, 0.99] is
-    # 0.444 pi/(b-a) (m = 50, a/b = 0.79, roots 1-2), so a step holds one
-    # root at most, and refining it eight ways still guards against two.
-    # The same quarter period places the verification probes: bracket
-    # endpoints can land arbitrarily close to the root and, in thin annuli,
-    # span only a sliver of the arch, so neither gives a faithful max|D| scale
+    # the march step (module docstring) also places the verification probes:
+    # bracket endpoints can land arbitrarily close to the root and, in thin
+    # annuli, span only a sliver of the arch, so neither gives a faithful
+    # max|D| scale
     step = probe = 0.25 * math.pi / (b - a)
-    while len(table.rows) < count:
-        n = len(table.rows) + 1
+    while len(table) < count:
+        n = len(table) + 1
+        previous = table[-1][0] if table else 0.0
         lo, hi = _sturm_window(m, a, b, n)
-        # roots below n are in the table, so none lies between the resume
-        # point and lo. lo_1 is below pi/(4(b-a)) only for m = 0 and
-        # a/b < 0.142, where gamma_01 > j_01/b > pi/(4(b-a)) (the annulus
-        # lies inside the disk of radius b), so the first scan starts there
-        if table.resume is None or table.resume[0] < lo:
-            x = max(lo, step)
-            fx = value(x)
-        else:
-            x, fx = table.resume
-        pieces = None
+        # lo_1 is below pi/(4(b-a)) only for m = 0 and a/b < 0.142, where
+        # gamma_01 > j_01/b > pi/(4(b-a)) (the annulus lies inside the disk
+        # of radius b), so root 1 lies above the step like every other root
+        x = max(lo, previous + step)
+        fx = value(x)
+        bracket = None
         if x < hi < _sturm_window(m, a, b, n + 1)[0]:
             # window n cannot hold root n+1: [x, hi] holds root n alone
             fhi = value(hi)
             if fx == 0.0 or (fx > 0.0) != (fhi > 0.0):
-                pieces, end = [(x, hi, fx, fhi)], (hi, fhi)
-        while pieces is None:
+                bracket = (x, hi, fx, fhi)
+        while bracket is None:
             if x > hi:
                 raise RootFindingError(
                     f"cross-product root {n} for m={m} shows no sign change in its "
@@ -377,32 +353,23 @@ def _extend_cross_table(m: int, a: float, b: float, table: _Table, count: int) -
             x2 = x + step
             fx2 = value(x2)
             if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
-                pieces, end = _refine_bracket(value, x, x2, fx, fx2), (x2, fx2)
+                bracket = (x, x2, fx, fx2)
             else:
                 x, fx = x2, fx2
-        found = []  # a window enters the table whole or not at all
-        previous = table.rows[-1][0] if table.rows else 0.0
-        for lo_p, hi_p, flo, fhi in pieces:
-            k = n + len(found)
-            root, (d_root, _) = _polish(d, lo_p, hi_p, flo, fhi,
-                                        _cross_guess(m, a, b, k, previous))
-            residual = abs(d_root)
-            scale = max(abs(flo), abs(fhi),
-                        abs(value(root - probe)), abs(value(root + probe)))
-            if residual > 1e-10 * scale:
-                raise RootFindingError(
-                    f"cross-product root near {root:.6g} failed verification: "
-                    f"|D|={residual:.2e} vs arch scale {scale:.2e}")
-            lo_k, hi_k = _sturm_window(m, a, b, k)
-            if not lo_k <= root <= hi_k:
-                raise RootFindingError(
-                    f"cross-product root {root!r} for m={m} lies outside the Sturm window "
-                    f"[{lo_k!r}, {hi_k!r}] of index {k}")
-            _check_increasing(root, previous, f"cross-product root {k} for m={m}")
-            found.append((root, residual))
-            previous = root
-        table.rows.extend(found)
-        table.resume = end
+        root, (d_root, _) = _polish(d, *bracket, _cross_guess(m, a, b, n, previous))
+        residual = abs(d_root)
+        scale = max(abs(bracket[2]), abs(bracket[3]),
+                    abs(value(root - probe)), abs(value(root + probe)))
+        if residual > 1e-10 * scale:
+            raise RootFindingError(
+                f"cross-product root near {root:.6g} failed verification: "
+                f"|D|={residual:.2e} vs arch scale {scale:.2e}")
+        if not lo <= root <= hi:
+            raise RootFindingError(
+                f"cross-product root {root!r} for m={m} lies outside the Sturm window "
+                f"[{lo!r}, {hi!r}] of index {n}")
+        _check_increasing(root, previous, f"cross-product root {n} for m={m}")
+        table.append((root, residual))
 
 
 def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float]]:
@@ -417,7 +384,7 @@ def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, flo
             f"a/b = {a / b:.2e} is below {MIN_RADIUS_RATIO}; the annular determinant "
             "is numerically meaningless there (a solid cylinder is the right model)")
     return _cache.get(("ann", m, a, b), count,
-                      lambda table, want: _extend_cross_table(m, a, b, table, want))
+                      lambda rows, want: _extend_cross_table(m, a, b, rows, want))
 
 
 def _cross_zero(m: int, a: float, b: float, n: int) -> float:

@@ -11,8 +11,8 @@ The cavity suite compares the cutoff enumeration with an exhaustive loop
 over every (m, n, p) up to 20. That loop reads each radial eigenvalue
 gamma_mn once, through ``cavity.radial_eigenvalue``, and forms omega for
 all 21 axial indices with ``cavity._omega``, the expression
-``tm_frequency`` uses, so the two sides compare bit for bit while no
-``tm_frequency`` entry is made per triple.
+``tm_frequency`` and the enumeration use, so the two sides compare bit
+for bit while no ``ModeEntry`` is built per triple.
 """
 
 from __future__ import annotations

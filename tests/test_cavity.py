@@ -66,6 +66,13 @@ class TestEnumeration:
                for e in enumerate_modes_below(geom, omega_max)}
         assert got == oracles.brute_force_mode_set(geom, omega_max)
 
+    @pytest.mark.parametrize("geom,cut", [(CYL, 9.0), (ANN, 5.0)])
+    def test_entries_equal_tm_frequency(self, geom, cut):
+        modes = enumerate_modes_below(geom, C_LIGHT * cut)
+        assert modes
+        for entry in modes:
+            assert entry == tm_frequency(geom, entry.index)
+
     def test_sorted_by_omega_then_index(self):
         modes = enumerate_modes_below(CYL, C_LIGHT * 9.0)
         keys = [(e.omega, e.index.m, e.index.n, e.index.p) for e in modes]
@@ -80,9 +87,17 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_modes_below(CYL, C_LIGHT * 9.0)
 
-    def test_huge_tower_raises_before_it_is_built(self):
-        # (0,1,p) alone holds ~1e11 modes below 1e20 rad/s; building them one
-        # by one would take gigabytes, so the child runs under a memory limit
+    @pytest.mark.parametrize("geometry,omega_max", [
+        # (0,1,p) alone holds ~1e11 modes below 1e20 rad/s
+        ("CylinderGeometry(1, 1)", 1e20),
+        # each order of this 1 nm gap has one radial eigenvalue below the
+        # cutoff and a tower of 662,959 axial modes: the cap is passed at the
+        # sixteenth tower, and must be before the fifteen below it are built
+        ("AnnulusGeometry(1 - 1e-9, 1.0, 1e-3)", 1.13e18),
+    ], ids=["cylinder", "thin-annulus"])
+    def test_huge_tower_raises_before_it_is_built(self, geometry, omega_max):
+        # building the modes one by one would take gigabytes, so the child
+        # runs under a memory limit
         package_root = os.path.dirname(os.path.dirname(cavity.__file__))
         code = (
             "import time\n"
@@ -91,10 +106,10 @@ class TestEnumeration:
             "    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
             "except (ImportError, ValueError):\n"
             "    pass\n"
-            "from coaxmode import CylinderGeometry, enumerate_modes_below\n"
+            "from coaxmode import AnnulusGeometry, CylinderGeometry, enumerate_modes_below\n"
             "t = time.perf_counter()\n"
             "try:\n"
-            "    enumerate_modes_below(CylinderGeometry(1, 1), 1e20)\n"
+            f"    enumerate_modes_below({geometry}, {omega_max!r})\n"
             "    outcome = 'returned'\n"
             "except Exception as exc:\n"
             "    outcome = type(exc).__name__\n"
@@ -228,9 +243,21 @@ class TestVerifySuite:
         assert results.pop("enumeration_vs_brute_force") is False
         assert all(results.values())
 
-    def test_suite_keeps_few_frequency_entries(self):
+    def test_brute_force_reads_each_eigenvalue_once(self, monkeypatch):
         # the brute force reads each gamma_mn once instead of resolving 8,820
         # modes per geometry through tm_frequency
-        tm_frequency.cache_clear()
-        assert all(r.passed for r in verify.run_checks("cavity"))
-        assert tm_frequency.cache_info().currsize <= 100
+        reads = []
+        real = cavity.radial_eigenvalue
+
+        def counting(geometry, m, n):
+            reads.append((geometry, m, n))
+            return real(geometry, m, n)
+
+        def forbidden(*args):
+            raise AssertionError("tm_frequency was called")
+
+        monkeypatch.setattr(cavity, "radial_eigenvalue", counting)
+        monkeypatch.setattr(cavity, "tm_frequency", forbidden)
+        for geom, cut in self.SUITE_CUTS:
+            verify._brute_force_modes(geom, C_LIGHT * cut)
+        assert len(reads) == len(set(reads)) == len(self.SUITE_CUTS) * 21 * 20
