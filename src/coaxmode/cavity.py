@@ -13,14 +13,18 @@ orientations and carry degeneracy 2; m = 0 modes carry 1.
 Enumeration below a cutoff relies on monotonicity only: omega grows with
 n at fixed (m, p), with p at fixed (m, n), and the smallest eigenvalue
 per angular order, gamma_m1, grows with m. Scanning therefore terminates
-provably without index caps.
+provably without index caps. One scan yields the (m, n) towers of axial
+modes below the cutoff; enumerate_modes_below builds and sorts their
+entries, while mode_count_histogram bins each tower in O(bins) memory and
+builds no ModeEntry.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 from .errors import DomainError, GeometryError, ResourceLimitError
@@ -140,32 +144,6 @@ def _axial_top(gamma: float, l: float, omega_max: float) -> int:
     return top
 
 
-def _append_order(towers: list[tuple[int, int, float, int]], size: int,
-                  geometry: Geometry, m: int, omega_max: float) -> int:
-    """Append each (m, n, gamma_mn, top p) tower of order m below omega_max.
-
-    ``size`` counts the modes of the towers before; the new count is
-    returned. Only the sizes are known here, so the cap raises before any
-    mode is built.
-    """
-    n = 1
-    while True:
-        if n > roots.COUNT_MAX:
-            raise DomainError(
-                f"omega_max = {omega_max!r} needs more than {roots.COUNT_MAX} radial "
-                "eigenvalues per angular order; tighten the cutoff")
-        gamma = radial_eigenvalue(geometry, m, n)
-        top = _axial_top(gamma, geometry.l, omega_max)
-        if top < 0:
-            return size
-        size += top + 1
-        if size > ENUMERATION_CAP:
-            raise ResourceLimitError(
-                f"spectrum below omega_max={omega_max!r} exceeds {ENUMERATION_CAP} modes")
-        towers.append((m, n, gamma, top))
-        n += 1
-
-
 def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
     """Whether the order scan below omega_max would end by passing ORDER_MAX.
 
@@ -205,13 +183,15 @@ def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
             and C_LIGHT * radial_eigenvalue(geometry, top, 1) <= omega_max)
 
 
-def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
-    """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p).
+def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float, int]]:
+    """Each (m, n, gamma_mn, top p) tower of modes with omega <= omega_max.
 
-    Raises ResourceLimitError beyond 10^7 entries, before building them,
-    and DomainError when the cutoff needs angular orders beyond
-    roots.ORDER_MAX; where a count bound shows that nothing else would
-    stop the scan first, before any order is scanned.
+    Only the tower sizes are known here, so every error is raised before
+    any mode is built: ResourceLimitError beyond 10^7 modes, and
+    DomainError when the cutoff needs angular orders beyond
+    roots.ORDER_MAX (where a count bound shows that nothing else would
+    stop the scan first, before any order is scanned) or more than
+    roots.COUNT_MAX radial eigenvalues in one order.
     """
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
@@ -221,16 +201,33 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
         raise beyond
     towers: list[tuple[int, int, float, int]] = []
     size = 0
-    m = 0
-    while True:
-        if m > roots.ORDER_MAX:
-            raise beyond
-        if C_LIGHT * radial_eigenvalue(geometry, m, 1) > omega_max:
-            break
-        size = _append_order(towers, size, geometry, m, omega_max)
-        m += 1
+    for m in range(roots.ORDER_MAX + 1):
+        for n in range(1, roots.COUNT_MAX + 1):
+            gamma = radial_eigenvalue(geometry, m, n)
+            top = _axial_top(gamma, geometry.l, omega_max)
+            if top < 0:
+                break
+            size += top + 1
+            if size > ENUMERATION_CAP:
+                raise ResourceLimitError(
+                    f"spectrum below omega_max={omega_max!r} exceeds {ENUMERATION_CAP} modes")
+            towers.append((m, n, gamma, top))
+        else:
+            raise DomainError(
+                f"omega_max = {omega_max!r} needs more than {roots.COUNT_MAX} radial "
+                "eigenvalues per angular order; tighten the cutoff")
+        if n == 1:  # gamma_m1 grows with m: no later order has a mode either
+            return towers
+    raise beyond
+
+
+def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
+    """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p).
+
+    Raises what ``_towers`` raises, before any entry is built.
+    """
     modes = [_mode_entry(ModeIndex(m, n, p), gamma, geometry.l)
-             for m, n, gamma, top in towers for p in range(top + 1)]
+             for m, n, gamma, top in _towers(geometry, omega_max) for p in range(top + 1)]
     modes.sort(key=lambda e: (e.omega, e.index.m, e.index.n, e.index.p))
     return modes
 
@@ -241,16 +238,16 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
 
     Edges are omega_max * i / bins for i = 1..bins; the last cumulative
     count therefore equals the weighted total of enumerate_modes_below.
+    Each tower is binned where it stands, in O(bins) memory: no ModeEntry
+    is built and nothing is sorted.
     """
     if not isinstance(bins, int) or bins < 1 or bins > 100_000:
         raise DomainError(f"bins must be an integer in [1, 100000], got {bins!r}")
-    modes = enumerate_modes_below(geometry, omega_max)
-    omegas = [e.omega for e in modes]
-    cumulative = [0]
-    for e in modes:
-        cumulative.append(cumulative[-1] + e.degeneracy)
-    out = []
-    for i in range(1, bins + 1):
-        edge = omega_max if i == bins else omega_max * i / bins
-        out.append((edge, cumulative[bisect_right(omegas, edge)]))
-    return out
+    edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
+    counts = [0] * bins
+    for m, n, gamma, top in _towers(geometry, omega_max):
+        weight = 1 if m == 0 else 2
+        for p in range(top + 1):
+            # the first edge >= omega: the mode counts at every edge from there on
+            counts[bisect_left(edges, _omega(gamma, p, geometry.l))] += weight
+    return list(zip(edges, accumulate(counts)))

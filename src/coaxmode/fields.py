@@ -370,6 +370,8 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     probe); the annular solution is rebuilt so the inner wall stays
     matched and only the outer-wall mismatch shows.
     """
+    if not (math.isfinite(gamma_scale) and gamma_scale > 0.0):
+        raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
     gamma = radial_eigenvalue(geometry, index.m, index.n) * gamma_scale
     sol = _build_radial(geometry, index.m, gamma)
     m = index.m
@@ -423,6 +425,8 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     term, and compared against -(omega/c)^2 E_z. The result is limited by
     the O(h^2) stencil, not by the field evaluation.
     """
+    if not (isinstance(npoints, int) and npoints >= 1):
+        raise DomainError(f"npoints must be an integer >= 1, got {npoints!r}")
     entry = tm_frequency(geometry, index)
     k2 = (entry.omega / C_LIGHT) ** 2
     inner = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 _rule_cache: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
@@ -64,8 +64,12 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     """Integrate f over [lo, hi] to the given absolute tolerance.
 
     Raises QuadratureError (carrying the achieved tolerance) if a panel
-    chain reaches max_depth without its estimate dropping far enough.
+    chain reaches max_depth without its estimate dropping far enough, or
+    at once if a panel's value is not finite: a NaN estimate fails every
+    tolerance test, so its panels would be bisected down to max_depth.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(abs_tol)):
+        raise DomainError(f"need finite lo, hi and abs_tol, got {lo!r}, {hi!r}, {abs_tol!r}")
     if hi <= lo:
         raise QuadratureError(f"empty interval [{lo!r}, {hi!r}]", achieved_tolerance=0.0)
     width = hi - lo
@@ -78,6 +82,9 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
         coarse = _panel(f, a, b, 10)
         fine = _panel(f, a, b, 20)
         evals += 30
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            raise QuadratureError(f"panel [{a!r}, {b!r}] has a non-finite value",
+                                  achieved_tolerance=math.inf)
         err = abs(fine - coarse)
         share = abs_tol * (b - a) / width
         if err <= max(share, 32.0 * 2.220446049250313e-16 * abs(fine)) or depth >= max_depth:

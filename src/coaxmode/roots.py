@@ -171,8 +171,12 @@ class _ZeroCache:
         """The live rows of table ``key``, holding at least ``count`` entries.
 
         Rows are only ever appended, so the first ``count`` stay valid
-        after the lock is released.
+        after the lock is released, and a table that already holds them is
+        read without taking either lock.
         """
+        table = self._tables.get(key)
+        if table is not None and len(table.rows) >= count:
+            return table.rows
         with self._lock:
             table = self._tables.get(key)
             if table is None:

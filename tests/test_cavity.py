@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
 
@@ -178,6 +180,58 @@ class TestHistogram:
         total = sum(e.degeneracy for e in enumerate_modes_below(ANN, omega_max))
         assert hist[-1][1] == total
 
+    @staticmethod
+    def sorted_list_histogram(geometry, omega_max, bins):
+        # oracle: bisect_right over the sorted enumeration, weighted cumulatively
+        modes = enumerate_modes_below(geometry, omega_max)
+        omegas = [e.omega for e in modes]
+        cumulative = [0]
+        for e in modes:
+            cumulative.append(cumulative[-1] + e.degeneracy)
+        out = []
+        for i in range(1, bins + 1):
+            edge = omega_max if i == bins else omega_max * i / bins
+            out.append((edge, cumulative[bisect_right(omegas, edge)]))
+        return out
+
+    def test_seeded_sweep_matches_sorted_list_binning(self):
+        rng = random.Random(20261018)
+        cases = []
+        for _ in range(4):
+            b = rng.uniform(0.5, 2.0)
+            cases.append((CylinderGeometry(b=b, l=rng.uniform(0.2, 3.0)),
+                          C_LIGHT * rng.uniform(2.0, 25.0) / b))
+            a = b * rng.uniform(0.2, 0.8)
+            cases.append((AnnulusGeometry(a=a, b=b, l=rng.uniform(0.2, 3.0)),
+                          C_LIGHT * rng.uniform(2.0, 15.0) / (b - a)))
+        # empty spectra, and cutoffs on a mode's own frequency: a tie at the
+        # last edge, where the mode must be counted
+        cases += [(CYL, 1.0), (ANN, 1.0)]
+        cases += [(geom, tm_frequency(geom, idx).omega)
+                  for geom, idx in ((CYL, ModeIndex(2, 3, 1)), (ANN, ModeIndex(1, 2, 3)))]
+        for geom, omega_max in cases:
+            for bins in (1, 7, 64, 1000):
+                assert mode_count_histogram(geom, omega_max, bins) == \
+                    self.sorted_list_histogram(geom, omega_max, bins), (geom, omega_max, bins)
+
+    def test_large_histogram_builds_no_mode(self):
+        # 771,352 weighted modes: building and sorting them takes ~170 MB,
+        # so the child runs under a 100 MB address-space limit
+        package_root = os.path.dirname(os.path.dirname(cavity.__file__))
+        code = (
+            "try:\n"
+            "    import resource\n"
+            "    resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))\n"
+            "except (ImportError, ValueError):\n"
+            "    pass\n"
+            "from coaxmode import CylinderGeometry, mode_count_histogram\n"
+            "print(mode_count_histogram(CylinderGeometry(1.0, 100.0), 1.6e10, 64)[-1])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.stdout.strip() == "(16000000000.0, 771352)", proc.stderr[-500:]
+
     def test_bins_validation(self):
         with pytest.raises(DomainError):
             mode_count_histogram(CYL, C_LIGHT, 0)
@@ -214,7 +268,7 @@ class TestOrderEnvelope:
         def scan(*args):
             raise AssertionError("the scan ran")
 
-        monkeypatch.setattr(cavity, "_append_order", scan)
+        monkeypatch.setattr(cavity, "_axial_top", scan)
         with pytest.raises(DomainError, match="angular orders beyond 50"):
             enumerate_modes_below(geom, C_LIGHT * cut)
 

@@ -330,6 +330,20 @@ class TestHelmholtz:
         assert len(calls) == 5 * 12
 
 
+class TestProbeArguments:
+    def test_degenerate_probe_arguments_are_domain_errors(self):
+        # a zero scale divides by gamma = 0 and NaN fails inside the grid;
+        # no samples would report a perfect residual of 0.0
+        idx = ModeIndex(1, 1, 1)
+        for geom in (CYL, ANN):
+            for scale in (0.0, -1.01, float("nan"), float("inf")):
+                with pytest.raises(DomainError, match="gamma_scale"):
+                    boundary_residual(geom, idx, gamma_scale=scale)
+            for npoints in (0, -3, 2.5):
+                with pytest.raises(DomainError, match="npoints"):
+                    helmholtz_residual(geom, idx, npoints=npoints)
+
+
 class TestRadialValue:
     def test_value_is_the_profile_value(self):
         for geom, idx in ((CYL, ModeIndex(0, 1, 1)), (CYL, ModeIndex(3, 2, 0)),

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from coaxmode import gauss_legendre_rule, integrate_adaptive
+from coaxmode import gauss_legendre_rule, integrate_adaptive, quadrature
 from coaxmode.errors import QuadratureError
 
 
@@ -49,3 +52,41 @@ class TestAdaptive:
     def test_empty_interval_rejected(self):
         with pytest.raises(QuadratureError):
             integrate_adaptive(math.sin, 1.0, 1.0, abs_tol=1e-10)
+
+
+class TestNonFiniteInput:
+    # a NaN estimate fails every tolerance test, so unchecked these inputs
+    # bisect every panel down to max_depth; each case runs in a child
+    # process so that a hang fails the test instead of stalling the suite
+    @pytest.mark.parametrize("args,expected", [
+        ("math.sin, math.nan, 1.0, 1e-10", "DomainError 0"),
+        ("math.sin, 0.0, math.inf, 1e-10", "DomainError 0"),
+        ("math.sin, -math.inf, 0.0, 1e-10", "DomainError 0"),
+        ("math.sin, 0.0, 1.0, math.nan", "DomainError 0"),
+        ("lambda x: math.nan, 0.0, 1.0, 1e-10", "QuadratureError 30"),
+        ("lambda x: math.inf if x > 0.5 else 0.0, 0.0, 1.0, 1e-10", "QuadratureError 30"),
+    ], ids=["nan-lo", "inf-hi", "inf-lo", "nan-tol", "nan-integrand", "inf-integrand"])
+    def test_rejected_at_once(self, args, expected):
+        package_root = os.path.dirname(os.path.dirname(quadrature.__file__))
+        code = (
+            "import math\n"
+            "from coaxmode import integrate_adaptive\n"
+            "calls = 0\n"
+            "def counted(g):\n"
+            "    def f(x):\n"
+            "        global calls\n"
+            "        calls += 1\n"
+            "        return g(x)\n"
+            "    return f\n"
+            f"f, lo, hi, tol = {args}\n"
+            "try:\n"
+            "    integrate_adaptive(counted(f), lo, hi, abs_tol=tol)\n"
+            "    outcome = 'returned'\n"
+            "except Exception as exc:\n"
+            "    outcome = type(exc).__name__\n"
+            "print(outcome, calls)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=20, env=env)
+        assert proc.stdout.strip() == expected

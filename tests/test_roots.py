@@ -411,6 +411,21 @@ class TestTableCache:
         assert len(seen) == sum(len(range(k, 61, 7)) for k in range(1, 7))
         assert all(value == whole[n - 1] for n, value in seen)
 
+    def test_warm_read_takes_no_lock(self):
+        # rows are only appended, so a table that already holds the entries
+        # is read while another thread holds both the dict and table locks
+        bessel_zeros(7, 5)
+        table = roots._cache._tables[("cyl", 7)]
+        done = []
+        reader = threading.Thread(target=lambda: done.append(bessel_zeros(7, 3)))
+        with roots._cache._lock, table.lock:
+            reader.start()
+            reader.join(timeout=5)
+            read_under_locks = bool(done)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert read_under_locks, "a warm read waited on a lock"
+
     def test_slow_extension_does_not_block_other_tables(self):
         started = threading.Event()
         release = threading.Event()
