@@ -405,6 +405,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"coaxmode {args.command}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # report after the handler, whose exit frees what the job held
+    print(f"coaxmode {args.command}: out of memory; reduce the job or raise the "
+          "memory limit", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

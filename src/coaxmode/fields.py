@@ -147,7 +147,8 @@ def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
     return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=-ja / na)
 
 
-@lru_cache(maxsize=65536)
+# typed, so an order of 1.0 or True misses the entry of 1 and reaches the validators
+@lru_cache(maxsize=65536, typed=True)
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     """Radial profile of mode (m, n): unit J coefficient, both walls matched."""
     return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
@@ -330,8 +331,12 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
         raise DomainError(f"nu must be in [0, 10], got {nu!r}")
     if not (1 <= n <= 20 and 1 <= k <= 20):
         raise DomainError(f"n, k must be in [1, 20], got n={n!r}, k={k!r}")
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"a must be positive, got {a!r}")
+    try:
+        valid = math.isfinite(a) and a > 0.0
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
+        raise DomainError(f"a must be a positive real number, got {a!r}")
     zeros = bessel_zeros(nu, max(n, k)).zeros
     xn = zeros[n - 1]
     xk = zeros[k - 1]
@@ -427,32 +432,37 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     """
     if not (isinstance(npoints, int) and npoints >= 1):
         raise DomainError(f"npoints must be an integer >= 1, got {npoints!r}")
+    _check_sign(sign)
     entry = tm_frequency(geometry, index)
     k2 = (entry.omega / C_LIGHT) ** 2
     inner = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
     h = 1e-3 * (geometry.b - inner)
     g = 1e-3 * geometry.l
     m2 = index.m * index.m
+    kz = index.p * math.pi / geometry.l
     rnd = rng if rng is not None else random.Random(seed)
 
     sol = radial_solution(geometry, index.m, index.n)
     rhos = [inner + (geometry.b - inner) * (i + 0.5) / 64 for i in range(64)]
     scale = k2 * max(abs(sol.value(r)) for r in rhos)
 
-    def ez(rho, phi, z):
-        return ez_mode(geometry, index, sign, 1.0, FieldPoint(rho, phi, z))
-
     worst = 0.0
     for _ in range(npoints):
+        # the stencil lies inside the cavity: rho and z are inset by 100 h and 100 g
         rho = inner + (geometry.b - inner) * rnd.uniform(0.1, 0.9)
         phi = rnd.uniform(0.0, _TWO_PI)
         z = geometry.l * rnd.uniform(0.1, 0.9)
-        e0 = ez(rho, phi, z)
-        e_out = ez(rho + h, phi, z)
-        e_in = ez(rho - h, phi, z)
+        ang = _angular(index.m, sign, phi)
+        cz = math.cos(kz * z)
+        # E_z = R * phase * axial, multiplied in the order ez_mode uses
+        r_ang = sol.value(rho) * ang
+        e0 = r_ang * cz
+        e_out = sol.value(rho + h) * ang * cz
+        e_in = sol.value(rho - h) * ang * cz
         d_rho = (e_out - 2.0 * e0 + e_in) / (h * h)
         d_rho += (e_out - e_in) / (2.0 * h * rho)
-        d_z = (ez(rho, phi, z + g) - 2.0 * e0 + ez(rho, phi, z - g)) / (g * g)
+        d_z = (r_ang * math.cos(kz * (z + g)) - 2.0 * e0
+               + r_ang * math.cos(kz * (z - g))) / (g * g)
         residual = abs(d_rho + d_z - (m2 / (rho * rho)) * e0 + k2 * e0)
         worst = max(worst, residual / scale)
     return worst

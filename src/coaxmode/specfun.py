@@ -19,8 +19,8 @@ per regime:
   backward-recurrence run with even-order sum normalization, which steps
   two orders at a time and keeps only the orders it returns. N_m climbs
   the stable upward recurrence from orders 0 and 1: below x = 1 the
-  integer-order limit series gives those directly; between 1 and 18 they
-  come from log-weighted sums over the same backward-recurrence run, whose
+  integer-order limit series gives those directly; between 1 and 18 the
+  same backward-recurrence run accumulates them as log-weighted sums, whose
   terms never exceed ~0.4, so no regime suffers cancellation amplification.
 
 Derivatives come from the same run as dX_m/dx = m X_m/x - X_{m+1}. Negative
@@ -134,56 +134,75 @@ def _series_is_safe(m: int, x: float) -> bool:
 # Backward recurrence (normalized by J_0 + 2*sum J_{2k} = 1)
 # ---------------------------------------------------------------------------
 
-def _n01_terms(x: float) -> int:
-    # orders the mid-range N_0/N_1 sums need: past x + 14 x^(1/3) the
-    # J_k(x) are below ~1e-20
-    return int(x) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 12
+# weights of the mid-range N_0 and N_1 sums by order k of the backward run:
+# N_0 takes 4 (-1)^(k/2+1)/k at even k; N_1 takes 1 at k = 1 and
+# (-1)^i (2i+1)/(i(i+1)) at k = 2i+1, the sum of (-1)^(i+1) (J_2i-1 - J_2i+1)/i
+# by parts. The with-N run starts at order 110 at most (m = 50, x just
+# below 18).
+_N0_WEIGHTS = tuple(4.0 * (-1) ** (k // 2 + 1) / k if k and k % 2 == 0 else 0.0
+                    for k in range(110))
+_N1_WEIGHTS = (0.0, 1.0) + tuple((-1) ** (k // 2) * k / ((k // 2) * (k // 2 + 1))
+                                 if k % 2 else 0.0 for k in range(2, 110))
 
 
-def _miller(m: int, x: float, full: bool) -> tuple[float, float, list[float] | None]:
-    """(J_m, J_{m+1}, seq) from one backward-recurrence run.
-
-    With ``full``, seq holds J_0 .. J_K(x) for some K >= max(m + 1,
-    ``_n01_terms(x)``), for the mid-range N_0/N_1 sums; otherwise seq is
-    None and only orders m and m+1 are kept and normalized. The start
-    depends on m and x only, so J_m carries the same bits either way.
+def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
+    """(J_m, J_{m+1}) from one backward-recurrence run; with_n, also (N_0, N_1).
 
     The run steps two orders at a time from an even start, so every second
     value is an even order and enters the normalization sum without a
     parity test. It starts at 1e-30 and needs no rescaling: it runs only
     for 1 <= x < 57 and m <= 50, where its values stay below ~1e131.
+    With ``with_n`` (1 <= x < 18) the same loop sums N_0 = (2/pi) [lg J_0 +
+    sum w0_k J_k] and N_1 = (2/pi) [lg J_1 - J_0/x - sum w1_k J_k], with lg =
+    ln(x/2) + gamma, whose terms stay below ~0.4 and alternate mildly: no
+    cancellation amplification at any x. J has the same bits either way.
     """
-    top = max(m + 1, _n01_terms(x)) if full else m + 1
     start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
     start += start % 2
-    hi = top + top % 2              # the even order at or just above top
-    lo = 0 if full else hi - 2      # the kept orders are lo .. hi
+    hi = m + 1 + (m + 1) % 2        # the even order at or just above m+1
+    lo = hi - 2                     # kept: J_{hi+1}, J_hi, J_{hi-1}, J_lo
     two_over_x = 2.0 / x
     jp, jc, norm = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of 2 J_2i over 2i >= k
     k = start
-    while k > hi:
-        jp = k * two_over_x * jc - jp
-        jc = (k - 1) * two_over_x * jp - jc
-        k -= 2
-        norm += 2.0 * jc
-    kept = [jc]                     # J_hi, J_{hi-1}, ... down to J_lo
-    while k > 2:
-        jp = k * two_over_x * jc - jp
-        jc = (k - 1) * two_over_x * jp - jc
-        k -= 2
-        norm += 2.0 * jc
-        if k >= lo:
-            kept += (jp, jc)
+    if with_n:
+        s0 = s1 = 0.0               # the N_0 and N_1 sums over orders above k
+        kept = []
+        while k > 2:
+            jp = k * two_over_x * jc - jp
+            jc = (k - 1) * two_over_x * jp - jc
+            k -= 2
+            norm += 2.0 * jc
+            s0 += _N0_WEIGHTS[k] * jc
+            s1 += _N1_WEIGHTS[k + 1] * jp
+            if lo <= k <= hi:
+                kept += (jp, jc)
+    else:
+        while k > hi:
+            jp = k * two_over_x * jc - jp
+            jc = (k - 1) * two_over_x * jp - jc
+            k -= 2
+            norm += 2.0 * jc
+        kept = [jp, jc]
+        while k > 2:
+            jp = k * two_over_x * jc - jp
+            jc = (k - 1) * two_over_x * jp - jc
+            k -= 2
+            norm += 2.0 * jc
+            if k == lo:
+                kept += (jp, jc)
     jp = 2 * two_over_x * jc - jp   # J_1
     jc = 1 * two_over_x * jp - jc   # J_0, which enters the sum once
     norm += jc
     if lo == 0:
         kept += (jp, jc)
     inv = 1.0 / norm
-    if full:
-        seq = [v * inv for v in reversed(kept)]
-        return seq[m], seq[m + 1], seq
-    return kept[hi - m] * inv, kept[hi - m - 1] * inv, None
+    pair = kept[hi - m + 1] * inv, kept[hi - m] * inv
+    if not with_n:
+        return pair
+    scale = _TWO_OVER_PI * inv
+    lg = math.log(0.5 * x) + _EULER_GAMMA
+    # J_1 takes its weight 1 here, outside the loop
+    return pair + (scale * (lg * jc + s0), scale * (lg * jp - jc / x - (s1 + jp)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +340,6 @@ def _y01_small(x: float) -> tuple[float, float]:
             _TWO_OVER_PI * (lg * a1 - 0.5 * b1 - 1.0 / x))
 
 
-def _y01_midrange(x: float, seq: list[float]) -> tuple[float, float]:
-    """(N_0, N_1) via log-weighted sums over one backward-recurrence run.
-
-        N_0 = (2/pi) [ (ln(x/2)+g) J_0 + 2 sum (-1)^{k+1} J_{2k} / k ]
-        N_1 = -dN_0/dx, expanded with the derivative ladder
-
-    ``seq`` holds J_0 .. J_K(x) with K >= ``_n01_terms(x)``. The summands
-    stay below ~0.4 and the alternation is mild, so there is no
-    cancellation amplification at any x.
-    """
-    lg = math.log(0.5 * x) + _EULER_GAMMA
-    s0 = lg * seq[0]
-    s1 = lg * seq[1] - seq[0] / x
-    sign = 1.0
-    for k in range(1, _n01_terms(x) // 2):
-        s0 += 2.0 * sign * seq[2 * k] / k
-        s1 -= sign * (seq[2 * k - 1] - seq[2 * k + 1]) / k
-        sign = -sign
-    return _TWO_OVER_PI * s0, _TWO_OVER_PI * s1
-
-
 # ---------------------------------------------------------------------------
 # The ladder: J and N at orders m and m+1 from one run per regime
 # ---------------------------------------------------------------------------
@@ -367,8 +365,8 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
       its J error passes that of the backward run near (m+1)/x = 0.9,
       while the backward run loses ~1e-16 per order it crosses below x;
     * otherwise J_m and J_{m+1} come from their ascending series where they
-      are safe, else from one backward-recurrence run, which also feeds
-      the mid-range N_0/N_1 sums. N_0 and N_1 climb the upward recurrence
+      are safe, else from one backward-recurrence run, which also sums
+      the mid-range N_0 and N_1. N_0 and N_1 climb the upward recurrence
       to N_m and N_{m+1}.
 
     An N value that overflows is returned as inf or nan; callers decide
@@ -385,17 +383,17 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     if climb or large and with_n:
         j0, j1, y0, y1 = _asym(0, x)
     mid = 1.0 <= x < _ASYM_MIN_X
-    seq = None
+    n01 = None
     if climb:
         jm, jm1 = _climb(m, x, j0, j1)
     elif _series_is_safe(m, x):
         jm, jm1 = _series_pair(m, x)
     else:
-        jm, jm1, seq = _miller(m, x, with_n and mid)
+        jm, jm1, *n01 = _miller(m, x, with_n and mid)
     if not with_n:
         return jm, jm1
     if mid:
-        y0, y1 = _y01_midrange(x, seq or _miller(m, x, True)[2])
+        y0, y1 = n01 or _miller(m, x, True)[2:]
     elif not large:
         y0, y1 = _y01_small(x)
     return (jm, jm1) + _climb(m, x, y0, y1)

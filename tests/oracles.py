@@ -48,6 +48,11 @@ def ladder_reference() -> list[dict]:
     return _tables["ladder_reference"]
 
 
+def ladder_midrange_reference() -> list[dict]:
+    """Probes of the same form at 1 <= x < 18, from their own seeded 30-digit run."""
+    return _tables["ladder_midrange_reference"]
+
+
 # textbook anchor values, quoted to double precision
 X01 = 2.404825557695773
 X02 = 5.520078110286311

@@ -400,3 +400,23 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,n,value,residual"
+
+
+def test_out_of_memory_is_one_line_not_a_traceback():
+    # 771,352 modes do not fit in 100 MB of address space; the command must
+    # say so on one line and exit 1
+    pytest.importorskip("resource")
+    package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (100_000 << 10, 100_000 << 10))\n"
+        "from coaxmode.cli import main\n"
+        "raise SystemExit(main(['modes', '--cavity', 'cylinder', '--b', '1', '--l', '100',\n"
+        "                       '--omega-max', '1.6e10']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("coaxmode modes: out of memory")
+    assert "Traceback" not in proc.stderr

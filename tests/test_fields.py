@@ -37,6 +37,19 @@ class TestRadialSolution:
             assert abs(sol.value(ANN.a)) <= 1e-10 * peak
             assert abs(sol.value(ANN.b)) <= 1e-10 * peak
 
+    @pytest.mark.parametrize("order", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_non_int_order_reaches_the_validators(self, order, warm):
+        # 1.0 and True hash like 1, so an untyped cache would hand back mode 1
+        geom = CylinderGeometry(b=1.0, l=3.0)
+        radial_solution.cache_clear()
+        if warm:
+            radial_solution(geom, 1, 1)
+        with pytest.raises(OrderError):
+            radial_solution(geom, order, 1)
+        with pytest.raises(DomainError):
+            radial_solution(geom, 1, 1.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_interior_node_count(self, n):
         # Sturm oscillation: mode n has exactly n-1 sign changes inside
@@ -317,17 +330,60 @@ class TestHelmholtz:
         assert helmholtz_residual(geom, idx, npoints=40) <= 1e-4
 
     def test_stencil_evaluates_five_points(self, monkeypatch):
-        # the radial second difference and the radial slope share E_z at rho +- h
+        # five E_z values per point from three radial reads (rho and rho +- h):
+        # the axial neighbours share R(rho), and the radial second difference
+        # and slope share R(rho +- h); 64 more reads set the scale
         calls = []
-        real = fields.ez_mode
+        real = fields.RadialSolution.value
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(self, rho):
+            calls.append(rho)
+            return real(self, rho)
 
-        monkeypatch.setattr(fields, "ez_mode", counted)
+        monkeypatch.setattr(fields.RadialSolution, "value", counted)
         helmholtz_residual(ANN, ModeIndex(2, 1, 2), npoints=12)
-        assert len(calls) == 5 * 12
+        assert len(calls) == 3 * 12 + 64
+
+    @pytest.mark.parametrize("geom,m,n", [(CYL, 1, 2), (ANN, 2, 1)], ids=["cyl", "ann"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("seed", [1, 20260810, 977])
+    def test_bit_identical_to_per_point_oracle(self, geom, m, n, p, sign, seed):
+        idx = ModeIndex(m, n, p)
+        got = helmholtz_residual(geom, idx, sign, npoints=20, seed=seed)
+        assert got.hex() == _helmholtz_per_point(geom, idx, sign, 20, seed).hex()
+
+
+def _helmholtz_per_point(geometry, index, sign, npoints, seed):
+    # the stencil with every E_z from a public ez_mode call at its own point
+    from coaxmode import C_LIGHT, tm_frequency
+    k2 = (tm_frequency(geometry, index).omega / C_LIGHT) ** 2
+    inner = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
+    h = 1e-3 * (geometry.b - inner)
+    g = 1e-3 * geometry.l
+    m2 = index.m * index.m
+    rnd = random.Random(seed)
+    sol = radial_solution(geometry, index.m, index.n)
+    rhos = [inner + (geometry.b - inner) * (i + 0.5) / 64 for i in range(64)]
+    scale = k2 * max(abs(sol.value(r)) for r in rhos)
+
+    def ez(rho, phi, z):
+        return ez_mode(geometry, index, sign, 1.0, FieldPoint(rho, phi, z))
+
+    worst = 0.0
+    for _ in range(npoints):
+        rho = inner + (geometry.b - inner) * rnd.uniform(0.1, 0.9)
+        phi = rnd.uniform(0.0, 2.0 * math.pi)
+        z = geometry.l * rnd.uniform(0.1, 0.9)
+        e0 = ez(rho, phi, z)
+        e_out = ez(rho + h, phi, z)
+        e_in = ez(rho - h, phi, z)
+        d_rho = (e_out - 2.0 * e0 + e_in) / (h * h)
+        d_rho += (e_out - e_in) / (2.0 * h * rho)
+        d_z = (ez(rho, phi, z + g) - 2.0 * e0 + ez(rho, phi, z - g)) / (g * g)
+        residual = abs(d_rho + d_z - (m2 / (rho * rho)) * e0 + k2 * e0)
+        worst = max(worst, residual / scale)
+    return worst
 
 
 class TestProbeArguments:
@@ -342,6 +398,13 @@ class TestProbeArguments:
             for npoints in (0, -3, 2.5):
                 with pytest.raises(DomainError, match="npoints"):
                     helmholtz_residual(geom, idx, npoints=npoints)
+            with pytest.raises(DomainError, match="orientation sign"):
+                helmholtz_residual(geom, idx, sign=0)
+
+    @pytest.mark.parametrize("a", ["x", None, 1 + 2j, "1.0"])
+    def test_non_real_radius_is_a_domain_error(self, a):
+        with pytest.raises(DomainError, match="a must be"):
+            orthogonality_check(0, 1, 1, a)
 
 
 class TestRadialValue:

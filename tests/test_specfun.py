@@ -203,20 +203,42 @@ class TestRecursionProperty:
                     assert d == pytest.approx(fd, rel=1e-6), (fam, m, x)
 
 
+def _assert_readme_bounds(probes):
+    # J within 1e-13 of the amplitude sqrt(2/(pi max(x, 1))), N within
+    # 1e-14 of max(|N|, amplitude), at orders m and m+1 of one ladder run
+    for probe in probes:
+        m, x = probe["m"], probe["x"]
+        amp = math.sqrt(2.0 / (math.pi * max(x, 1.0)))
+        values = specfun._ladder(m, x, True)
+        for got, ref in zip(values[:2], probe["j"]):
+            assert abs(got - ref) <= 1e-13 * amp, (m, x, got, ref)
+        for got, ref in zip(values[2:], probe["n"]):
+            assert abs(got - ref) <= 1e-14 * max(abs(ref), amp), (m, x, got, ref)
+
+
 class TestLadderOracle:
     def test_ladder_within_readme_bounds(self):
-        # J within 1e-13 of the amplitude sqrt(2/(pi max(x, 1))), N within
-        # 1e-14 of max(|N|, amplitude), at orders m and m+1 of one ladder run
         probes = oracles.ladder_reference()
         assert len(probes) == 400
-        for probe in probes:
-            m, x = probe["m"], probe["x"]
-            amp = math.sqrt(2.0 / (math.pi * max(x, 1.0)))
-            values = specfun._ladder(m, x, True)
-            for got, ref in zip(values[:2], probe["j"]):
-                assert abs(got - ref) <= 1e-13 * amp, (m, x, got, ref)
-            for got, ref in zip(values[2:], probe["n"]):
-                assert abs(got - ref) <= 1e-14 * max(abs(ref), amp), (m, x, got, ref)
+        _assert_readme_bounds(probes)
+
+    def test_midrange_ladder_within_readme_bounds(self):
+        # 1 <= x < 18, where N_0 and N_1 come from sums over the backward run
+        probes = oracles.ladder_midrange_reference()
+        assert len(probes) == 300
+        assert all(1.0 <= p["x"] < 18.0 and 0 <= p["m"] <= ORDER_MAX for p in probes)
+        backward = sum(not specfun._series_is_safe(p["m"], p["x"]) for p in probes)
+        assert backward >= 100, backward
+        _assert_readme_bounds(probes)
+
+    def test_n_weights_cover_the_largest_with_n_start(self):
+        # the run that sums N_0 and N_1 starts highest at m = 50, x just below 18
+        m, x = ORDER_MAX, math.nextafter(18.0, 0.0)
+        start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
+        assert start + start % 2 == 110
+        assert len(specfun._N0_WEIGHTS) == len(specfun._N1_WEIGHTS) == 110
+        assert not specfun._series_is_safe(m, x)
+        assert all(math.isfinite(v) for v in specfun._ladder(m, x, True))
 
     def test_public_calls_read_the_ladder(self):
         for probe in oracles.ladder_reference()[:100]:
@@ -225,8 +247,8 @@ class TestLadderOracle:
             assert bessel_j(m, x).value == jm
             assert specfun._ladder(m, x, False) == (jm, jm1)
             assert neumann_n(m, x).value == nm
-        # the backward run keeps every order for the N_0/N_1 sums only when N
-        # is asked for; J must carry the same bits either way, as in the series
+        # the backward run sums N_0 and N_1 only when N is asked for; J must
+        # carry the same bits either way, as in the series
         rng = random.Random(45)
         regimes = {"series": 0, "backward": 0}
         for _ in range(400):

@@ -13,7 +13,8 @@ The oracles here are deliberately independent of the package under test:
   50-digit arithmetic.
 * Ladder reference values: J_m, J_{m+1}, N_m and N_{m+1} at seeded points
   (m <= 50, 1e-3 <= x <= 1e4, log-uniform in x) from mpmath besselj and
-  bessely in 30-digit arithmetic.
+  bessely in 30-digit arithmetic, and 300 more, with their own seed, at
+  1 <= x < 18 (uniform in x), where N comes from the backward run.
 
 Run from the repository root:  python tests/tools/gen_oracle_tables.py
 """
@@ -37,6 +38,8 @@ CROSS_CASES = [(m, a, b) for m in (0, 1, 2) for a, b in ((1.0, 2.0), (1.0, 1.1),
 CROSS_COUNT = 10
 LADDER_SEED = 20261018
 LADDER_POINTS = 400
+MIDRANGE_SEED = 20261019
+MIDRANGE_POINTS = 300
 
 
 def j_series(m: int, x) -> mpf:
@@ -110,14 +113,14 @@ def neumann_limit_series(m: int, x) -> mpf:
     return term_log + term_finite - (1 / mp.pi) * (x / 2) ** m * series
 
 
-def ladder_reference(count: int) -> list[dict]:
+def ladder_reference(count: int, seed: int, draw_x) -> list[dict]:
     """Seeded (m, x) points with [J_m, J_{m+1}] and [N_m, N_{m+1}]."""
-    rng = random.Random(LADDER_SEED)
+    rng = random.Random(seed)
     probes = []
     with mp.workdps(30):
         for _ in range(count):
             m = rng.randint(0, 50)
-            x = 10.0 ** rng.uniform(-3.0, 4.0)
+            x = draw_x(rng)
             arg = mpf(x)
             probes.append({"m": m, "x": x,
                            "j": [float(besselj(m, arg)), float(besselj(m + 1, arg))],
@@ -144,7 +147,10 @@ def main() -> None:
         "bessel_zeros": bessel,
         "cross_zeros": cross,
         "neumann_reference": neumann,
-        "ladder_reference": ladder_reference(LADDER_POINTS),
+        "ladder_reference": ladder_reference(
+            LADDER_POINTS, LADDER_SEED, lambda rng: 10.0 ** rng.uniform(-3.0, 4.0)),
+        "ladder_midrange_reference": ladder_reference(
+            MIDRANGE_POINTS, MIDRANGE_SEED, lambda rng: rng.uniform(1.0, 18.0)),
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
