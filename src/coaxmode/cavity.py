@@ -29,10 +29,21 @@ from typing import Union
 
 from .errors import DomainError, GeometryError, ResourceLimitError
 from . import roots
+from .specfun import _NOT_REAL
 
 C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
 
 ENUMERATION_CAP = 10_000_000
+
+
+def _check_positive(value: float, message: str) -> None:
+    try:
+        valid = (not isinstance(value, _NOT_REAL)
+                 and math.isfinite(value) and value > 0.0)
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
+        raise GeometryError(message)
 
 
 @dataclass(frozen=True)
@@ -43,10 +54,8 @@ class CylinderGeometry:
     l: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise GeometryError(f"cylinder radius must be positive, got b={self.b!r}")
-        if not (math.isfinite(self.l) and self.l > 0.0):
-            raise GeometryError(f"cavity height must be positive, got l={self.l!r}")
+        _check_positive(self.b, f"cylinder radius must be positive, got b={self.b!r}")
+        _check_positive(self.l, f"cavity height must be positive, got l={self.l!r}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +67,10 @@ class AnnulusGeometry:
     l: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and 0.0 < self.a < self.b):
-            raise GeometryError(f"need 0 < a < b, got a={self.a!r}, b={self.b!r}")
-        if self.a / self.b < roots.MIN_RADIUS_RATIO:
-            raise GeometryError(
-                f"a/b = {self.a / self.b:.2e} below {roots.MIN_RADIUS_RATIO}; "
-                "model this as a cylinder instead")
-        if not (math.isfinite(self.l) and self.l > 0.0):
-            raise GeometryError(f"cavity height must be positive, got l={self.l!r}")
+        a, b = roots._check_walls(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        _check_positive(self.l, f"cavity height must be positive, got l={self.l!r}")
 
 
 Geometry = Union[CylinderGeometry, AnnulusGeometry]
@@ -78,7 +83,8 @@ class ModeIndex:
     p: int
 
     def __post_init__(self):
-        ok = (isinstance(self.m, int) and isinstance(self.n, int) and isinstance(self.p, int)
+        # exact type tests, which reject bool and cost least: one runs per mode
+        ok = (type(self.m) is int and type(self.n) is int and type(self.p) is int
               and self.m >= 0 and self.n >= 1 and self.p >= 0)
         if not ok:
             raise DomainError(
@@ -98,12 +104,12 @@ class ModeEntry:
 def radial_eigenvalue(geometry: Geometry, m: int, n: int) -> float:
     """gamma_mn in rad/m for either geometry (n-th radial eigenvalue).
 
-    Reads entry n of the cached table without copying the table.
+    Reads entry n of the cached table in place; the geometry checked its walls.
     """
     if isinstance(geometry, CylinderGeometry):
-        return roots._bessel_zero(m, n) / geometry.b
+        return roots._bessel_rows(m, n)[n - 1][0] / geometry.b
     if isinstance(geometry, AnnulusGeometry):
-        return roots._cross_zero(m, geometry.a, geometry.b, n)
+        return roots._cross_rows(m, geometry.a, geometry.b, n)[n - 1][0]
     raise GeometryError(f"unsupported geometry {geometry!r}")
 
 
@@ -241,7 +247,7 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
     Each tower is binned where it stands, in O(bins) memory: no ModeEntry
     is built and nothing is sorted.
     """
-    if not isinstance(bins, int) or bins < 1 or bins > 100_000:
+    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1 or bins > 100_000:
         raise DomainError(f"bins must be an integer in [1, 100000], got {bins!r}")
     edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
     counts = [0] * bins

@@ -165,7 +165,8 @@ def _require_inside(geometry: Geometry, rho: float, phi: float, z: float) -> Non
 
 
 def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
+    # an exact type test rejects True and 1.0, and costs least: one runs per sample
+    if type(sign) is not int or sign not in (1, -1):
         raise DomainError(f"orientation sign must be +1 or -1, got {sign!r}")
     return sign
 
@@ -327,6 +328,9 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     Returns (adaptive quadrature value, closed-form expectation
     (a^2/2) J_{nu+1}(x_nu_n)^2 delta_nk).
     """
+    for name, value in (("nu", nu), ("n", n), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if not (0 <= nu <= 10):
         raise DomainError(f"nu must be in [0, 10], got {nu!r}")
     if not (1 <= n <= 20 and 1 <= k <= 20):
@@ -430,7 +434,7 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     term, and compared against -(omega/c)^2 E_z. The result is limited by
     the O(h^2) stencil, not by the field evaluation.
     """
-    if not (isinstance(npoints, int) and npoints >= 1):
+    if not (isinstance(npoints, int) and not isinstance(npoints, bool) and npoints >= 1):
         raise DomainError(f"npoints must be an integer >= 1, got {npoints!r}")
     _check_sign(sign)
     entry = tm_frequency(geometry, index)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
-_rule_cache: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-
+# typed, so 2.0 and True miss the entries of 2 and 1 and reach the check
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    if n in _rule_cache:
-        return _rule_cache[n]
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n >= 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"rule size must be an integer >= 1, got {n!r}")
     nodes = []
     weights = []
     for i in range(1, n + 1):
@@ -41,8 +41,7 @@ def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         dp = n * (x * p - pm) / (x * x - 1.0)
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    _rule_cache[n] = (tuple(nodes), tuple(weights))
-    return _rule_cache[n]
+    return tuple(nodes), tuple(weights)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float, n: int) -> float:

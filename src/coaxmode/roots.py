@@ -48,11 +48,15 @@ root below. Each polished root is verified by its residual, which the
 polish hands back with the root, and by exceeding the entry before it;
 entries are therefore strictly increasing as they enter the table.
 
-Tables are cached process-wide, one lock per table: one writer extends
-a table while lookups of other tables go on. Each root is found from the
-root below it alone, so a table is the same whatever the sequence of
-counts it was grown by. Tables only grow, so an entry can be read without
-a copy.
+Tables live in one process-wide store, ``_tables``, which maps a key to
+the table's rows and its lock. Rows are only appended, so a table that
+already holds the entries asked for is read without a lock and without a
+copy. A shorter table is extended under its own lock by one writer while
+lookups of other tables go on. The store itself needs no lock:
+``dict.setdefault`` inserts a missing entry atomically, so two first
+callers of one key get the same rows and the same lock. Each root is found
+from the root below it alone, so a table is the same whatever the sequence
+of counts it was grown by.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, GeometryError, OrderError, RootFindingError
-from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
+from .specfun import _NOT_REAL, ORDER_MAX, _ladder, _slope, _two_prod
 
 _EPS = 2.220446049250313e-16
 
@@ -151,43 +155,25 @@ def _jm_first_zero_floor(m: int) -> float:
     return max(0.3, 0.99 * math.sqrt(m * (m + 2.0))) if m else 0.3
 
 
-class _Table:
-    """One extendable root list and its lock."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.rows: list[tuple[float, float]] = []
+# key -> (rows, lock); rows are (root, residual) pairs, only ever appended
+_tables: dict[tuple, tuple[list[tuple[float, float]], threading.Lock]] = {}
 
 
-class _ZeroCache:
-    """Extendable per-key root tables, each with exclusive-writer access."""
+def _rows(key: tuple, count: int,
+          extend: Callable[[list, int], None]) -> list[tuple[float, float]]:
+    """The live rows of table ``key``, holding at least ``count`` entries.
 
-    def __init__(self):
-        self._lock = threading.Lock()  # guards the dict only, never an extension
-        self._tables: dict[tuple, _Table] = {}
-
-    def get(self, key: tuple, count: int,
-            extend: Callable[[list, int], None]) -> list[tuple[float, float]]:
-        """The live rows of table ``key``, holding at least ``count`` entries.
-
-        Rows are only ever appended, so the first ``count`` stay valid
-        after the lock is released, and a table that already holds them is
-        read without taking either lock.
-        """
-        table = self._tables.get(key)
-        if table is not None and len(table.rows) >= count:
-            return table.rows
-        with self._lock:
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = _Table()
-        with table.lock:
-            if len(table.rows) < count:
-                extend(table.rows, count)
-        return table.rows
-
-
-_cache = _ZeroCache()
+    The first ``count`` rows stay valid after the lock is released, and a
+    table that already holds them is read without taking the lock.
+    """
+    entry = _tables.get(key)
+    if entry is not None and len(entry[0]) >= count:
+        return entry[0]
+    rows, lock = _tables.setdefault(key, ([], threading.Lock()))
+    with lock:
+        if len(rows) < count:
+            extend(rows, count)
+    return rows
 
 
 def _check_increasing(root: float, previous: float, what: str) -> None:
@@ -242,20 +228,14 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
 def _check_order_and_count(m: int, count: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > ORDER_MAX:
         raise OrderError(f"order must be an integer in [0, {ORDER_MAX}], got {m!r}")
-    if not isinstance(count, int) or count < 1 or count > COUNT_MAX:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1 or count > COUNT_MAX:
         raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
 
 
 def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:
     """Live (zero, residual) rows of J_m, at least ``count`` of them."""
     _check_order_and_count(m, count)
-    return _cache.get(("cyl", m), count,
-                      lambda rows, want: _extend_bessel_table(m, rows, want))
-
-
-def _bessel_zero(m: int, n: int) -> float:
-    """Zero n of J_m, read in place; its order was checked when it entered."""
-    return _bessel_rows(m, n)[n - 1][0]
+    return _rows(("cyl", m), count, lambda rows, want: _extend_bessel_table(m, rows, want))
 
 
 def bessel_zeros(m: int, count: int) -> ZeroTable:
@@ -376,24 +356,31 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
         table.append((root, residual))
 
 
-def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float]]:
-    """Live (gamma, residual) rows of the annulus a < rho < b, at least ``count``."""
-    _check_order_and_count(m, count)
-    a = float(a)
-    b = float(b)
+def _check_walls(a: float, b: float) -> tuple[float, float]:
+    """The walls (a, b) as floats, checked: 0 < a < b, both finite, a/b >= MIN_RADIUS_RATIO."""
+    try:
+        if isinstance(a, _NOT_REAL) or isinstance(b, _NOT_REAL):
+            raise TypeError
+        a, b = float(a), float(b)
+    except TypeError:
+        raise GeometryError(f"walls must be real numbers, got a={a!r}, b={b!r}") from None
     if not (0.0 < a < b) or not math.isfinite(a) or not math.isfinite(b):
         raise GeometryError(f"need 0 < a < b, got a={a!r}, b={b!r}")
     if a / b < MIN_RADIUS_RATIO:
         raise GeometryError(
             f"a/b = {a / b:.2e} is below {MIN_RADIUS_RATIO}; the annular determinant "
             "is numerically meaningless there (a solid cylinder is the right model)")
-    return _cache.get(("ann", m, a, b), count,
-                      lambda rows, want: _extend_cross_table(m, a, b, rows, want))
+    return a, b
 
 
-def _cross_zero(m: int, a: float, b: float, n: int) -> float:
-    """Root n of the annulus a < rho < b, read in place like ``_bessel_zero``."""
-    return _cross_rows(m, a, b, n)[n - 1][0]
+def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float]]:
+    """Live (gamma, residual) rows of the annulus a < rho < b, at least ``count``.
+
+    The walls are floats that ``_check_walls`` has passed.
+    """
+    _check_order_and_count(m, count)
+    return _rows(("ann", m, a, b), count,
+                 lambda rows, want: _extend_cross_table(m, a, b, rows, want))
 
 
 def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
@@ -405,8 +392,10 @@ def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
     window (module docstring), widened by 16 eps b/(b-a) relative for the
     determinant's rounding.
     """
+    _check_order_and_count(m, count)  # an order or count error comes before a wall error
+    a, b = _check_walls(a, b)
     rows = _cross_rows(m, a, b, count)[:count]
     return ZeroTable(m=m, kind="annulus",
                      zeros=tuple(r for r, _ in rows),
                      residuals=tuple(res for _, res in rows),
-                     geometry_tag=(float(a), float(b)))
+                     geometry_tag=(a, b))

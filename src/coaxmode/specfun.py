@@ -68,11 +68,18 @@ def _check_order(m: int) -> None:
         raise OrderError(f"|m| = {abs(m)} exceeds the supported maximum {ORDER_MAX}")
 
 
+# float() accepts these, but they are not real numbers
+_NOT_REAL = (str, bytes, bytearray, bool)
+
+
 def _check_x(x: float, positive: bool) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"argument must be a real number, got {x!r}") from None
+    if type(x) is not float:  # a float needs neither test
+        if isinstance(x, _NOT_REAL):
+            raise DomainError(f"argument must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except (TypeError, ValueError):
+            raise DomainError(f"argument must be a real number, got {x!r}") from None
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     if positive and x <= 0.0:
@@ -463,7 +470,7 @@ def neumann_n(m: int, x: float) -> EvalResult:
 
 def hankel(kind: int, m: int, x: float) -> complex:
     """Hankel function H_m^(kind) = J_m + (-1)^(kind+1) i N_m, x > 0."""
-    if kind not in (1, 2):
+    if not isinstance(kind, int) or isinstance(kind, bool) or kind not in (1, 2):
         raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
     _check_order(m)
     return _evaluate("H1" if kind == 1 else "H2", m, _check_x(x, positive=True))
@@ -473,7 +480,7 @@ _FAMILIES = ("J", "N", "H1", "H2")
 
 
 def derivative(family: str, m: int, x: float) -> EvalResult:
-    """d/dx of J, N, H1 or H2 at integer order via (X_{m-1} - X_{m+1})/2.
+    """d/dx of J, N, H1 or H2 at integer order, as m X_m/x - X_{m+1} from one ladder run.
 
     The J family also accepts x = 0 (series limit). Values for the Hankel
     families are complex.

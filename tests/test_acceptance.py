@@ -35,7 +35,7 @@ def _report(number: int, detail: str) -> None:
 
 
 def _fresh_root_cache() -> None:
-    coaxmode.roots._cache._tables.clear()
+    coaxmode.roots._tables.clear()
 
 
 def test_criterion_1_bessel_zero_correctness():

@@ -10,7 +10,7 @@ import pytest
 import coaxmode.cavity as cavity
 from coaxmode import verify
 from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex,
-                      enumerate_modes_below, mode_count_histogram,
+                      cross_product_zeros, enumerate_modes_below, mode_count_histogram,
                       radial_eigenvalue, tm_frequency)
 from coaxmode.errors import DomainError, GeometryError, ResourceLimitError
 
@@ -249,6 +249,35 @@ class TestValidation:
             AnnulusGeometry(a=2.0, b=1.0, l=1.0)
         with pytest.raises(GeometryError):
             AnnulusGeometry(a=1e-5, b=1.0, l=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: AnnulusGeometry("0.5", 1.0, 1.0),
+        lambda: AnnulusGeometry(0.5, b"1", 1.0),
+        lambda: AnnulusGeometry(None, 1.0, 1.0),
+        lambda: AnnulusGeometry(0.5, 1.0, bytearray(b"1")),
+        lambda: CylinderGeometry("1", 1.0),
+        lambda: CylinderGeometry(True, 1.0),
+        lambda: CylinderGeometry(1.0, None),
+        lambda: cross_product_zeros(0, "1", 2, 3),
+        lambda: cross_product_zeros(0, 0.5, True, 3),
+    ], ids=["ann_text", "ann_bytes", "ann_none", "ann_height_bytearray", "cyl_text",
+            "cyl_bool", "cyl_height_none", "cross_text", "cross_bool"])
+    def test_non_real_dimensions_are_geometry_errors(self, build):
+        with pytest.raises(GeometryError):
+            build()
+
+    def test_one_wall_check_for_geometry_and_tables(self):
+        # the geometry keeps the float walls the table check returns, and
+        # both refuse bad walls in the same words
+        geometry = AnnulusGeometry(1, 2, 1.0)
+        assert (type(geometry.a), type(geometry.b)) == (float, float)
+        assert geometry == AnnulusGeometry(1.0, 2.0, 1.0)
+        for a, b in ((1e-4, 1.0), (2.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(GeometryError) as built:
+                AnnulusGeometry(a, b, 1.0)
+            with pytest.raises(GeometryError) as tabled:
+                cross_product_zeros(0, a, b, 3)
+            assert str(built.value) == str(tabled.value)
 
     def test_mode_index_ranges(self):
         with pytest.raises(DomainError):

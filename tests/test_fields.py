@@ -406,6 +406,15 @@ class TestProbeArguments:
         with pytest.raises(DomainError, match="a must be"):
             orthogonality_check(0, 1, 1, a)
 
+    @pytest.mark.parametrize("nu, n, k, name", [
+        ("x", 1, 1, "nu"), (1.0, 1, 1, "nu"), (True, 1, 1, "nu"),
+        (0, 1.0, 1, "n"), (0, None, 1, "n"), (0, 1, None, "k"), (0, 1, False, "k"),
+    ])
+    def test_non_integer_index_is_a_domain_error(self, nu, n, k, name):
+        # checked before any comparison, under the name the caller passed
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            orthogonality_check(nu, n, k, 1.0)
+
 
 class TestRadialValue:
     def test_value_is_the_profile_value(self):

@@ -1,4 +1,5 @@
-"""The package's public names, and what each CLI command loads from a cold start."""
+"""The package's public names, their integer arguments, and what each CLI command loads
+from a cold start."""
 
 import importlib
 import os
@@ -118,3 +119,31 @@ class TestColdImports:
         if not layers:
             # nothing is written, so neither the layers' imports nor the writers'
             assert not {"dataclasses", "csv", "json"} & loaded
+
+
+_CYL = coaxmode.CylinderGeometry(1.0, 1.0)
+_MODE = coaxmode.ModeIndex(1, 1, 1)
+_POINT = coaxmode.FieldPoint(0.5, 0.0, 0.5)
+
+
+class TestIntegerArguments:
+    # a bool or float where an integer belongs gets the DomainError of an
+    # out-of-range value, not a silent 1 or 1.0
+    @pytest.mark.parametrize("call, message", [
+        (lambda: coaxmode.ModeIndex(True, 1, 0), "mode index"),
+        (lambda: coaxmode.ModeIndex(0, 1.0, 0), "mode index"),
+        (lambda: coaxmode.bessel_zeros(0, True), "count"),
+        (lambda: coaxmode.mode_count_histogram(_CYL, 3e9, True), "bins"),
+        (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, 1, True), "npoints"),
+        (lambda: coaxmode.hankel(True, 1, 2.0), "Hankel kind"),
+        (lambda: coaxmode.hankel(1.0, 1, 2.0), "Hankel kind"),
+        (lambda: coaxmode.ez_mode(_CYL, _MODE, True, 1.0, _POINT), "orientation sign"),
+        (lambda: coaxmode.transverse_fields(_CYL, _MODE, 1.0, 1.0, _POINT), "orientation sign"),
+        (lambda: coaxmode.field_grid(_CYL, _MODE, -1.0, 1.0, [0.5], [0.0], [0.5]),
+         "orientation sign"),
+    ], ids=["mode_m_bool", "mode_n_float", "count_bool", "bins_bool", "npoints_bool",
+            "kind_bool", "kind_float", "ez_sign_bool", "transverse_sign_float",
+            "grid_sign_float"])
+    def test_bool_and_float_are_rejected(self, call, message):
+        with pytest.raises(coaxmode.errors.DomainError, match=message):
+            call()

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from coaxmode import gauss_legendre_rule, integrate_adaptive, quadrature
-from coaxmode.errors import QuadratureError
+from coaxmode.errors import DomainError, QuadratureError
 
 
 class TestRule:
@@ -19,6 +19,18 @@ class TestRule:
     def test_nodes_symmetric(self, n):
         nodes, _ = gauss_legendre_rule(n)
         assert sorted(nodes) == pytest.approx([-x for x in sorted(nodes, reverse=True)])
+
+    def test_one_point_rule_is_the_midpoint(self):
+        assert gauss_legendre_rule(1) == ((0.0,), (2.0,))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, 2.0, "3"])
+    def test_rejects_sizes_that_are_not_integers_from_one(self, n):
+        gauss_legendre_rule(2)  # a cached 2 must not answer for 2.0, nor 1 for True
+        with pytest.raises(DomainError, match="rule size"):
+            gauss_legendre_rule(n)
+
+    def test_rules_are_cached(self):
+        assert gauss_legendre_rule(10) is gauss_legendre_rule(10)
 
     def test_polynomial_exactness(self):
         # an n-point rule integrates degree 2n-1 exactly

@@ -96,7 +96,7 @@ class TestBesselZeros:
             calls.append(real(f, lo, hi, flo, fhi, x))
             return calls[0]
 
-        roots._cache._tables.pop(key, None)
+        roots._tables.pop(key, None)
         try:
             monkeypatch.setattr(roots, "_polish", repeat_first)
             with pytest.raises(RootFindingError, match="does not exceed"):
@@ -104,7 +104,7 @@ class TestBesselZeros:
             monkeypatch.setattr(roots, "_polish", real)
             assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1][0], abs=1e-14)
         finally:
-            roots._cache._tables.pop(key, None)
+            roots._tables.pop(key, None)
 
     def test_argument_validation(self):
         with pytest.raises(OrderError):
@@ -285,17 +285,17 @@ class TestSturmWindows:
                 return (-value, -slope) if g > first else (value, slope)
             return flipped
 
-        roots._cache._tables.pop(key, None)
+        roots._tables.pop(key, None)
         try:
             monkeypatch.setattr(roots, "_cross_determinant", planted)
             with pytest.raises(RootFindingError, match="Sturm"):
                 cross_product_zeros(m, a, b, 1)
-            assert roots._cache._tables[key].rows == []
+            assert roots._tables[key][0] == []
             with pytest.raises(RootFindingError):
                 cross_product_zeros(m, a, b, 2)
         finally:
             monkeypatch.undo()
-            roots._cache._tables.pop(key, None)
+            roots._tables.pop(key, None)
         assert cross_product_zeros(m, a, b, 2).zeros == (first, second)
 
 
@@ -314,7 +314,7 @@ class TestScanCost:
 
         keys = [("ann", m, 1.0, 2.0) for m in range(21)]
         for key in keys:
-            roots._cache._tables.pop(key, None)
+            roots._tables.pop(key, None)
         monkeypatch.setattr(roots, "_cross_determinant", counting)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
@@ -333,7 +333,7 @@ class TestScanCost:
 
         keys = [("cyl", m) for m in range(51)]
         for key in keys:
-            roots._cache._tables.pop(key, None)
+            roots._tables.pop(key, None)
         monkeypatch.setattr(roots, "_ladder", counting)
         try:
             for m in range(51):
@@ -341,7 +341,7 @@ class TestScanCost:
         finally:
             monkeypatch.undo()
             for key in keys:
-                roots._cache._tables.pop(key, None)
+                roots._tables.pop(key, None)
         assert calls[0] / (51 * 100) <= 6.0
 
     def test_small_walls_scale_exactly(self):
@@ -373,9 +373,9 @@ class TestTableCache:
         lambda count: cross_product_zeros(4, 0.6, 1.0, count),
     ], ids=["bessel", "cross-0", "cross-4"])
     def test_table_grown_in_pieces_equals_one_call(self, table):
-        roots._cache._tables.clear()
+        roots._tables.clear()
         whole = table(40)
-        roots._cache._tables.clear()
+        roots._tables.clear()
         for count in (2, 3, 7, 15, 22, 40):
             grown = table(count)
         assert grown.zeros == whole.zeros
@@ -386,7 +386,7 @@ class TestTableCache:
         # while other threads extend it
         geometry = AnnulusGeometry(a=0.3, b=1.5, l=1.0)
         whole = cross_product_zeros(2, 0.3, 1.5, 60).zeros
-        roots._cache._tables.pop(("ann", 2, 0.3, 1.5), None)
+        roots._tables.pop(("ann", 2, 0.3, 1.5), None)
         seen, errors = [], []
 
         def reader(first):
@@ -413,12 +413,12 @@ class TestTableCache:
 
     def test_warm_read_takes_no_lock(self):
         # rows are only appended, so a table that already holds the entries
-        # is read while another thread holds both the dict and table locks
+        # is read while another thread holds the table's lock
         bessel_zeros(7, 5)
-        table = roots._cache._tables[("cyl", 7)]
+        _, lock = roots._tables[("cyl", 7)]
         done = []
         reader = threading.Thread(target=lambda: done.append(bessel_zeros(7, 3)))
-        with roots._cache._lock, table.lock:
+        with lock:
             reader.start()
             reader.join(timeout=5)
             read_under_locks = bool(done)
@@ -434,7 +434,7 @@ class TestTableCache:
             started.set()
             release.wait(timeout=60)
 
-        holder = threading.Thread(target=roots._cache.get,
+        holder = threading.Thread(target=roots._rows,
                                   args=(("held",), 1, held_extension))
         done = []
         reader = threading.Thread(target=lambda: done.append(bessel_zeros(6, 4)))
@@ -449,5 +449,5 @@ class TestTableCache:
             holder.join(timeout=10)
             if reader.ident is not None:
                 reader.join(timeout=10)
-            roots._cache._tables.pop(("held",), None)
+            roots._tables.pop(("held",), None)
         assert not holder.is_alive() and not reader.is_alive()

@@ -165,7 +165,12 @@ class TestInputChecks:
         lambda: hankel(1, 0, "x"),
         lambda: bessel_j(0, 1 + 2j),
         lambda: neumann_n(0, None),
-    ], ids=["family_not_str", "j_text", "hankel_text", "j_complex", "n_none"])
+        lambda: bessel_j(1, "2"),
+        lambda: neumann_n(1, b"2"),
+        lambda: derivative("J", 1, bytearray(b"2")),
+        lambda: bessel_j(1, True),
+    ], ids=["family_not_str", "j_text", "hankel_text", "j_complex", "n_none",
+            "j_numeric_text", "n_bytes", "derivative_bytearray", "j_bool"])
     def test_bad_argument_types_raise_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -265,6 +270,28 @@ class TestLadderOracle:
 def _bits(v):
     # exact representation, sign of zero included
     return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+class TestExpansionDeclines:
+    def test_declines_where_an_order_diverges_first(self):
+        # at x = 18 the terms grow before they fall to 5e-16: at order m for
+        # m = 50, at order m+1 only for m = 8
+        assert specfun._asym(50, 18.0) is None
+        assert specfun._asym(8, 18.0) is None
+
+    def test_never_declines_inside_the_ladder_regime(self):
+        # _ladder uses the expansion where x >= 18 and 4 (m+1)^2 <= 6 x, and
+        # climbs from _asym(0, x) with no None check; sweep up from that edge
+        declined = []
+        for m in range(ORDER_MAX + 1):
+            edge = max(18.0, 4.0 * (m + 1) * (m + 1) / 6.0)
+            while 4.0 * (m + 1) * (m + 1) > 6.0 * edge:
+                edge = math.nextafter(edge, math.inf)
+            for i in range(601):
+                x = edge * (1.0 + i / 1000.0)
+                if specfun._asym(m, x) is None:
+                    declined.append((m, x))
+        assert not declined, declined[:5]
 
 
 class TestReflectionSampled:
