@@ -29,7 +29,7 @@ from typing import Union
 
 from .errors import DomainError, GeometryError, ResourceLimitError
 from . import roots
-from .specfun import _NOT_REAL
+from .specfun import _finite_real
 
 C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
 
@@ -37,12 +37,7 @@ ENUMERATION_CAP = 10_000_000
 
 
 def _check_positive(value: float, message: str) -> None:
-    try:
-        valid = (not isinstance(value, _NOT_REAL)
-                 and math.isfinite(value) and value > 0.0)
-    except TypeError:  # not a real number
-        valid = False
-    if not valid:
+    if not (_finite_real(value) and value > 0.0):
         raise GeometryError(message)
 
 
@@ -199,7 +194,7 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     stop the scan first, before any order is scanned) or more than
     roots.COUNT_MAX radial eigenvalues in one order.
     """
-    if not (math.isfinite(omega_max) and omega_max > 0.0):
+    if not (_finite_real(omega_max) and omega_max > 0.0):
         raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
     beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
                          f"{roots.ORDER_MAX}; tighten the cutoff")
@@ -249,9 +244,10 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
     """
     if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1 or bins > 100_000:
         raise DomainError(f"bins must be an integer in [1, 100000], got {bins!r}")
+    towers = _towers(geometry, omega_max)  # checks omega_max before the edges use it
     edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
     counts = [0] * bins
-    for m, n, gamma, top in _towers(geometry, omega_max):
+    for m, n, gamma, top in towers:
         weight = 1 if m == 0 else 2
         for p in range(top + 1):
             # the first edge >= omega: the mode counts at every edge from there on

@@ -40,17 +40,13 @@ from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
 from .errors import ConditioningError, DomainError
 from .quadrature import integrate_adaptive
 from .roots import bessel_zeros
-from .specfun import _ladder, _slope
+# the ladder memo lives in specfun, where the public calls read it too
+from .specfun import _cached_ladder, _finite_real, _slope
 
 _TWO_PI = 2.0 * math.pi
 # below this, a field component's bound leaves room for the rounding of the
 # bound and of the products it bounds
 _PRODUCT_LIMIT = 0.999 * sys.float_info.max
-
-
-# one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
-# which serves a value and its slope
-_cached_ladder = lru_cache(maxsize=300_000)(_ladder)
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,11 @@ def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
 
 
 def _require_inside(geometry: Geometry, rho: float, phi: float, z: float) -> None:
+    # three floats, the usual case, skip the type test: one call runs per sample
+    if not (type(rho) is float and type(phi) is float and type(z) is float):
+        for name, value in (("rho", rho), ("phi", phi), ("z", z)):
+            if not _finite_real(value):
+                raise DomainError(f"{name} must be a finite real number, got {value!r}")
     lo = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
     if not (lo <= rho <= geometry.b) or not (0.0 <= z <= geometry.l):
         raise DomainError(
@@ -172,7 +173,11 @@ def _check_sign(sign: int) -> int:
 
 
 def _check_amplitude(amplitude: complex) -> None:
-    if not cmath.isfinite(amplitude):
+    # a complex or a float, the usual case, passes the type test at once: one runs per sample
+    kind = type(amplitude)
+    number = (kind is complex or kind is float or isinstance(amplitude, complex)
+              or _finite_real(amplitude))
+    if not (number and cmath.isfinite(amplitude)):
         raise DomainError(f"amplitude must be finite, got {amplitude!r}")
 
 
@@ -326,7 +331,10 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     """Radial overlap of J_nu(x_nu_n rho/a) and J_nu(x_nu_k rho/a) on [0, a].
 
     Returns (adaptive quadrature value, closed-form expectation
-    (a^2/2) J_{nu+1}(x_nu_n)^2 delta_nk).
+    (a^2/2) J_{nu+1}(x_nu_n)^2 delta_nk). The integral is taken over
+    t = rho/a in [0, 1] and scaled by a^2, so its nodes, and the ladder
+    memo's keys, depend on (nu, n, k) only: each value is exactly a*a times
+    its value at a = 1.
     """
     for name, value in (("nu", nu), ("n", n), ("k", k)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -335,23 +343,19 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
         raise DomainError(f"nu must be in [0, 10], got {nu!r}")
     if not (1 <= n <= 20 and 1 <= k <= 20):
         raise DomainError(f"n, k must be in [1, 20], got n={n!r}, k={k!r}")
-    try:
-        valid = math.isfinite(a) and a > 0.0
-    except TypeError:  # not a real number
-        valid = False
-    if not valid:
+    if not (_finite_real(a) and a > 0.0):
         raise DomainError(f"a must be a positive real number, got {a!r}")
     zeros = bessel_zeros(nu, max(n, k)).zeros
     xn = zeros[n - 1]
     xk = zeros[k - 1]
 
-    def integrand(rho: float) -> float:
-        return (rho * _cached_ladder(nu, xn * rho / a, False)[0]
-                * _cached_ladder(nu, xk * rho / a, False)[0])
+    def integrand(t: float) -> float:
+        return (t * _cached_ladder(nu, xn * t, False)[0]
+                * _cached_ladder(nu, xk * t, False)[0])
 
-    result = integrate_adaptive(integrand, 0.0, a, abs_tol=1e-10 * a * a)
-    expected = 0.5 * a * a * _cached_ladder(nu, xn, False)[1] ** 2 if n == k else 0.0
-    return result.value, expected
+    result = integrate_adaptive(integrand, 0.0, 1.0, abs_tol=1e-10)
+    expected = 0.5 * _cached_ladder(nu, xn, False)[1] ** 2 if n == k else 0.0
+    return a * a * result.value, a * a * expected
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +383,7 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     probe); the annular solution is rebuilt so the inner wall stays
     matched and only the outer-wall mismatch shows.
     """
-    if not (math.isfinite(gamma_scale) and gamma_scale > 0.0):
+    if not (_finite_real(gamma_scale) and gamma_scale > 0.0):
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
     gamma = radial_eigenvalue(geometry, index.m, index.n) * gamma_scale
     sol = _build_radial(geometry, index.m, gamma)

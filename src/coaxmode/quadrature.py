@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, QuadratureError
+from .specfun import _finite_real
 
 # typed, so 2.0 and True miss the entries of 2 and 1 and reach the check
 @lru_cache(maxsize=None, typed=True)
@@ -67,7 +68,7 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     at once if a panel's value is not finite: a NaN estimate fails every
     tolerance test, so its panels would be bisected down to max_depth.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(abs_tol)):
+    if not (_finite_real(lo) and _finite_real(hi) and _finite_real(abs_tol)):
         raise DomainError(f"need finite lo, hi and abs_tol, got {lo!r}, {hi!r}, {abs_tol!r}")
     if hi <= lo:
         raise QuadratureError(f"empty interval [{lo!r}, {hi!r}]", achieved_tolerance=0.0)

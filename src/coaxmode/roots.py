@@ -362,7 +362,7 @@ def _check_walls(a: float, b: float) -> tuple[float, float]:
         if isinstance(a, _NOT_REAL) or isinstance(b, _NOT_REAL):
             raise TypeError
         a, b = float(a), float(b)
-    except TypeError:
+    except (TypeError, OverflowError):  # OverflowError: an int beyond float
         raise GeometryError(f"walls must be real numbers, got a={a!r}, b={b!r}") from None
     if not (0.0 < a < b) or not math.isfinite(a) or not math.isfinite(b):
         raise GeometryError(f"need 0 < a < b, got a={a!r}, b={b!r}")

@@ -31,6 +31,13 @@ that sign.
 Calls return values only. The accuracy over the envelope is the bound a
 seeded 30-digit reference sweep supports, stated in README "Numerical notes".
 
+The public calls and ``fields`` share one bounded LRU memo of ladder
+tuples, ``_cached_ladder``: one entry per distinct (m, x, with_n), at most
+300,000 entries, about 100 MB when full. A repeated argument costs one
+lookup, and a value, its slope and every family read the same bits.
+``roots`` calls ``_ladder`` directly: root finding never evaluates the same
+argument twice, so its entries would only evict the ones that repeat.
+
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.
 """
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, EvaluationError, OrderError
 
@@ -72,13 +80,21 @@ def _check_order(m: int) -> None:
 _NOT_REAL = (str, bytes, bytearray, bool)
 
 
+def _finite_real(value: float) -> bool:
+    """Whether value is a finite real number: not one of _NOT_REAL, nor an int beyond float."""
+    try:
+        return not isinstance(value, _NOT_REAL) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float
+        return False
+
+
 def _check_x(x: float, positive: bool) -> float:
     if type(x) is not float:  # a float needs neither test
         if isinstance(x, _NOT_REAL):
             raise DomainError(f"argument must be a real number, got {x!r}")
         try:
             x = float(x)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
             raise DomainError(f"argument must be a real number, got {x!r}") from None
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"argument must be finite, got {x!r}")
@@ -406,6 +422,11 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     return (jm, jm1) + _climb(m, x, y0, y1)
 
 
+# one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
+# which serves a value and its slope; who reads it is in the module docstring
+_cached_ladder = lru_cache(maxsize=300_000)(_ladder)
+
+
 def _slope(m: int, x: float, value: float, above: float) -> float:
     """dX_m/dx = m X_m/x - X_{m+1} from a ladder pair (X_m, X_{m+1}).
 
@@ -424,13 +445,13 @@ def _slope(m: int, x: float, value: float, above: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _evaluate(family: str, m: int, x: float, slope: bool = False) -> float | complex:
-    """X_m(x) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX, from one ladder run.
+    """X_m(x) for X in J, N, H1, H2 and any order |m| <= ORDER_MAX, from one ladder read.
 
     With ``slope`` the value is dX_m/dx (``_slope``). The reflection
     X_{-m} = (-1)^m X_m comes last, as an exact sign flip.
     """
     am = abs(m)
-    ladder = _ladder(am, x, family != "J")
+    ladder = _cached_ladder(am, x, family != "J")
     pairs = zip(ladder[::2], ladder[1::2])  # (J_m, J_{m+1}) and (N_m, N_{m+1})
     values = [_slope(am, x, v, above) if slope else v for v, above in pairs]
     if family == "J":

@@ -260,8 +260,11 @@ class TestValidation:
         lambda: CylinderGeometry(1.0, None),
         lambda: cross_product_zeros(0, "1", 2, 3),
         lambda: cross_product_zeros(0, 0.5, True, 3),
+        lambda: AnnulusGeometry(1, 10 ** 400, 1.0),
+        lambda: CylinderGeometry(10 ** 400, 1.0),
     ], ids=["ann_text", "ann_bytes", "ann_none", "ann_height_bytearray", "cyl_text",
-            "cyl_bool", "cyl_height_none", "cross_text", "cross_bool"])
+            "cyl_bool", "cyl_height_none", "cross_text", "cross_bool", "ann_huge_int",
+            "cyl_huge_int"])
     def test_non_real_dimensions_are_geometry_errors(self, build):
         with pytest.raises(GeometryError):
             build()

@@ -298,7 +298,23 @@ class TestOrthogonality:
         small, expected_small = orthogonality_check(1, 2, 2, 1.0)
         large, expected_large = orthogonality_check(1, 2, 2, 2.0)
         assert expected_large == 4.0 * expected_small
-        assert large == pytest.approx(4.0 * small, rel=1e-7)
+        assert large == 4.0 * small
+
+    @pytest.mark.parametrize("a", [1e-3, 0.3, 2.0, 7.77, 1234.5])
+    @pytest.mark.parametrize("nu, n, k", [(0, 1, 1), (1, 2, 2), (3, 1, 4)])
+    def test_every_radius_is_a_squared_times_the_unit_one(self, nu, n, k, a):
+        # the integral is posed on rho/a in [0, 1], so only the final scaling sees a
+        unit = orthogonality_check(nu, n, k, 1.0)
+        assert orthogonality_check(nu, n, k, a) == ((a * a) * unit[0], (a * a) * unit[1])
+
+    @pytest.mark.parametrize("nu, n, k, value, expected", [
+        (0, 1, 1, "0x1.13fb82b08fffbp-3", "0x1.13fb82b08fffap-3"),
+        (2, 3, 3, "0x1.ba9cb860709d1p-6", "0x1.ba9cb860709d5p-6"),
+        (1, 2, 5, "0x1.7000000000000p-57", "0x0.0p+0"),
+    ])
+    def test_unit_radius_bits_are_pinned(self, nu, n, k, value, expected):
+        got = orthogonality_check(nu, n, k, 1.0)
+        assert (got[0].hex(), got[1].hex()) == (value, expected)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -147,3 +147,57 @@ class TestIntegerArguments:
     def test_bool_and_float_are_rejected(self, call, message):
         with pytest.raises(coaxmode.errors.DomainError, match=message):
             call()
+
+
+def _unit(t):
+    return t * t
+
+
+class TestRealArguments:
+    # str, bytes, bytearray and bool are not real numbers: each gets the
+    # DomainError of a bad value, not a silent 1.0 or a raw TypeError
+    @pytest.mark.parametrize("call, message", [
+        (lambda: coaxmode.orthogonality_check(0, 1, 1, True), "a must be"),
+        (lambda: coaxmode.enumerate_modes_below(_CYL, True), "omega_max"),
+        (lambda: coaxmode.enumerate_modes_below(_CYL, "3e9"), "omega_max"),
+        (lambda: coaxmode.enumerate_modes_below(_CYL, 10 ** 400), "omega_max"),
+        (lambda: coaxmode.mode_count_histogram(_CYL, True, 3), "omega_max"),
+        (lambda: coaxmode.mode_count_histogram(_CYL, "3e9", 3), "omega_max"),
+        (lambda: coaxmode.boundary_residual(_CYL, _MODE, gamma_scale=True), "gamma_scale"),
+        (lambda: coaxmode.boundary_residual(_CYL, _MODE, gamma_scale=b"1"), "gamma_scale"),
+        (lambda: coaxmode.ez_mode(_CYL, _MODE, 1, 1.0, coaxmode.FieldPoint(True, 0.0, 0.5)),
+         "rho"),
+        (lambda: coaxmode.ez_mode(_CYL, _MODE, 1, 1.0, coaxmode.FieldPoint("0.5", 0.0, 0.5)),
+         "rho"),
+        (lambda: coaxmode.transverse_fields(_CYL, _MODE, 1, 1.0,
+                                            coaxmode.FieldPoint(0.5, 0.0, True)), "z"),
+        (lambda: coaxmode.transverse_fields(_CYL, _MODE, 1, 1.0,
+                                            coaxmode.FieldPoint(0.5, bytearray(b"0"), 0.5)),
+         "phi"),
+        (lambda: coaxmode.ez_mode(_CYL, _MODE, 1, True, _POINT), "amplitude"),
+        (lambda: coaxmode.transverse_fields(_CYL, _MODE, 1, "1", _POINT), "amplitude"),
+        (lambda: coaxmode.field_grid(_CYL, _MODE, 1, 1.0, [True], [0.0], [0.5]), "rho"),
+        (lambda: coaxmode.integrate_adaptive(_unit, False, True, 1e-9), "need finite"),
+        (lambda: coaxmode.integrate_adaptive(_unit, 0.0, 1.0, abs_tol=True), "need finite"),
+        (lambda: coaxmode.integrate_adaptive(_unit, "0", 1.0, 1e-9), "need finite"),
+    ], ids=["ortho_a_bool", "enumerate_bool", "enumerate_str", "enumerate_huge_int",
+            "histogram_bool", "histogram_str", "gamma_scale_bool", "gamma_scale_bytes",
+            "ez_rho_bool", "ez_rho_str", "transverse_z_bool", "transverse_phi_bytearray",
+            "ez_amplitude_bool", "transverse_amplitude_str", "grid_rho_bool",
+            "quad_bounds_bool", "quad_tol_bool", "quad_lo_str"])
+    def test_non_real_values_are_domain_errors(self, call, message):
+        with pytest.raises(coaxmode.errors.DomainError, match=message):
+            call()
+
+    def test_ints_pass_as_their_floats(self):
+        assert (coaxmode.orthogonality_check(0, 1, 1, 1)
+                == coaxmode.orthogonality_check(0, 1, 1, 1.0))
+        assert (coaxmode.enumerate_modes_below(_CYL, 3_000_000_000)
+                == coaxmode.enumerate_modes_below(_CYL, 3e9))
+        assert (coaxmode.boundary_residual(_CYL, _MODE, gamma_scale=1)
+                == coaxmode.boundary_residual(_CYL, _MODE))
+        assert (coaxmode.transverse_fields(_CYL, _MODE, 1, 2, coaxmode.FieldPoint(1, 0, 1))
+                == coaxmode.transverse_fields(_CYL, _MODE, 1, 2.0,
+                                              coaxmode.FieldPoint(1.0, 0.0, 1.0)))
+        assert (coaxmode.integrate_adaptive(_unit, 0, 1, 1e-9)
+                == coaxmode.integrate_adaptive(_unit, 0.0, 1.0, 1e-9))

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from coaxmode import EvalResult, bessel_j, neumann_n, hankel, derivative
+from coaxmode import (EvalResult, bessel_j, bessel_zeros, cross_product_zeros, derivative,
+                      hankel, neumann_n)
 from coaxmode.errors import CoaxmodeError, DomainError, EvaluationError, OrderError
-from coaxmode import specfun
+from coaxmode import fields, roots, specfun
 from coaxmode.specfun import ORDER_MAX, X_MAX
 
 import oracles
@@ -169,8 +172,9 @@ class TestInputChecks:
         lambda: neumann_n(1, b"2"),
         lambda: derivative("J", 1, bytearray(b"2")),
         lambda: bessel_j(1, True),
+        lambda: bessel_j(0, 10 ** 400),
     ], ids=["family_not_str", "j_text", "hankel_text", "j_complex", "n_none",
-            "j_numeric_text", "n_bytes", "derivative_bytearray", "j_bool"])
+            "j_numeric_text", "n_bytes", "derivative_bytearray", "j_bool", "j_huge_int"])
     def test_bad_argument_types_raise_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -320,3 +324,76 @@ class TestReflectionSampled:
                     composed = complex(bessel_j(order, x).value,
                                        sign * neumann_n(order, x).value)
                     assert _bits(h) == _bits(composed), (kind, order, x)
+
+
+class TestLadderMemo:
+    POINTS = [(m, 0.731 + 0.917 * i) for i, m in enumerate((0, 1, 3, 7, 12, 20, 33, 50))]
+
+    def test_fields_reads_the_specfun_memo(self):
+        assert fields._cached_ladder is specfun._cached_ladder
+
+    @pytest.mark.parametrize("call, with_n, pick", [
+        (lambda m, x: bessel_j(m, x).value, False, lambda lad, m, x: lad[0]),
+        (lambda m, x: neumann_n(m, x).value, True, lambda lad, m, x: lad[2]),
+        (lambda m, x: derivative("J", m, x).value, False,
+         lambda lad, m, x: specfun._slope(m, x, lad[0], lad[1])),
+        (lambda m, x: derivative("N", m, x).value, True,
+         lambda lad, m, x: specfun._slope(m, x, lad[2], lad[3])),
+        (lambda m, x: hankel(1, m, x), True, lambda lad, m, x: complex(lad[0], lad[2])),
+        (lambda m, x: hankel(2, m, x), True, lambda lad, m, x: complex(lad[0], -lad[2])),
+    ], ids=["bessel_j", "neumann_n", "dJ", "dN", "H1", "H2"])
+    def test_repeated_call_is_a_hit_with_the_ladder_bits(self, call, with_n, pick):
+        memo = specfun._cached_ladder
+        for m, x in self.POINTS:
+            first = call(m, x)
+            before = memo.cache_info()
+            again = call(m, x)
+            after = memo.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+            expected = pick(specfun._ladder(m, x, with_n), m, x)
+            assert _bits(first) == _bits(again) == _bits(expected), (m, x)
+
+    def test_fresh_root_tables_leave_the_memo_alone(self):
+        # root finding calls _ladder itself: its arguments never repeat
+        keys = [("cyl", 4), ("ann", 2, 0.37, 1.91)]
+        for key in keys:
+            roots._tables.pop(key, None)
+        try:
+            before = specfun._cached_ladder.cache_info()
+            bessel_zeros(4, 30)
+            cross_product_zeros(2, 0.37, 1.91, 12)
+            after = specfun._cached_ladder.cache_info()
+        finally:
+            for key in keys:
+                roots._tables.pop(key, None)
+        assert after.currsize == before.currsize
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_threads_on_overlapping_arguments_get_the_serial_bits(self):
+        points = [(m, 2.345 + 0.6113 * i) for i, m in
+                  enumerate(m for m in range(0, ORDER_MAX + 1, 5) for _ in range(6))]
+        serial = {(m, x): (specfun._ladder(m, x, False)[0], specfun._ladder(m, x, True)[2])
+                  for m, x in points}
+        results = [[] for _ in range(4)]
+
+        def work(i):
+            # each thread walks every point three times, from its own start
+            start = i * len(points) // 4
+            for m, x in (points[start:] + points[:start]) * 3:
+                results[i].append(((m, x), (bessel_j(m, x).value, neumann_n(m, x).value)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(got) for got in results] == [3 * len(points)] * 4
+        for got in results:
+            for key, values in got:
+                assert [v.hex() for v in values] == [v.hex() for v in serial[key]], key
