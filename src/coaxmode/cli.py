@@ -20,7 +20,10 @@ memory. A batch whose cells are all ints and floats is formatted by one
 bytes csv.writer and json.dumps(indent=2) would write; batches with text
 cells, and JSON batches holding NaN or infinities, go through csv.writer
 and the JSON encoder. ``field`` takes its rows from ``fields.field_grid``,
-which evaluates the mode's separable factors once per rho, phi and z.
+which evaluates the mode's separable factors once per rho, phi and z, and
+prints them the same way: each rho, phi and z is rendered as text once per
+job, and each row formats only its ten field values. ``zeros``, ``modes``
+and ``verify`` format every cell of every row.
 Every check that can fail runs before the first byte: a failing command
 writes nothing and creates no ``--out`` file.
 
@@ -28,7 +31,8 @@ Each command imports the layers it runs inside the command, so a cold
 process loads only those: ``zeros`` loads roots (and specfun under it),
 ``modes`` cavity, ``field`` cavity and fields, and ``verify`` the layers of
 the suites it runs. ``--version`` and the flags argparse rejects load no
-layer, and neither csv nor json: only ``_emit`` imports those.
+layer, and neither csv nor json: only ``_emit`` imports them, csv for CSV
+output and json for JSON.
 
 Exit codes: 0 success, 1 numerical failure (or failed verification),
 2 argument/validation errors.
@@ -40,8 +44,9 @@ import argparse
 import contextlib
 import itertools
 import math
+import operator
 import sys
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
@@ -60,47 +65,80 @@ def _is_numeric(batch: list) -> bool:
             and set(map(type, itertools.chain.from_iterable(batch))) <= {int, float})
 
 
+def _renderer(template: str, grid: Optional[tuple]) -> Callable[[list], Optional[Iterable[str]]]:
+    """The step that turns a batch of rows into texts: template % row each.
+
+    Without a grid, a batch that is not all ints and floats gets None, and
+    the caller's csv.writer or JSON encoder prints it. With a grid (rhos,
+    phis, zs), the rows are ``field_grid``'s floats in its product order, z
+    fastest: each rho, phi and z is repr'd once, from the axis value itself
+    and in axis order, so -0.0 keeps its sign, and each row formats only the
+    cells after its three coordinates.
+    """
+    if grid is None:
+        return lambda batch: map(template.__mod__, batch) if _is_numeric(batch) else None
+    rhos, phis, zs = grid
+    lead_rho, lead_phi, lead_z, rest = template.split("%r", 3)
+    phi_texts = [lead_phi + repr(phi) + lead_z for phi in phis]
+    z_texts = list(map(repr, zs))
+    # one head per (rho, phi), built as the rows reach it, so a grid of any
+    # shape holds its axes' text and no more
+    heads = (rho + phi for rho in (lead_rho + repr(rho) for rho in rhos)
+             for phi in phi_texts)
+    coords = itertools.chain.from_iterable(zip(itertools.repeat(head), z_texts)
+                                           for head in heads)
+    row_template = "%s%s" + rest
+    values = operator.itemgetter(slice(3, None))
+    return lambda batch: map(row_template.__mod__, map(
+        operator.add, itertools.islice(coords, len(batch)), map(values, batch)))
+
+
 def _emit(command: str, params: dict, columns: tuple[str, ...],
-          rows: Iterable[tuple], fmt: str, out: Optional[str]) -> None:
+          rows: Iterable[tuple], fmt: str, out: Optional[str],
+          grid: Optional[tuple] = None) -> None:
     """Write the rows, tuples in column order, as they arrive.
 
     Rows go out in batches of 256. A batch of numeric rows is formatted by
     one %-template per call, which prints each cell's repr exactly where
     csv.writer or json.dumps would put it; any other batch goes through
-    csv.writer or the JSON encoder itself. csv and json load here, so
-    ``--version`` and the arguments argparse rejects never import them.
+    csv.writer or the JSON encoder itself. ``grid`` (rhos, phis, zs) says
+    the rows are ``field_grid``'s, whose first three cells then print from
+    text made once per axis value (see ``_renderer``). csv loads only for
+    CSV and json only for JSON, so ``--version`` and the arguments argparse
+    rejects import neither.
     """
-    import csv
-    import json
     rows = iter(rows)
     with (open(out, "w", encoding="utf-8", newline="\n") if out
           else contextlib.nullcontext(sys.stdout)) as handle:
         if fmt == "csv":
+            import csv
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
-            template = ",".join(["%r"] * len(columns)) + "\n"
+            render = _renderer(",".join(["%r"] * len(columns)) + "\n", grid)
             while batch := list(itertools.islice(rows, 256)):
-                if _is_numeric(batch):
-                    handle.write("".join(map(template.__mod__, batch)))
-                else:
+                texts = render(batch)
+                if texts is None:
                     writer.writerows(batch)
+                else:
+                    handle.write("".join(texts))
             return
+        import json
         # json.dumps(doc, indent=2) byte for byte, "rows" (the last key) streamed
         # in batches, because each encode call pays the encoder's set-up again
         doc = {"schema": SCHEMA, "command": command, "params": params, "rows": []}
         head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
         encode = json.JSONEncoder(indent=2).encode
         # one row object, indented two levels below the document
-        template = "\n    {\n" + ",\n".join(
+        render = _renderer("\n    {\n" + ",\n".join(
             "      " + json.dumps(name).replace("%", "%%") + ": %r" for name in columns
-        ) + "\n    }"
+        ) + "\n    }", grid)
         handle.write(head)
         sep = "["
         while batch := list(itertools.islice(rows, 256)):
-            numeric = _is_numeric(batch)
-            text = ",".join(map(template.__mod__, batch)) if numeric else ""
+            texts = render(batch)
+            text = "" if texts is None else ",".join(texts)
             # repr spells non-finite floats nan/inf where JSON has NaN/Infinity
-            if not numeric or "nan" in text or "inf" in text:
+            if texts is None or "nan" in text or "inf" in text:
                 # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
                 text = encode([dict(zip(columns, row)) for row in batch])[1:-2].replace(
                     "\n", "\n  ")
@@ -289,7 +327,7 @@ def _cmd_field(args) -> int:
     columns = ("rho", "phi", "z",
                "re_ez", "im_ez", "re_erho", "im_erho", "re_ephi", "im_ephi",
                "re_brho", "im_brho", "re_bphi", "im_bphi")
-    _emit("field", params, columns, rows, args.format, args.out)
+    _emit("field", params, columns, rows, args.format, args.out, grid=(rhos, phis, zs))
     return 0
 
 

@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Optional
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
 from .errors import ConditioningError, DomainError
-from .quadrature import integrate_adaptive
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
 from .specfun import _cached_ladder, _finite_real, _slope
@@ -345,6 +344,8 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
         raise DomainError(f"n, k must be in [1, 20], got n={n!r}, k={k!r}")
     if not (_finite_real(a) and a > 0.0):
         raise DomainError(f"a must be a positive real number, got {a!r}")
+    # quadrature loads here, its only use, so a field grid never imports it
+    from .quadrature import integrate_adaptive
     zeros = bessel_zeros(nu, max(n, k)).zeros
     xn = zeros[n - 1]
     xk = zeros[k - 1]

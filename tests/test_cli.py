@@ -343,6 +343,64 @@ class TestDeterminismAndFormats:
                "rows": [dict(zip(self.COLUMNS, row)) for row in rows]}
         assert path.read_bytes().decode("utf-8") == json.dumps(doc, indent=2) + "\n"
 
+    # field prints each rho, phi and z from text made once per axis value; on
+    # every grid shape and sign of zero the bytes must stay those csv.writer and
+    # json.dumps print for the public field_grid rows
+    FIELD_COLUMNS = ("rho", "phi", "z", "re_ez", "im_ez", "re_erho", "im_erho",
+                     "re_ephi", "im_ephi", "re_brho", "im_brho", "re_bphi", "im_bphi")
+    FIELD_GRIDS = {  # cavity, mode, sign, amplitude, rho, phi, z
+        "cylinder": ("cylinder", "1,2,1", "+", "0.7,-1.3", "0:1:5", "0:6.28:7", "0:1:9"),
+        "annulus-p0": ("annulus", "2,1,0", "-", "1", "1:2:4", "-3:3:9", "0:0.5:9"),
+        # an axis ends on HI itself, so "0:-0.0:2" samples 0.0, then -0.0
+        "signed-zeros": ("cylinder", "0,1,2", "-", "1,1", "0:-0.0:2", "-1:-0.0:9", "0:1:17"),
+        "1x1xN": ("annulus", "1,1,1", "+", "-2", "1.5:1.5:1", "-0.0:-0.0:1", "0:1:300"),
+        "Nx1x1": ("cylinder", "3,2,1", "-", "0.5,0.25", "0:1:300", "1:1:1", "0.5:0.5:1"),
+        "1xNx1": ("cylinder", "3,2,1", "+", "1", "0.5:0.5:1", "-7:-1:300", "-0.0:-0.0:1"),
+        "rho-block-over-256": ("annulus", "2,2,1", "+", "-0.5,2", "1:2:2", "-1:5:20",
+                               "0:0.5:15"),
+    }
+
+    def _field_oracle(self, cavity, mode, sign, amp, grid, fmt) -> str:
+        geometry = (coaxmode.CylinderGeometry(1.0, 1.0) if cavity == "cylinder"
+                    else coaxmode.AnnulusGeometry(1.0, 2.0, 1.0))
+        m, n, p = map(int, mode.split(","))
+        re, _, im = amp.partition(",")
+        amplitude = complex(float(re), float(im or 0.0))
+        rows = list(coaxmode.field_grid(geometry, coaxmode.ModeIndex(m, n, p),
+                                        1 if sign == "+" else -1, amplitude, *grid))
+        if fmt == "csv":
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(self.FIELD_COLUMNS)
+            writer.writerows(rows)
+            return expected.getvalue()
+        params = {"cavity": cavity, "b": geometry.b, "l": geometry.l, "mode": [m, n, p],
+                  "sign": sign, "amplitude": [amplitude.real, amplitude.imag]}
+        if cavity == "annulus":
+            params["a"] = geometry.a
+        doc = {"schema": cli.SCHEMA, "command": "field", "params": params,
+               "rows": [dict(zip(self.FIELD_COLUMNS, row)) for row in rows]}
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", FIELD_GRIDS)
+    def test_field_matches_csv_writer_and_one_shot_dump(self, name, fmt, tmp_path, capsys):
+        cavity, mode, sign, amp, *specs = self.FIELD_GRIDS[name]
+        grid = [cli._parse_grid(spec, flag) for spec, flag in zip(specs, ("rho", "phi", "z"))]
+        assert len(grid[0]) * len(grid[1]) * len(grid[2]) > 256  # more than one write
+        expected = self._field_oracle(cavity, mode, sign, amp, grid, fmt)
+        argv = ["field", "--cavity", cavity, "--b", "1" if cavity == "cylinder" else "2",
+                "--l", "1", "--mode", mode, "--sign", sign, f"--amplitude={amp}",
+                f"--rho={specs[0]}", f"--phi={specs[1]}", f"--z={specs[2]}", "--format", fmt]
+        if cavity == "annulus":
+            argv += ["--a", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
+        path = tmp_path / f"grid.{fmt}"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes().decode("utf-8") == expected
+
 
 class TestVerifyCommand:
     def test_full_run_passes(self, capsys):
@@ -420,3 +478,29 @@ def test_out_of_memory_is_one_line_not_a_traceback():
     assert proc.returncode == 1
     assert proc.stderr.startswith("coaxmode modes: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+def test_long_field_axis_streams_in_flat_memory():
+    # a 1x1x262,144 grid is one rho block of about 110 MB of JSON; written 256
+    # rows at a time it fits in 250 MB of address space, one write would not
+    pytest.importorskip("resource")
+    package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (250_000 << 10, 250_000 << 10))\n"
+        "from coaxmode.cli import main\n"
+        "raise SystemExit(main(['field', '--cavity', 'cylinder', '--b', '1', '--l', '1',\n"
+        "                       '--mode', '1,1,1', '--sign', '+', '--rho', '0.5:0.5:1',\n"
+        "                       '--phi', '1:1:1', '--z', '0:1:262144', '--format', 'json']))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    objects, last = 0, b""
+    while chunk := proc.stdout.read(1 << 20):
+        objects += chunk.count(b"{")
+        last = (last + chunk)[-16:]
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, stderr
+    assert objects == 2 + 262_144  # the document, its params and one object per row
+    assert last.endswith(b"\n    }\n  ]\n}\n")

@@ -108,7 +108,7 @@ class TestColdImports:
         (("zeros", "--kind", "bessel", "--m", "0", "--count", "3"), {"specfun", "roots"}),
         (("modes", "--cavity", "cylinder", "--b", "1", "--l", "1", "--omega-max", "3e9",
           "--histogram", "8"), {"specfun", "roots", "cavity"}),
-        (("field", *_FIELD_GRID), {"specfun", "roots", "cavity", "quadrature", "fields"}),
+        (("field", *_FIELD_GRID), {"specfun", "roots", "cavity", "fields"}),
         (("verify", "specfun"), {"verify", "specfun", "roots"}),
         (("verify", "roots"), {"verify", "specfun", "roots"}),
     ])
@@ -119,6 +119,11 @@ class TestColdImports:
         if not layers:
             # nothing is written, so neither the layers' imports nor the writers'
             assert not {"dataclasses", "csv", "json"} & loaded
+
+    @pytest.mark.parametrize("fmt, other", [("csv", "json"), ("json", "csv")])
+    def test_field_loads_only_its_writer(self, fmt, other):
+        loaded = _cold_run("field", *_FIELD_GRID, "--format", fmt)
+        assert fmt in loaded and other not in loaded
 
 
 _CYL = coaxmode.CylinderGeometry(1.0, 1.0)
