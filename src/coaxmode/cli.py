@@ -216,8 +216,8 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag}: {exc}") from exc
     if n < 1 or hi < lo:
         raise _UsageError(f"{flag}: need COUNT >= 1 and HI >= LO, got {spec!r}")
-    # end on HI itself: lo + (hi - lo) * (n - 1) / (n - 1) can round past it
-    values = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+    # LO and HI themselves: lo + 0.0 loses the sign of -0.0, the last step can round past HI
+    values = [lo] + [lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1)] + [hi] * (n > 1)
     # NaN passes the comparisons above, and a finite LO and HI can still span
     # more than a float holds
     if not (math.isfinite(hi) and all(map(math.isfinite, values))):

@@ -44,9 +44,10 @@ J'_m = m J_m/x - J_{m+1} for J_m zeros, and for the determinant
 
 Newton starts from the McMahon guess for J_m zeros, and for cross-product
 roots from the flat-gap perturbation formula shifted by its error at the
-root below. Each polished root is verified by its residual, which the
-polish hands back with the root, and by exceeding the entry before it;
-entries are therefore strictly increasing as they enter the table.
+root below. Each polished root is verified by its residual, scaled by
+|J_{m+1}| resp. the arch amplitude M_a M_b of D (``_cross_determinant``),
+both from the tuple the polish hands back with the root, and by exceeding
+the entry before it; entries are therefore strictly increasing.
 
 Tables live in one process-wide store, ``_tables``, which maps a key to
 the table's rows and its lock. Rows are only appended, so a table that
@@ -251,17 +252,19 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
                      residuals=tuple(res for _, res in rows))
 
 
-def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], tuple[float, float]]:
-    """gamma -> (D(gamma), dD/dgamma), from one ladder run at each wall.
+def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], tuple[float, float, float]]:
+    """gamma -> (D, dD/dgamma, M_a M_b), from one ladder run at each wall.
 
-    Every determinant evaluation passes through here: the scan, the
-    Newton polish and the residual probes. The wall arguments gamma a and
-    gamma b are rounded to doubles; each value is carried to the exact
-    product to first order with the ladder's slope. Uncorrected, that
-    rounding moves the root by up to ~0.5 eps a/(b-a) relative, 1e-13
-    at a/b = 0.999.
+    Every determinant evaluation passes through here: the scan and the
+    Newton polish. M_a M_b = hypot(J_m, N_m) at gamma a times the same at
+    gamma b is D's arch amplitude, the scale of the residual check: with
+    J_m = M cos theta, N_m = M sin theta, D = M_a M_b sin(theta_a - theta_b)
+    exactly (DLMF 10.18). The wall arguments gamma a and gamma b are
+    rounded to doubles; each value is carried to the exact product to first
+    order with the ladder's slope. Uncorrected, that rounding moves the root
+    by up to ~0.5 eps a/(b-a) relative, 1e-13 at a/b = 0.999.
     """
-    def d(g: float) -> tuple[float, float]:
+    def d(g: float) -> tuple[float, float, float]:
         xa, ea = _two_prod(g, a)  # g a = xa + ea exactly
         xb, eb = _two_prod(g, b)
         ja, ja1, na, na1 = _ladder(m, xa, True)
@@ -270,7 +273,8 @@ def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], tuple[fl
         djb, dnb = _slope(m, xb, jb, jb1), _slope(m, xb, nb, nb1)
         ja, na, jb, nb = ja + ea * dja, na + ea * dna, jb + eb * djb, nb + eb * dnb
         return (jb * na - ja * nb,
-                b * djb * na + a * jb * dna - a * dja * nb - b * ja * dnb)
+                b * djb * na + a * jb * dna - a * dja * nb - b * ja * dnb,
+                math.hypot(ja, na) * math.hypot(jb, nb))
     return d
 
 
@@ -309,11 +313,7 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
     it and its own Sturm window alone (module docstring)."""
     d = _cross_determinant(m, a, b)
     value = lambda g: d(g)[0]
-    # the march step (module docstring) also places the verification probes:
-    # bracket endpoints can land arbitrarily close to the root and, in thin
-    # annuli, span only a sliver of the arch, so neither gives a faithful
-    # max|D| scale
-    step = probe = 0.25 * math.pi / (b - a)
+    step = 0.25 * math.pi / (b - a)  # the march step (module docstring)
     while len(table) < count:
         n = len(table) + 1
         previous = table[-1][0] if table else 0.0
@@ -340,10 +340,8 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
                 bracket = (x, x2, fx, fx2)
             else:
                 x, fx = x2, fx2
-        root, (d_root, _) = _polish(d, *bracket, _cross_guess(m, a, b, n, previous))
+        root, (d_root, _, scale) = _polish(d, *bracket, _cross_guess(m, a, b, n, previous))
         residual = abs(d_root)
-        scale = max(abs(bracket[2]), abs(bracket[3]),
-                    abs(value(root - probe)), abs(value(root + probe)))
         if residual > 1e-10 * scale:
             raise RootFindingError(
                 f"cross-product root near {root:.6g} failed verification: "

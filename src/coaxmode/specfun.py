@@ -20,8 +20,8 @@ per regime:
   two orders at a time and keeps only the orders it returns. N_m climbs
   the stable upward recurrence from orders 0 and 1: below x = 1 the
   integer-order limit series gives those directly; between 1 and 18 the
-  same backward-recurrence run accumulates them as log-weighted sums, whose
-  terms never exceed ~0.4, so no regime suffers cancellation amplification.
+  backward run that gave J, or one for order 0 after the series, sums them
+  with log weights in terms below ~0.4: no cancellation amplification.
 
 Derivatives come from the same run as dX_m/dx = m X_m/x - X_{m+1}. Negative
 orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied as an exact
@@ -171,14 +171,15 @@ _N1_WEIGHTS = (0.0, 1.0) + tuple((-1) ** (k // 2) * k / ((k // 2) * (k // 2 + 1)
 def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     """(J_m, J_{m+1}) from one backward-recurrence run; with_n, also (N_0, N_1).
 
-    The run steps two orders at a time from an even start, so every second
-    value is an even order and enters the normalization sum without a
-    parity test. It starts at 1e-30 and needs no rescaling: it runs only
-    for 1 <= x < 57 and m <= 50, where its values stay below ~1e131.
-    With ``with_n`` (1 <= x < 18) the same loop sums N_0 = (2/pi) [lg J_0 +
-    sum w0_k J_k] and N_1 = (2/pi) [lg J_1 - J_0/x - sum w1_k J_k], with lg =
-    ln(x/2) + gamma, whose terms stay below ~0.4 and alternate mildly: no
-    cancellation amplification at any x. J has the same bits either way.
+    The run steps two orders at a time from an even start above both m
+    and x, so every second value is an even order and enters the
+    normalization sum without a parity test. It starts at 1e-30 and needs
+    no rescaling: it runs only for 1 <= x < 57 and m <= 50, where its
+    values stay below ~1e131. With ``with_n`` (1 <= x < 18) the same loop
+    sums N_0 = (2/pi) [lg J_0 + sum w0_k J_k] and N_1 = (2/pi) [lg J_1 -
+    J_0/x - sum w1_k J_k], with lg = ln(x/2) + gamma, whose terms stay
+    below ~0.4 and alternate mildly: no cancellation amplification at any
+    x. J has the same bits either way; for N_0 and N_1 alone, m = 0.
     """
     start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
     start += start % 2
@@ -391,8 +392,8 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
       while the backward run loses ~1e-16 per order it crosses below x;
     * otherwise J_m and J_{m+1} come from their ascending series where they
       are safe, else from one backward-recurrence run, which also sums
-      the mid-range N_0 and N_1. N_0 and N_1 climb the upward recurrence
-      to N_m and N_{m+1}.
+      the mid-range N_0 and N_1 (a run for order 0 does, after the
+      series). Those climb the upward recurrence to N_m and N_{m+1}.
 
     An N value that overflows is returned as inf or nan; callers decide
     whether the order they need is finite. N needs x > 0.
@@ -418,7 +419,7 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     if not with_n:
         return jm, jm1
     if mid:
-        y0, y1 = n01 or _miller(m, x, True)[2:]
+        y0, y1 = n01 or _miller(0, x, True)[2:]
     elif not large:
         y0, y1 = _y01_small(x)
     return (jm, jm1) + _climb(m, x, y0, y1)

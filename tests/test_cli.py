@@ -189,6 +189,15 @@ class TestFieldCommand:
         assert code == 0
         assert [float(r["z"]) for r in parse_csv(out)][-1] == 0.05
 
+    @pytest.mark.parametrize("fmt, first", [("csv", "\n-0.0,0.0,0.25,"),
+                                            ("json", '"rho": -0.0,')])
+    def test_grid_starts_on_lo(self, fmt, first, capsys):
+        # lo + (hi - lo) * 0 / (n - 1) is 0.0, which drops the sign of a -0.0 LO
+        code, out, _ = run_cli(capsys, *self.ARGS, "--rho=-0.0:0.5:2", "--phi", "0:0:1",
+                               "--z", "0.25:0.25:1", "--format", fmt)
+        assert code == 0
+        assert out.count(first) == 1 and out.index(first) < out.index("0.5")
+
     @pytest.mark.parametrize("flag,spec", [
         ("--rho", "nan:1:3"), ("--z", "nan:1:2"), ("--phi", "0:inf:3"),
         ("--phi", "nan:1:2"), ("--phi", "-1e308:1e308:3"), ("--phi", "0:1e308:5"),

@@ -185,6 +185,33 @@ class TestCrossProductZeros:
         table = cross_product_zeros(2, 0.999, 1.0, 2)
         assert table.zeros[0] == pytest.approx(math.pi / 0.001, rel=0.01)
 
+    @pytest.mark.parametrize("m, ratio", [(0, 1e-3), (0, 0.999), (5, 0.5), (50, 1e-3),
+                                          (50, 0.999)])
+    @pytest.mark.parametrize("shift", [1.0 - 1e-8, 1.0 + 1e-8])
+    def test_moved_root_fails_verification(self, m, ratio, shift, monkeypatch):
+        # a root moved by 1e-8 relative leaves |D| above 2.6e-8 of the arch
+        # amplitude M_a M_b over m <= 50 and a/b from 1e-3 to 0.999, far over
+        # the 1e-10 the check allows; here root 3 moves, roots 1 and 2 do not
+        key = ("ann", m, ratio, 1.0)
+        real = roots._polish
+        calls = []
+
+        def moved(f, lo, hi, flo, fhi, x):
+            root, values = real(f, lo, hi, flo, fhi, x)
+            calls.append(root)
+            return (root, values) if len(calls) < 3 else (root * shift, f(root * shift))
+
+        roots._tables.pop(key, None)
+        try:
+            monkeypatch.setattr(roots, "_polish", moved)
+            with pytest.raises(RootFindingError, match="failed verification"):
+                cross_product_zeros(m, ratio, 1.0, 3)
+            assert len(roots._tables[key][0]) == 2
+        finally:
+            monkeypatch.undo()
+            roots._tables.pop(key, None)
+        assert cross_product_zeros(m, ratio, 1.0, 3).zeros == tuple(calls)
+
     def test_conditioning_floor_behavior(self):
         # for large m the inner wall decouples as (a/b)^{2m} and the
         # eigenvalues collapse onto the J_m zeros; for m = 0 the Neumann
@@ -281,8 +308,8 @@ class TestSturmWindows:
             d = real(m, a, b)
 
             def flipped(g):
-                value, slope = d(g)
-                return (-value, -slope) if g > first else (value, slope)
+                value, slope, *rest = d(g)
+                return (-value, -slope, *rest) if g > first else (value, slope, *rest)
             return flipped
 
         roots._tables.pop(key, None)
@@ -318,8 +345,9 @@ class TestScanCost:
         monkeypatch.setattr(roots, "_cross_determinant", counting)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
-        # every call counts: scan, Newton polish and residual probes
-        assert calls[0] / (21 * 20) <= 8.0
+        # every call counts: scan and Newton polish; the residual's scale
+        # comes with the polished root's own evaluation
+        assert calls[0] / (21 * 20) <= 6.0
 
     def test_ladder_runs_per_bessel_zero(self, monkeypatch):
         # a J zero costs its two bracket checks and a few Newton steps, each
