@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Union
 
-from .errors import DomainError, GeometryError, ResourceLimitError
+from .errors import DomainError, GeometryError, ResourceLimitError, _finite_real, _integer
 from . import roots
-from .specfun import _finite_real
 
 C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
 
@@ -242,8 +241,7 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
     Each tower is binned where it stands, in O(bins) memory: no ModeEntry
     is built and nothing is sorted.
     """
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1 or bins > 100_000:
-        raise DomainError(f"bins must be an integer in [1, 100000], got {bins!r}")
+    _integer(bins, "bins", 1, 100_000)
     towers = _towers(geometry, omega_max)  # checks omega_max before the edges use it
     edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
     counts = [0] * bins

@@ -336,8 +336,7 @@ def _cmd_verify(args) -> int:
     module = args.module_pos or args.module
     if module is not None and module not in MODULES:
         raise _UsageError(f"unknown module {module!r}; pick one of {', '.join(MODULES)}")
-    scale = 0.0 if args.inject_zero_tolerance else 1.0
-    results = run_checks(module, tolerance_scale=scale)
+    results = run_checks(module)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.module}.{r.check}: {r.detail}", file=sys.stderr)
@@ -415,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("module_pos", nargs="?", default=None,
                         help="optional module filter: specfun, roots, cavity, fields")
     verify.add_argument("--module", default=None, help="module filter (same as positional)")
-    verify.add_argument("--inject-zero-tolerance", action="store_true",
-                        help=argparse.SUPPRESS)
     _add_common(verify)
     verify.set_defaults(run=_cmd_verify)
     return parser
@@ -431,10 +428,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             # data commands default to CSV; the verification report to JSON
             args.format = "json" if args.command == "verify" else "csv"
         return args.run(args)
-    except _UsageError as exc:
-        print(f"coaxmode {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, DomainError, OrderError) as exc:
+    except (_UsageError, GeometryError, DomainError, OrderError) as exc:
         print(f"coaxmode {args.command}: {exc}", file=sys.stderr)
         return 2
     except CoaxmodeError as exc:

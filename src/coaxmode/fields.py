@@ -33,14 +33,14 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, _finite_real, _integer
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
-from .specfun import _cached_ladder, _finite_real, _slope
+from .specfun import _cached_ladder, _slope
 
 _TWO_PI = 2.0 * math.pi
 # below this, a field component's bound leaves room for the rounding of the
@@ -335,13 +335,9 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     memo's keys, depend on (nu, n, k) only: each value is exactly a*a times
     its value at a = 1.
     """
-    for name, value in (("nu", nu), ("n", n), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if not (0 <= nu <= 10):
-        raise DomainError(f"nu must be in [0, 10], got {nu!r}")
-    if not (1 <= n <= 20 and 1 <= k <= 20):
-        raise DomainError(f"n, k must be in [1, 20], got n={n!r}, k={k!r}")
+    _integer(nu, "nu", 0, 10)
+    _integer(n, "n", 1, 20)
+    _integer(k, "k", 1, 20)
     if not (_finite_real(a) and a > 0.0):
         raise DomainError(f"a must be a positive real number, got {a!r}")
     # quadrature loads here, its only use, so a field grid never imports it
@@ -430,17 +426,17 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
 
 
 def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
-                       npoints: int = 100, seed: int = 20260810,
-                       rng: Optional[random.Random] = None) -> float:
+                       npoints: int = 100, seed: int = 20260810) -> float:
     """Max relative second-difference residual of the axial wave equation.
 
-    E_z is sampled at ``npoints`` interior points; the Laplacian is formed
+    E_z is sampled at ``npoints`` interior points drawn from
+    ``random.Random(seed)``, seed an int >= 0; the Laplacian is formed
     from the five-point radial/axial stencil plus the analytic angular
     term, and compared against -(omega/c)^2 E_z. The result is limited by
     the O(h^2) stencil, not by the field evaluation.
     """
-    if not (isinstance(npoints, int) and not isinstance(npoints, bool) and npoints >= 1):
-        raise DomainError(f"npoints must be an integer >= 1, got {npoints!r}")
+    _integer(npoints, "npoints", 1)
+    rnd = random.Random(_integer(seed, "seed", 0))
     _check_sign(sign)
     entry = tm_frequency(geometry, index)
     k2 = (entry.omega / C_LIGHT) ** 2
@@ -449,7 +445,6 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     g = 1e-3 * geometry.l
     m2 = index.m * index.m
     kz = index.p * math.pi / geometry.l
-    rnd = rng if rng is not None else random.Random(seed)
 
     sol = radial_solution(geometry, index.m, index.n)
     rhos = [inner + (geometry.b - inner) * (i + 0.5) / 64 for i in range(64)]

@@ -2,9 +2,10 @@
 
 Each panel is integrated with 10- and 20-point rules; their difference
 serves as the panel error estimate. Panels whose estimate exceeds their
-width-proportional share of the absolute tolerance are bisected. Nodes
-and weights are computed on first use by Newton iteration on the
-Legendre recurrence, so there are no baked-in coefficient tables.
+width-proportional share of the absolute tolerance are bisected, at most
+to a fixed depth of 60. Nodes and weights are computed on first use by
+Newton iteration on the Legendre recurrence, so there are no baked-in
+coefficient tables.
 """
 
 from __future__ import annotations
@@ -14,15 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, QuadratureError
-from .specfun import _finite_real
+from .errors import DomainError, QuadratureError, _finite_real, _integer
 
-# typed, so 2.0 and True miss the entries of 2 and 1 and reach the check
+_MAX_DEPTH = 60
+
+
+# typed, so 2.0 and True miss the entries of 2 and 1 and reach the check;
+# a rule costs O(n^2), so the size cap bounds its time and the cache's size
 @lru_cache(maxsize=None, typed=True)
 def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n >= 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"rule size must be an integer >= 1, got {n!r}")
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], 1 <= n <= 1000."""
+    _integer(n, "rule size", 1, 1000)
     nodes = []
     weights = []
     for i in range(1, n + 1):
@@ -60,13 +63,13 @@ class QuadratureResult:
 
 
 def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
-                       abs_tol: float, max_depth: int = 60) -> QuadratureResult:
+                       abs_tol: float) -> QuadratureResult:
     """Integrate f over [lo, hi] to the given absolute tolerance.
 
     Raises QuadratureError (carrying the achieved tolerance) if a panel
-    chain reaches max_depth without its estimate dropping far enough, or
+    chain reaches depth 60 without its estimate dropping far enough, or
     at once if a panel's value is not finite: a NaN estimate fails every
-    tolerance test, so its panels would be bisected down to max_depth.
+    tolerance test, so its panels would be bisected down to depth 60.
     """
     if not (_finite_real(lo) and _finite_real(hi) and _finite_real(abs_tol)):
         raise DomainError(f"need finite lo, hi and abs_tol, got {lo!r}, {hi!r}, {abs_tol!r}")
@@ -87,8 +90,8 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
                                   achieved_tolerance=math.inf)
         err = abs(fine - coarse)
         share = abs_tol * (b - a) / width
-        if err <= max(share, 32.0 * 2.220446049250313e-16 * abs(fine)) or depth >= max_depth:
-            if depth >= max_depth and err > share:
+        if err <= max(share, 32.0 * 2.220446049250313e-16 * abs(fine)) or depth >= _MAX_DEPTH:
+            if depth >= _MAX_DEPTH and err > share:
                 raise QuadratureError(
                     f"panel [{a!r}, {b!r}] stagnated at depth {depth}",
                     achieved_tolerance=err_total + err)

@@ -67,8 +67,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, GeometryError, OrderError, RootFindingError
-from .specfun import _NOT_REAL, ORDER_MAX, _ladder, _slope, _two_prod
+from .errors import _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer
+from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
 
 _EPS = 2.220446049250313e-16
 
@@ -227,10 +227,8 @@ def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -
 
 
 def _check_order_and_count(m: int, count: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > ORDER_MAX:
-        raise OrderError(f"order must be an integer in [0, {ORDER_MAX}], got {m!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1 or count > COUNT_MAX:
-        raise DomainError(f"count must be an integer in [1, {COUNT_MAX}], got {count!r}")
+    _integer(m, "order", 0, ORDER_MAX, OrderError)
+    _integer(count, "count", 1, COUNT_MAX)
 
 
 def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:

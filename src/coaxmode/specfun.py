@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, EvaluationError, OrderError
+from .errors import _NOT_REAL, DomainError, EvaluationError, OrderError, _integer
 
 ORDER_MAX = 50
 X_MAX = 1.0e4
@@ -67,25 +67,6 @@ class EvalResult:
     """
 
     value: float | complex
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise OrderError(f"order must be an integer, got {m!r}")
-    if abs(m) > ORDER_MAX:
-        raise OrderError(f"|m| = {abs(m)} exceeds the supported maximum {ORDER_MAX}")
-
-
-# float() accepts these, but they are not real numbers
-_NOT_REAL = (str, bytes, bytearray, bool)
-
-
-def _finite_real(value: float) -> bool:
-    """Whether value is a finite real number: not one of _NOT_REAL, nor an int beyond float."""
-    try:
-        return not isinstance(value, _NOT_REAL) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a real number, or an int beyond float
-        return False
 
 
 def _check_x(x: float, positive: bool) -> float:
@@ -482,21 +463,20 @@ def bessel_j(m: int, x: float) -> EvalResult:
 
     Raises DomainError / OrderError outside that envelope.
     """
-    _check_order(m)
+    _integer(m, "order", -ORDER_MAX, ORDER_MAX, OrderError)
     return EvalResult(_evaluate("J", m, _check_x(x, positive=False)))
 
 
 def neumann_n(m: int, x: float) -> EvalResult:
     """Neumann function (Bessel of the second kind), integer order, x > 0."""
-    _check_order(m)
+    _integer(m, "order", -ORDER_MAX, ORDER_MAX, OrderError)
     return EvalResult(_evaluate("N", m, _check_x(x, positive=True)))
 
 
 def hankel(kind: int, m: int, x: float) -> complex:
     """Hankel function H_m^(kind) = J_m + (-1)^(kind+1) i N_m, x > 0."""
-    if not isinstance(kind, int) or isinstance(kind, bool) or kind not in (1, 2):
-        raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
-    _check_order(m)
+    _integer(kind, "Hankel kind", 1, 2)
+    _integer(m, "order", -ORDER_MAX, ORDER_MAX, OrderError)
     return _evaluate("H1" if kind == 1 else "H2", m, _check_x(x, positive=True))
 
 
@@ -512,6 +492,6 @@ def derivative(family: str, m: int, x: float) -> EvalResult:
     if not isinstance(family, str) or family.upper() not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     family = family.upper()
-    _check_order(m)
+    _integer(m, "order", -ORDER_MAX, ORDER_MAX, OrderError)
     x = _check_x(x, positive=(family != "J"))
     return EvalResult(_evaluate(family, m, x, slope=True))

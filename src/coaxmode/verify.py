@@ -2,10 +2,8 @@
 
 Each check returns a CheckResult with a human-readable detail string.
 The suites are deterministic (fixed seeds) and sized to finish in a few
-seconds together. ``tolerance_scale`` exists for failure-path testing:
-scaling every tolerance to zero must make the numeric checks fail.
-Each suite imports the layers it checks when it runs, so ``run_checks``
-for specfun or roots loads neither cavity nor fields.
+seconds together. Each suite imports the layers it checks when it runs,
+so ``run_checks`` for specfun or roots loads neither cavity nor fields.
 
 The cavity suite compares the cutoff enumeration with an exhaustive loop
 over every (m, n, p) up to 20. That loop reads each radial eigenvalue
@@ -40,7 +38,7 @@ def _result(module, check, passed, detail):
 # specfun
 # ---------------------------------------------------------------------------
 
-def _specfun_checks(tol_scale: float) -> list[CheckResult]:
+def _specfun_checks() -> list[CheckResult]:
     from . import roots, specfun
     out = []
     rng = random.Random(101)
@@ -56,7 +54,7 @@ def _specfun_checks(tol_scale: float) -> list[CheckResult]:
             hi = f(m + 1, x).value
             res = abs(lo + hi - (2.0 * m / x) * mid) / max(1.0, abs(mid))
             worst = max(worst, res)
-    tol = 1e-10 * tol_scale
+    tol = 1e-10
     out.append(_result("specfun", "three_term_recursion", worst <= tol,
                        f"worst residual {worst:.2e} (tol {tol:.1e})"))
 
@@ -80,7 +78,7 @@ def _specfun_checks(tol_scale: float) -> list[CheckResult]:
             fd = (f(m, x + h).value - f(m, x - h).value) / (2.0 * h)
             if abs(d) > 1e-8:
                 worst = max(worst, abs(d - fd) / abs(d))
-    tol = 1e-6 * tol_scale
+    tol = 1e-6
     out.append(_result("specfun", "derivative_vs_finite_difference", worst <= tol,
                        f"worst relative gap {worst:.2e} (tol {tol:.1e})"))
 
@@ -98,10 +96,10 @@ def _specfun_checks(tol_scale: float) -> list[CheckResult]:
             else:
                 small = -math.factorial(m - 1) / math.pi * (2.0 / x) ** m
             worst_n = max(worst_n, abs(nv - small) / abs(small))
-    ok = worst_j <= 1e-6 * tol_scale and worst_n <= 1e-4 * tol_scale
+    ok = worst_j <= 1e-6 and worst_n <= 1e-4
     out.append(_result("specfun", "small_argument_laws", ok,
-                       f"J gap {worst_j:.2e} (tol {1e-6 * tol_scale:.1e}), "
-                       f"N gap {worst_n:.2e} (tol {1e-4 * tol_scale:.1e})"))
+                       f"J gap {worst_j:.2e} (tol {1e-6:.1e}), "
+                       f"N gap {worst_n:.2e} (tol {1e-4:.1e})"))
 
     ok = True
     for m in (0, 1, 3, 8):
@@ -129,7 +127,7 @@ def _specfun_checks(tol_scale: float) -> list[CheckResult]:
 # roots
 # ---------------------------------------------------------------------------
 
-def _roots_checks(tol_scale: float) -> list[CheckResult]:
+def _roots_checks() -> list[CheckResult]:
     from . import roots, specfun
     out = []
 
@@ -137,13 +135,13 @@ def _roots_checks(tol_scale: float) -> list[CheckResult]:
     for m in range(0, 6):
         for x in roots.bessel_zeros(m, 20).zeros:
             worst = max(worst, abs(specfun.bessel_j(m, x).value))
-    tol = 1e-12 * tol_scale
+    tol = 1e-12
     out.append(_result("roots", "bessel_zero_residuals", worst <= tol,
                        f"worst |J_m(x_mn)| = {worst:.2e} (tol {tol:.1e})"))
 
     z = roots.bessel_zeros(0, 30).zeros
     gap_dev = max(abs((b - a) - math.pi) for a, b in zip(z[19:], z[20:]))
-    tol = 0.05 * tol_scale
+    tol = 0.05
     out.append(_result("roots", "zero_gap_approaches_pi", gap_dev <= tol,
                        f"max |gap - pi| = {gap_dev:.2e} for n >= 20 (tol {tol:.1e})"))
 
@@ -158,7 +156,7 @@ def _roots_checks(tol_scale: float) -> list[CheckResult]:
         for a, b in ((1.0, 2.0), (1.0, 1.1)):
             table = roots.cross_product_zeros(m, a, b, 5)
             worst = max(worst, max(table.residuals))
-    tol = 1e-10 * tol_scale
+    tol = 1e-10
     out.append(_result("roots", "cross_product_residuals", worst <= tol,
                        f"worst |D(gamma)| = {worst:.2e} (tol {tol:.1e})"))
 
@@ -168,7 +166,7 @@ def _roots_checks(tol_scale: float) -> list[CheckResult]:
         scaled = roots.cross_product_zeros(1, s * 1.0, s * 2.0, 5).zeros
         worst = max(worst,
                     max(abs(sv * s - bv) / bv for sv, bv in zip(scaled, base)))
-    tol = 1e-10 * tol_scale
+    tol = 1e-10
     out.append(_result("roots", "cross_product_scale_covariance", worst <= tol,
                        f"worst relative drift {worst:.2e} (tol {tol:.1e})"))
 
@@ -199,7 +197,7 @@ def _brute_force_modes(geometry, omega_max, cap=20):
     return found
 
 
-def _cavity_checks(tol_scale: float) -> list[CheckResult]:
+def _cavity_checks() -> list[CheckResult]:
     from . import cavity
     from .cavity import AnnulusGeometry, CylinderGeometry, ModeIndex
     out = []
@@ -223,7 +221,7 @@ def _cavity_checks(tol_scale: float) -> list[CheckResult]:
             w0 = cavity.tm_frequency(ann, idx).omega
             ws = cavity.tm_frequency(big, idx).omega
             worst = max(worst, abs(ws * s - w0) / w0)
-    tol = 1e-10 * tol_scale
+    tol = 1e-10
     out.append(_result("cavity", "geometry_scaling", worst <= tol,
                        f"worst relative drift {worst:.2e} (tol {tol:.1e})"))
 
@@ -231,7 +229,7 @@ def _cavity_checks(tol_scale: float) -> list[CheckResult]:
     g1 = cavity.radial_eigenvalue(thin, 0, 1)
     expected = math.pi / 0.01
     dev = abs(g1 - expected) / expected
-    tol = 0.05 * tol_scale
+    tol = 0.05
     out.append(_result("cavity", "thin_shell_limit", dev <= tol,
                        f"gamma_01 = {g1:.2f} vs pi/(b-a) = {expected:.2f} "
                        f"({dev:.2%} off, tol {tol:.0%})"))
@@ -254,7 +252,7 @@ def _cavity_checks(tol_scale: float) -> list[CheckResult]:
 # fields
 # ---------------------------------------------------------------------------
 
-def _fields_checks(tol_scale: float) -> list[CheckResult]:
+def _fields_checks() -> list[CheckResult]:
     from . import fields
     from .cavity import AnnulusGeometry, CylinderGeometry, ModeIndex
     out = []
@@ -264,7 +262,7 @@ def _fields_checks(tol_scale: float) -> list[CheckResult]:
               (ann, ModeIndex(0, 1, 1)), (ann, ModeIndex(2, 2, 1))]
 
     worst = max(fields.boundary_residual(geom, idx) for geom, idx in probes)
-    tol = 1e-9 * tol_scale
+    tol = 1e-9
     out.append(_result("fields", "wall_boundary_conditions", worst <= tol,
                        f"worst wall residual {worst:.2e} (tol {tol:.1e})"))
 
@@ -275,7 +273,7 @@ def _fields_checks(tol_scale: float) -> list[CheckResult]:
 
     worst = max(fields.helmholtz_residual(geom, idx, npoints=30)
                 for geom, idx in probes[1:3])
-    tol = 1e-4 * tol_scale
+    tol = 1e-4
     out.append(_result("fields", "helmholtz_residual", worst <= tol,
                        f"worst relative residual {worst:.2e} (tol {tol:.1e})"))
 
@@ -296,7 +294,7 @@ def _fields_checks(tol_scale: float) -> list[CheckResult]:
             for k in range(1, 4):
                 integral, expected = fields.orthogonality_check(nu, n, k, 1.0)
                 worst = max(worst, abs(integral - expected))
-    tol = 1e-8 * tol_scale
+    tol = 1e-8
     out.append(_result("fields", "radial_orthogonality", worst <= tol,
                        f"worst |integral - closed form| = {worst:.2e} (tol {tol:.1e})"))
 
@@ -320,12 +318,12 @@ _SUITES = {
 }
 
 
-def run_checks(module: str | None = None, tolerance_scale: float = 1.0) -> list[CheckResult]:
+def run_checks(module: str | None = None) -> list[CheckResult]:
     """Run one module's suite, or all of them in a fixed order."""
     if module is not None and module not in _SUITES:
         raise ValueError(f"unknown module {module!r}; pick one of {MODULES}")
     selected = (module,) if module else MODULES
     results: list[CheckResult] = []
     for name in selected:
-        results.extend(_SUITES[name](tolerance_scale))
+        results.extend(_SUITES[name]())
     return results

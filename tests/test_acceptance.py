@@ -20,6 +20,7 @@ from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex,
                       hankel, helmholtz_residual, neumann_n,
                       orthogonality_check, tm_frequency)
 import coaxmode.roots
+from coaxmode import verify
 from coaxmode.cli import main as cli_main
 
 import oracles
@@ -188,7 +189,7 @@ def test_criterion_8_helmholtz_residual():
                f"{worst:.2e}")
 
 
-def test_criterion_9_cli_contract(tmp_path, capsys):
+def test_criterion_9_cli_contract(tmp_path, capsys, monkeypatch):
     # byte-identical reruns
     first = tmp_path / "run1.csv"
     second = tmp_path / "run2.csv"
@@ -215,7 +216,9 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     assert cli_main(["field", "--cavity", "cylinder", "--b", "1", "--l", "1",
                      "--mode", "1,1,0", "--sign", "+", "--rho", "0:2:3",
                      "--phi", "0:1:2", "--z", "0:1:2"]) == 2
-    assert cli_main(["verify", "roots", "--inject-zero-tolerance",
+    failing = [verify.CheckResult("roots", "planted", False, "planted failure")]
+    monkeypatch.setitem(verify._SUITES, "roots", lambda: failing)
+    assert cli_main(["verify", "roots",
                      "--out", str(tmp_path / "v.json"), "--format", "json"]) == 1
     capsys.readouterr()
     _report(9, "byte-identical reruns, CSV/JSON value equality, "

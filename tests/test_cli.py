@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import coaxmode
-from coaxmode import C_LIGHT, cli
+from coaxmode import C_LIGHT, cli, verify
 from coaxmode.cli import main
 
 import oracles
@@ -435,9 +435,10 @@ class TestVerifyCommand:
         assert code == 0
         assert {r["module"] for r in json.loads(out)["rows"]} == {"roots"}
 
-    def test_injected_zero_tolerance_fails(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "roots",
-                                 "--inject-zero-tolerance", "--format", "json")
+    def test_injected_zero_tolerance_fails(self, capsys, monkeypatch):
+        failing = [verify.CheckResult("roots", "planted", False, "planted failure")]
+        monkeypatch.setitem(verify._SUITES, "roots", lambda: failing)
+        code, out, err = run_cli(capsys, "verify", "roots", "--format", "json")
         assert code == 1
         assert "[FAIL]" in err
         assert json.loads(out)["params"]["all_passed"] is False

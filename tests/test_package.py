@@ -125,6 +125,18 @@ class TestColdImports:
         loaded = _cold_run("field", *_FIELD_GRID, "--format", fmt)
         assert fmt in loaded and other not in loaded
 
+    def test_quadrature_loads_no_special_functions(self):
+        # quadrature takes its argument checks from errors, not from specfun
+        package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = "import sys, coaxmode.quadrature; print(sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "'coaxmode.quadrature'" in proc.stdout
+        assert "'coaxmode.specfun'" not in proc.stdout
+
 
 _CYL = coaxmode.CylinderGeometry(1.0, 1.0)
 _MODE = coaxmode.ModeIndex(1, 1, 1)
@@ -140,6 +152,9 @@ class TestIntegerArguments:
         (lambda: coaxmode.bessel_zeros(0, True), "count"),
         (lambda: coaxmode.mode_count_histogram(_CYL, 3e9, True), "bins"),
         (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, 1, True), "npoints"),
+        (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=True), "seed"),
+        (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=2.5), "seed"),
+        (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=[1]), "seed"),
         (lambda: coaxmode.hankel(True, 1, 2.0), "Hankel kind"),
         (lambda: coaxmode.hankel(1.0, 1, 2.0), "Hankel kind"),
         (lambda: coaxmode.ez_mode(_CYL, _MODE, True, 1.0, _POINT), "orientation sign"),
@@ -147,8 +162,8 @@ class TestIntegerArguments:
         (lambda: coaxmode.field_grid(_CYL, _MODE, -1.0, 1.0, [0.5], [0.0], [0.5]),
          "orientation sign"),
     ], ids=["mode_m_bool", "mode_n_float", "count_bool", "bins_bool", "npoints_bool",
-            "kind_bool", "kind_float", "ez_sign_bool", "transverse_sign_float",
-            "grid_sign_float"])
+            "seed_bool", "seed_float", "seed_list", "kind_bool", "kind_float", "ez_sign_bool",
+            "transverse_sign_float", "grid_sign_float"])
     def test_bool_and_float_are_rejected(self, call, message):
         with pytest.raises(coaxmode.errors.DomainError, match=message):
             call()
