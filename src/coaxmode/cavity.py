@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Union
 
-from .errors import DomainError, GeometryError, ResourceLimitError, _finite_real, _integer
+from .errors import DomainError, GeometryError, ResourceLimitError, _finite_real, _integer, _record
 from . import roots
 
 C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
@@ -40,7 +39,7 @@ def _check_positive(value: float, message: str) -> None:
         raise GeometryError(message)
 
 
-@dataclass(frozen=True)
+@_record
 class CylinderGeometry:
     """Solid cylindrical cavity: wall at rho = b, end plates at z = 0, l."""
 
@@ -52,7 +51,7 @@ class CylinderGeometry:
         _check_positive(self.l, f"cavity height must be positive, got l={self.l!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class AnnulusGeometry:
     """Annular (coaxial-ring) cavity: walls at rho = a and rho = b > a."""
 
@@ -70,7 +69,7 @@ class AnnulusGeometry:
 Geometry = Union[CylinderGeometry, AnnulusGeometry]
 
 
-@dataclass(frozen=True)
+@_record
 class ModeIndex:
     m: int
     n: int
@@ -85,7 +84,7 @@ class ModeIndex:
                 f"mode index needs m >= 0, n >= 1, p >= 0, got {(self.m, self.n, self.p)}")
 
 
-@dataclass(frozen=True)
+@_record
 class ModeEntry:
     """A mode with its radial eigenvalue (rad/m) and frequency (rad/s)."""
 

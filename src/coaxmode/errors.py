@@ -5,6 +5,13 @@ The CLI maps these onto its exit-code contract: validation problems
 failures (lost brackets, quadrature stagnation, resource caps) with 1.
 The public-argument contract lives here too: ``_integer`` takes an int,
 not a bool, in a range, and ``_finite_real`` a finite real number.
+
+So does the contract every public record keeps, through ``_record``, which
+imports nothing: construction from the annotated fields in order, by
+position or keyword (a class-level value is the default), then the class's
+``__post_init__`` check; ``Name(field=value, ...)`` as repr; equality only
+with a record of the same class and equal fields, and a hash to match; and
+AttributeError on assigning or deleting any attribute.
 """
 
 import math
@@ -70,3 +77,39 @@ def _integer(value: int, name: str, lo: int, hi: int | None = None,
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
     return value
+
+
+_RECORD_METHODS = """
+def __init__(self, {params}):{sets}{post}
+def __repr__(self):
+    return f"{{type(self).__qualname__}}({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+def __setattr__(self, name, value):
+    raise AttributeError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    raise AttributeError(f"cannot delete field {{name!r}}")
+"""
+
+
+def _record(cls):
+    """Give cls the record contract; its methods, compiled per class, loop over no fields."""
+    names = tuple(cls.__annotations__)
+    own = "".join(f"self.{n}, " for n in names)
+    namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
+    exec(_RECORD_METHODS.format(
+        params=", ".join(f"{n}=_defaults[{n!r}]" if n in vars(cls) else n for n in names),
+        sets="".join(f"\n    _set(self, {n!r}, {n})" for n in names),
+        post="\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names),
+        own=own, theirs=own.replace("self.", "other.")), namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"  # as argument errors name it
+        setattr(cls, name, method)
+    cls.__match_args__ = names
+    return cls

@@ -11,11 +11,10 @@ coefficient tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, QuadratureError, _finite_real, _integer
+from .errors import DomainError, QuadratureError, _finite_real, _integer, _record
 
 _MAX_DEPTH = 60
 
@@ -55,7 +54,7 @@ def _panel(f: Callable[[float], float], lo: float, hi: float, n: int) -> float:
     return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
 
 
-@dataclass(frozen=True)
+@_record
 class QuadratureResult:
     value: float
     error_estimate: float

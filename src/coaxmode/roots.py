@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer
+from .errors import _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer, _record
 from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
 
 _EPS = 2.220446049250313e-16
@@ -76,7 +75,7 @@ COUNT_MAX = 1000
 MIN_RADIUS_RATIO = 1e-3
 
 
-@dataclass(frozen=True)
+@_record
 class ZeroTable:
     """An ordered table of radial eigenvalues for one angular order.
 

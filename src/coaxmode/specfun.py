@@ -45,10 +45,9 @@ any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import _NOT_REAL, DomainError, EvaluationError, OrderError, _integer
+from .errors import _NOT_REAL, DomainError, EvaluationError, OrderError, _integer, _record
 
 ORDER_MAX = 50
 X_MAX = 1.0e4
@@ -58,7 +57,7 @@ _TWO_OVER_PI = 2.0 / math.pi
 _ASYM_MIN_X = 18.0  # the large-argument expansion is tried from here on
 
 
-@dataclass(frozen=True)
+@_record
 class EvalResult:
     """A function value; complex for Hankel-family derivatives.
 

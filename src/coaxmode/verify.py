@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+
+from .errors import _record
 
 MODULES = ("specfun", "roots", "cavity", "fields")
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     module: str
     check: str

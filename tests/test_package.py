@@ -73,6 +73,67 @@ class TestPublicApi:
         assert ", ".join(verify.MODULES) in capsys.readouterr().out
 
 
+# one of each record: (class, its fields by keyword, the repr a frozen
+# dataclass gave it in coaxmode 0.2.0)
+_RECORDS = [
+    (coaxmode.EvalResult, {"value": 0.5}, "EvalResult(value=0.5)"),
+    (coaxmode.ZeroTable, {"m": 0, "kind": "cylinder", "zeros": (2.5, 5.5),
+                          "residuals": (1e-17, 2e-16), "geometry_tag": (1.0, 2.0)},
+     "ZeroTable(m=0, kind='cylinder', zeros=(2.5, 5.5), residuals=(1e-17, 2e-16), "
+     "geometry_tag=(1.0, 2.0))"),
+    (coaxmode.CylinderGeometry, {"b": 1.0, "l": 2.0}, "CylinderGeometry(b=1.0, l=2.0)"),
+    (coaxmode.AnnulusGeometry, {"a": 0.5, "b": 1.0, "l": 1.0},
+     "AnnulusGeometry(a=0.5, b=1.0, l=1.0)"),
+    (coaxmode.ModeIndex, {"m": 1, "n": 2, "p": 3}, "ModeIndex(m=1, n=2, p=3)"),
+    (coaxmode.ModeEntry, {"index": coaxmode.ModeIndex(0, 1, 0), "gamma": 2.404825557695773,
+                          "omega": 721036119.5, "degeneracy": 2},
+     "ModeEntry(index=ModeIndex(m=0, n=1, p=0), gamma=2.404825557695773, "
+     "omega=721036119.5, degeneracy=2)"),
+    (coaxmode.RadialSolution, {"m": 1, "gamma": 3.8, "coeff_j": 1.0, "coeff_n": -0.5},
+     "RadialSolution(m=1, gamma=3.8, coeff_j=1.0, coeff_n=-0.5)"),
+    (coaxmode.FieldPoint, {"rho": 0.5, "phi": 0.0, "z": 0.25},
+     "FieldPoint(rho=0.5, phi=0.0, z=0.25)"),
+    (coaxmode.FieldSample, {"e_z": 1j, "e_rho": 0j, "e_phi": -1j, "b_rho": 2 + 0j, "b_phi": 0j},
+     "FieldSample(e_z=1j, e_rho=0j, e_phi=(-0-1j), b_rho=(2+0j), b_phi=0j)"),
+    (coaxmode.ModeAmplitude, {"index": coaxmode.ModeIndex(1, 1, 1), "sign": -1,
+                              "amplitude": 0.5 - 1j},
+     "ModeAmplitude(index=ModeIndex(m=1, n=1, p=1), sign=-1, amplitude=(0.5-1j))"),
+    (coaxmode.QuadratureResult, {"value": 0.25, "error_estimate": 1e-15, "evaluations": 21},
+     "QuadratureResult(value=0.25, error_estimate=1e-15, evaluations=21)"),
+    (verify.CheckResult, {"module": "specfun", "check": "wronskian", "passed": True,
+                          "detail": "ok"},
+     "CheckResult(module='specfun', check='wronskian', passed=True, detail='ok')"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, text", _RECORDS,
+                             ids=[cls.__name__ for cls, _, _ in _RECORDS])
+    def test_record_contract(self, cls, fields, text):
+        record = cls(**fields)
+        assert repr(record) == text
+        twin = cls(*fields.values())
+        assert twin == record and hash(twin) == hash(record)
+        assert record != tuple(fields.values())
+        for other_cls, other_fields, _ in _RECORDS:
+            if other_cls is not cls:
+                assert record != other_cls(**other_fields)
+        name = next(iter(fields))
+        with pytest.raises(AttributeError, match=name):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=name):
+            delattr(record, name)
+        assert getattr(record, name) == fields[name]
+
+    def test_zero_table_tag_defaults_to_none(self):
+        table = coaxmode.ZeroTable(0, "cylinder", (2.5,), (0.0,))
+        assert table.geometry_tag is None
+        assert table == coaxmode.ZeroTable(0, "cylinder", (2.5,), (0.0,), None)
+
+    def test_equal_fields_of_another_class_differ(self):
+        assert coaxmode.FieldPoint(0.5, 1.0, 1.0) != coaxmode.AnnulusGeometry(0.5, 1.0, 1.0)
+
+
 # `python -m coaxmode ARGS`, reporting on stderr the modules the command added
 _CHILD = """
 import runpy, sys
@@ -111,14 +172,21 @@ class TestColdImports:
         (("field", *_FIELD_GRID), {"specfun", "roots", "cavity", "fields"}),
         (("verify", "specfun"), {"verify", "specfun", "roots"}),
         (("verify", "roots"), {"verify", "specfun", "roots"}),
+        (("modes", "--cavity", "annulus", "--a", "1", "--b", "2", "--l", "1",
+          "--omega-max", "3e9"), {"specfun", "roots", "cavity"}),
+        (("verify", "cavity"), {"verify", "specfun", "roots", "cavity"}),
+        (("verify", "fields"),
+         {"verify", "specfun", "roots", "cavity", "fields", "quadrature"}),
     ])
     def test_command_loads_only_its_layers(self, argv, layers):
         loaded = _cold_run(*argv)
         assert {m for m in loaded if m.startswith("coaxmode")} == (
             _BASE | {f"coaxmode.{layer}" for layer in layers})
+        # the records are built without dataclasses, and so without inspect
+        assert not {"dataclasses", "inspect"} & loaded
         if not layers:
             # nothing is written, so neither the layers' imports nor the writers'
-            assert not {"dataclasses", "csv", "json"} & loaded
+            assert not {"csv", "json"} & loaded
 
     @pytest.mark.parametrize("fmt, other", [("csv", "json"), ("json", "csv")])
     def test_field_loads_only_its_writer(self, fmt, other):
@@ -152,6 +220,7 @@ class TestIntegerArguments:
         (lambda: coaxmode.bessel_zeros(0, True), "count"),
         (lambda: coaxmode.mode_count_histogram(_CYL, 3e9, True), "bins"),
         (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, 1, True), "npoints"),
+        (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, 1, 10 ** 9), "npoints"),
         (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=True), "seed"),
         (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=2.5), "seed"),
         (lambda: coaxmode.helmholtz_residual(_CYL, _MODE, seed=[1]), "seed"),
@@ -162,7 +231,7 @@ class TestIntegerArguments:
         (lambda: coaxmode.field_grid(_CYL, _MODE, -1.0, 1.0, [0.5], [0.0], [0.5]),
          "orientation sign"),
     ], ids=["mode_m_bool", "mode_n_float", "count_bool", "bins_bool", "npoints_bool",
-            "seed_bool", "seed_float", "seed_list", "kind_bool", "kind_float", "ez_sign_bool",
+            "npoints_over_cap", "seed_bool", "seed_float", "seed_list", "kind_bool", "kind_float", "ez_sign_bool",
             "transverse_sign_float", "grid_sign_float"])
     def test_bool_and_float_are_rejected(self, call, message):
         with pytest.raises(coaxmode.errors.DomainError, match=message):

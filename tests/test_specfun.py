@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -46,7 +45,8 @@ class TestBesselJ:
                 assert bessel_j(m, frac * first).value > 0.0
 
     def test_result_carries_the_value_only(self):
-        assert tuple(f.name for f in dataclasses.fields(EvalResult)) == ("value",)
+        assert EvalResult.__match_args__ == ("value",)
+        assert list(vars(bessel_j(0, 1.0))) == ["value"]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
