@@ -7,8 +7,10 @@ modes   TM spectrum below a frequency cutoff (optionally as a histogram)
 field   one mode sampled over a rho/phi/z grid
 verify  run the built-in invariant suites
 
-Common flags: ``--format {csv,json}``, ``--out PATH`` (default stdout),
-``--config PATH`` (flat key=value file; explicit flags win). CSV output
+Common flags: ``--format {csv,json}`` (default csv, json for ``verify``),
+``--out PATH`` (default stdout) and ``--config PATH``: each line
+``key = value`` of that file is the flag ``--key=value``, read before the
+command line, whose flags therefore win. CSV output
 is comma-separated with a header row and LF line endings; JSON output is
 a single document ``{"schema": "coaxmode/1", "command": ..., "params":
 {...}, "rows": [...]}``. Numbers are serialized with shortest-round-trip
@@ -147,8 +149,9 @@ def _emit(command: str, params: dict, columns: tuple[str, ...],
         handle.write(("[]" if sep == "[" else "\n  ]") + tail + "\n")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> list[str]:
+    """The file's ``key = value`` lines as ``--key=value`` flags, in file order."""
+    flags = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -157,31 +160,12 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-_CONFIG_TYPES = {
-    "kind": str, "m": int, "count": int, "a": float, "b": float, "l": float,
-    "cavity": str, "omega_max": float, "freq_max_hz": float, "histogram": int,
-    "mode": str, "sign": str, "amplitude": str, "rho": str, "phi": str, "z": str,
-    "format": str, "module": str,
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, raw in _load_config(args.config).items():
-        if key not in _CONFIG_TYPES:
-            raise _UsageError(f"unknown config key {key!r}")
-        if key == "format" and raw not in ("csv", "json"):
-            raise _UsageError(f"config key 'format' must be csv or json, got {raw!r}")
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, _CONFIG_TYPES[key](raw))
-            except ValueError as exc:
-                raise _UsageError(f"config key {key!r}: {exc}") from exc
+            key = key.strip().replace("_", "-")
+            # --config (or a prefix of it) would parse, and then be ignored
+            if key and "config".startswith(key):
+                raise _UsageError(f"{path}:{lineno}: a config file cannot name another one")
+            flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
 def _require(args: argparse.Namespace, name: str):
@@ -196,14 +180,11 @@ def _geometry(args: argparse.Namespace):
     cavity_kind = _require(args, "cavity")
     b = _require(args, "b")
     l = _require(args, "l")
-    if cavity_kind == "cylinder":
-        if args.a is not None:
-            raise _UsageError("--a applies to the annulus only; "
-                              "drop it or use --cavity annulus")
-        return CylinderGeometry(b=b, l=l)
     if cavity_kind == "annulus":
         return AnnulusGeometry(a=_require(args, "a"), b=b, l=l)
-    raise _UsageError(f"--cavity must be cylinder or annulus, got {cavity_kind!r}")
+    if args.a is not None:
+        raise _UsageError("--a applies to the annulus only; drop it or use --cavity annulus")
+    return CylinderGeometry(b=b, l=l)
 
 
 def _parse_grid(spec: str, flag: str) -> list[float]:
@@ -238,11 +219,8 @@ def _cmd_zeros(args) -> int:
         if a >= b:
             raise _UsageError(f"--a must be smaller than --b (inner < outer); "
                               f"got a={a!r}, b={b!r}")
-    elif kind == "bessel":
-        if args.a is not None or args.b is not None:
-            raise _UsageError("--a/--b apply to --kind cross only")
-    else:
-        raise _UsageError(f"--kind must be bessel or cross, got {kind!r}")
+    elif args.a is not None or args.b is not None:
+        raise _UsageError("--a/--b apply to --kind cross only")
     m = abs(_require(args, "m"))  # the table of J_{-m} equals that of J_m
     count = _require(args, "count")
     if kind == "bessel":
@@ -297,15 +275,12 @@ def _cmd_field(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--mode expects M,N,P integers, got {mode_spec!r}") from exc
     index = ModeIndex(m, n, p)
-    sign = {"+": 1, "-": -1}.get(_require(args, "sign"))
-    if sign is None:
-        raise _UsageError(f"--sign must be + or -, got {args.sign!r}")
-    amp_spec = args.amplitude if args.amplitude is not None else "1"
+    sign = 1 if _require(args, "sign") == "+" else -1
     try:
-        re, _, im = amp_spec.partition(",")
+        re, _, im = args.amplitude.partition(",")
         amplitude = complex(float(re), float(im) if im else 0.0)
     except ValueError as exc:
-        raise _UsageError(f"--amplitude expects RE or RE,IM, got {amp_spec!r}") from exc
+        raise _UsageError(f"--amplitude expects RE or RE,IM, got {args.amplitude!r}") from exc
 
     rho_lo = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
     rhos = _parse_grid(_require(args, "rho"), "--rho")
@@ -332,10 +307,8 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import MODULES, run_checks
+    from .verify import run_checks
     module = args.module_pos or args.module
-    if module is not None and module not in MODULES:
-        raise _UsageError(f"unknown module {module!r}; pick one of {', '.join(MODULES)}")
     results = run_checks(module)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -354,8 +327,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format (default csv)")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default %(default)s)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write output to PATH instead of stdout")
     sub.add_argument("--config", default=None, metavar="PATH",
@@ -402,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     field.add_argument("--mode", default=None, metavar="M,N,P")
     field.add_argument("--sign", choices=("+", "-"), default=None,
                        help="azimuthal orientation e^{+imphi} or e^{-imphi}")
-    field.add_argument("--amplitude", default=None, metavar="RE[,IM]",
+    field.add_argument("--amplitude", default="1", metavar="RE[,IM]",
                        help="default 1; a negative RE needs the --amplitude=-1,2 form")
     field.add_argument("--rho", default=None, metavar="LO:HI:COUNT")
     field.add_argument("--phi", default=None, metavar="LO:HI:COUNT")
@@ -415,18 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optional module filter: specfun, roots, cavity, fields")
     verify.add_argument("--module", default=None, help="module filter (same as positional)")
     _add_common(verify)
-    verify.set_defaults(run=_cmd_verify)
+    verify.set_defaults(run=_cmd_verify, format="json")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        if args.format is None:
-            # data commands default to CSV; the verification report to JSON
-            args.format = "json" if args.command == "verify" else "csv"
+        if args.config:
+            # argparse keeps an option's last value: the command line wins
+            args = parser.parse_args(argv[:1] + _load_config(args.config) + argv[1:])
         return args.run(args)
     except (_UsageError, GeometryError, DomainError, OrderError) as exc:
         print(f"coaxmode {args.command}: {exc}", file=sys.stderr)

@@ -311,6 +311,10 @@ def superpose(geometry: Geometry, amplitudes: Iterable[ModeAmplitude],
     for term in amplitudes:
         total = total + transverse_fields(geometry, term.index, term.sign,
                                           term.amplitude, point)
+    # each term is finite, but their sum can still overflow
+    if not all(map(cmath.isfinite, (total.e_z, total.e_rho, total.e_phi, total.b_rho,
+                                    total.b_phi))):
+        raise DomainError(f"the sum of the modes overflows at rho = {point.rho!r}")
     return total
 
 

@@ -82,6 +82,9 @@ class ZeroTable:
     zeros are dimensionless for kind="cylinder" (arguments x_mn of J_m)
     and carry rad/m for kind="annulus" (the eigenvalue gamma itself).
     residuals hold |J_m(x_mn)| resp. |D(gamma_mn)| for each entry.
+    The zeros are positive and strictly increasing. Each entry is certified
+    once, as it is appended: ``_check_increasing`` compares it with the
+    entry before it, and the first with 0.0.
     """
 
     m: int
@@ -89,12 +92,6 @@ class ZeroTable:
     zeros: tuple[float, ...]
     residuals: tuple[float, ...]
     geometry_tag: Optional[tuple[float, float]] = None
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.zeros, self.zeros[1:])):
-            raise RootFindingError(f"zero table for m={self.m} is not strictly increasing")
-        if self.zeros and self.zeros[0] <= 0.0:
-            raise RootFindingError("zero tables must contain positive entries only")
 
 
 def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import _record
+from .errors import DomainError, _record
 
 MODULES = ("specfun", "roots", "cavity", "fields")
 
@@ -322,7 +322,7 @@ _SUITES = {
 def run_checks(module: str | None = None) -> list[CheckResult]:
     """Run one module's suite, or all of them in a fixed order."""
     if module is not None and module not in _SUITES:
-        raise ValueError(f"unknown module {module!r}; pick one of {MODULES}")
+        raise DomainError(f"unknown module {module!r}; pick one of {', '.join(MODULES)}")
     selected = (module,) if module else MODULES
     results: list[CheckResult] = []
     for name in selected:

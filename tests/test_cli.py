@@ -290,17 +290,70 @@ class TestDeterminismAndFormats:
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("radius = 1\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "zeros", "--config", str(cfg))
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["zeros", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
         assert "radius" in err
 
     def test_bad_config_format_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = bessel\nm = 0\ncount = 1\nformat = xml\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["zeros", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "--format" in err and "xml" in err
+        assert out == ""
+
+    def test_config_key_of_another_command_exit_2(self, tmp_path, capsys):
+        # omega_max is a flag of modes, not of zeros
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("kind = bessel\nm = 0\ncount = 2\nomega_max = 3e9\n",
+                       encoding="utf-8")
+        path = tmp_path / "zeros.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["zeros", "--config", str(cfg), "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert "omega-max" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_naming_another_config_exit_2(self, key, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"kind = bessel\nm = 0\ncount = 2\n{key} = other.cfg\n",
+                       encoding="utf-8")
         code, out, err = run_cli(capsys, "zeros", "--config", str(cfg))
         assert code == 2
-        assert "'format'" in err and "xml" in err
         assert out == ""
+        assert f"{cfg}:4:" in err
+
+    @pytest.mark.parametrize("command, lines, flags", [
+        ("zeros",
+         ["kind = cross", "m = 1", "a = 1", "b = 2", "count = 3", "format = json"],
+         ["--kind", "cross", "--m", "1", "--a", "1", "--b", "2", "--count", "3",
+          "--format", "json"]),
+        ("modes",
+         ["cavity = annulus", "a = 1.0", "b = 2.0", "l = 1.0", "omega_max = 3e9",
+          "histogram = 8"],
+         ["--cavity", "annulus", "--a", "1.0", "--b", "2.0", "--l", "1.0",
+          "--omega-max", "3e9", "--histogram", "8"]),
+        ("field",
+         ["cavity = cylinder", "b = 1", "l = 1", "mode = 1,1,1", "sign = -",
+          "amplitude = -1,2", "rho = -0.0:1:3", "phi = 0:6:2", "z = 0:1:2"],
+         ["--cavity", "cylinder", "--b", "1", "--l", "1", "--mode", "1,1,1", "--sign", "-",
+          "--amplitude=-1,2", "--rho=-0.0:1:3", "--phi", "0:6:2", "--z", "0:1:2"]),
+        ("verify", ["module = roots"], ["--module", "roots"]),
+    ], ids=["zeros", "modes", "field", "verify"])
+    def test_config_file_equals_flags(self, command, lines, flags, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("# one flag a line\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        from_file = run_cli(capsys, command, "--config", str(cfg))
+        assert from_file[0] == 0
+        assert from_file == run_cli(capsys, command, *flags)
 
     @pytest.mark.parametrize("argv", [
         ("zeros", "--kind", "cross", "--m", "1", "--a", "1", "--b", "2", "--count", "3"),
@@ -447,6 +500,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "nope")
         assert code == 2
         assert "unknown module" in err
+
+    def test_run_checks_refuses_an_unknown_module(self):
+        with pytest.raises(coaxmode.errors.DomainError, match="unknown module 'nope'"):
+            verify.run_checks("nope")
+
+    @pytest.mark.parametrize("command, default", [("zeros", "csv"), ("verify", "json")])
+    def test_help_states_the_format_default(self, command, default, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert " ".join(capsys.readouterr().out.split()).count(
+            f"output format (default {default})") == 1
 
     def test_csv_report_quotes_detail_commas(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--module", "specfun",

@@ -190,6 +190,14 @@ class TestNonFiniteAmplitude:
         # E_z carries A R cos(kz z) alone, which stays finite
         assert cmath.isfinite(ez_mode(geom, idx, 1, 1e308, point))
 
+    def test_overflowing_sum_is_rejected(self):
+        # each term passes transverse_fields' check; E_z on the axis is 1e308 each
+        term = ModeAmplitude(ModeIndex(0, 1, 0), 1, 1e308)
+        point = FieldPoint(0.0, 0.0, 0.0)
+        assert cmath.isfinite(superpose(CYL, [term], point).e_z)
+        with pytest.raises(DomainError, match="overflows at rho = 0.0"):
+            superpose(CYL, [term] * 2, point)
+
 
 def _sample_hex(sample) -> list[str]:
     return [v.hex() for c in (sample.e_z, sample.e_rho, sample.e_phi, sample.b_rho,
