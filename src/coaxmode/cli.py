@@ -26,8 +26,23 @@ which evaluates the mode's separable factors once per rho, phi and z, and
 prints them the same way: each rho, phi and z is rendered as text once per
 job, and each row formats only its ten field values. ``zeros``, ``modes``
 and ``verify`` format every cell of every row.
+
 Every check that can fail runs before the first byte: a failing command
 writes nothing and creates no ``--out`` file.
+
+A ``field`` grid renders on every CPU the process may use, one CPU per
+_SPLIT_ROWS (1,024) rows, so from 2,048 rows up on two CPUs. It is cut into
+sub-grids in row order, each a ``field_grid`` call over a range of one axis
+with the outer axes fixed, and each round forks one worker per sub-grid
+after its first. The job prints the first sub-grid itself; each worker
+writes its own into an unnamed temp file under TMPDIR (default /tmp), which
+the job appends in order. A sub-grid's rows are the full grid's, bit for
+bit, and go through the same renderer, so the bytes cannot differ from a
+serial run's. A worker that fails makes the job exit 1. A sub-grid holds
+at most _SUBGRID_ROWS (16,384) rows, so a temp file stays under about 8 MB.
+The job stays serial with one usable CPU, with a second thread alive,
+without fork, or when TMPDIR takes no temp file; ``zeros``, ``modes`` and
+``verify`` always do. Flat memory holds per process.
 
 Each command imports the layers it runs inside the command, so a cold
 process loads only those: ``zeros`` loads roots (and specfun under it),
@@ -44,16 +59,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import math
 import operator
+import os
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .errors import CoaxmodeError, GeometryError, DomainError, OrderError
 
 SCHEMA = "coaxmode/1"
+# a field grid renders on one CPU per _SPLIT_ROWS rows (a cold job on two
+# CPUs breaks even with one at about 2,048 rows); a sub-grid, and so a
+# worker's temp file, holds at most _SUBGRID_ROWS rows
+_SPLIT_ROWS = 1024
+_SUBGRID_ROWS = 16384
 
 
 class _UsageError(Exception):
@@ -67,8 +89,8 @@ def _is_numeric(batch: list) -> bool:
             and set(map(type, itertools.chain.from_iterable(batch))) <= {int, float})
 
 
-def _renderer(template: str, grid: Optional[tuple]) -> Callable[[list], Optional[Iterable[str]]]:
-    """The step that turns a batch of rows into texts: template % row each.
+def _renderer(template: str, grid: Optional[tuple]) -> Callable[[list], Optional[str]]:
+    """The step that turns a batch of rows into text: template % row each.
 
     Without a grid, a batch that is not all ints and floats gets None, and
     the caller's csv.writer or JSON encoder prints it. With a grid (rhos,
@@ -78,7 +100,7 @@ def _renderer(template: str, grid: Optional[tuple]) -> Callable[[list], Optional
     cells after its three coordinates.
     """
     if grid is None:
-        return lambda batch: map(template.__mod__, batch) if _is_numeric(batch) else None
+        return lambda batch: "".join(map(template.__mod__, batch)) if _is_numeric(batch) else None
     rhos, phis, zs = grid
     lead_rho, lead_phi, lead_z, rest = template.split("%r", 3)
     phi_texts = [lead_phi + repr(phi) + lead_z for phi in phis]
@@ -91,13 +113,130 @@ def _renderer(template: str, grid: Optional[tuple]) -> Callable[[list], Optional
                                            for head in heads)
     row_template = "%s%s" + rest
     values = operator.itemgetter(slice(3, None))
-    return lambda batch: map(row_template.__mod__, map(
-        operator.add, itertools.islice(coords, len(batch)), map(values, batch)))
+    return lambda batch: "".join(map(row_template.__mod__, map(
+        operator.add, itertools.islice(coords, len(batch)), map(values, batch))))
+
+
+def _subgrids(grid: tuple, ways: int) -> list[tuple]:
+    """The grid (rhos, phis, zs) as sub-grids in row order, ``ways`` to a round.
+
+    Each sub-grid fixes one value of every axis outside the split axis and
+    takes a range of it; the split axis is the outermost one whose per-value
+    block fits in an equal share of a round, and no share exceeds
+    _SUBGRID_ROWS rows.
+    """
+    total = math.prod(map(len, grid))
+    rounds = -(-total // (ways * _SUBGRID_ROWS))
+    share = -(-total // (ways * rounds))
+    block = total
+    for axis, split in enumerate(grid):
+        block //= len(split)
+        if block <= share:
+            break
+    step = share // block
+    outer = itertools.product(*([[value] for value in values] for values in grid[:axis]))
+    return [(*fixed, split[i:i + step], *grid[axis + 1:])
+            for fixed in outer for i in range(0, len(split), step)]
+
+
+def _cpus(rows: int) -> list[int]:
+    """The CPUs a field grid of ``rows`` rows renders on, the job's own first.
+
+    Fewer than two keep the job serial: without fork, with one usable CPU,
+    with a second thread alive (fork copies only the calling one), below
+    _SPLIT_ROWS rows per CPU, or when /proc/self/stat names no CPU.
+    """
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "O_TMPFILE")):
+        return []
+    import threading
+    cpus = sorted(os.sched_getaffinity(0))
+    ways = min(len(cpus), rows // _SPLIT_ROWS)
+    if ways < 2 or threading.active_count() > 1:
+        return []
+    # a fresh fork can share its parent's CPU for a hundred milliseconds
+    # while another CPU idles, so each worker is pinned to one after the job's
+    try:
+        with open("/proc/self/stat", encoding="ascii") as stat:
+            here = cpus.index(int(stat.read().rsplit(")", 1)[1].split()[36]))
+    except (OSError, IndexError, ValueError):
+        return []
+    return [cpus[(here + k) % len(cpus)] for k in range(ways)]
+
+
+def _split(handle, body: Callable, rows: Iterable[tuple], grid: tuple,
+           sub_rows: Callable) -> Iterator[str]:
+    """body(rows, grid)'s texts, rendered on every CPU the job may use.
+
+    Each round forks one worker per sub-grid after its first, each pinned to
+    a CPU of its own. The parent yields the first sub-grid's texts as it
+    renders them; each worker renders its own into an unnamed temp file
+    under TMPDIR (default /tmp) and ends,
+    and the parent reaps the workers in order and yields their files in
+    64 KB pieces. A sub-grid's rows are the full grid's, bit for bit, so the
+    texts are body(rows, grid)'s. A worker that fails ends the job with
+    ChildProcessError, and on any exit the parent kills and reaps the
+    workers it has left. Without a temp file the job stays serial.
+    """
+    cpus, fds, pids = _cpus(math.prod(map(len, grid))), [], []
+    try:
+        try:
+            for _ in cpus[1:]:
+                fds.append(os.open(os.environ.get("TMPDIR") or "/tmp",
+                                   os.O_TMPFILE | os.O_RDWR, 0o600))
+        except OSError:
+            cpus = []
+        if not cpus:
+            yield from body(rows, grid)
+            return
+        import signal
+        parent, subgrids = os.getpid(), _subgrids(grid, len(cpus))
+        for start in range(0, len(subgrids), len(cpus)):
+            own, *rest = subgrids[start:start + len(cpus)]
+            # a worker ends with os._exit, so no buffered text can print twice
+            for stream in (handle, sys.stdout, sys.stderr):
+                stream.flush()
+            for sub, fd, cpu in zip(rest, fds, cpus[1:]):
+                os.ftruncate(fd, 0)
+                os.lseek(fd, 0, os.SEEK_SET)
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with contextlib.suppress(OSError):
+                            os.sched_setaffinity(0, {cpu})
+                        with open(fd, "w", encoding="utf-8", newline="\n",
+                                  closefd=False) as tmp:
+                            for text in body(sub_rows(*sub), sub):
+                                if os.getppid() != parent:
+                                    break  # the job is gone
+                                tmp.write(text)
+                            else:
+                                code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            yield from body(sub_rows(*own), own)
+            for fd in fds[:len(pids)]:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if code:
+                    raise ChildProcessError(f"a worker rendering the grid failed "
+                                            f"(exit code {code})")
+                os.lseek(fd, 0, os.SEEK_SET)
+                with open(fd, "r", encoding="utf-8", newline="", closefd=False) as tmp:
+                    while piece := tmp.read(1 << 16):
+                        yield piece
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _emit(command: str, params: dict, columns: tuple[str, ...],
           rows: Iterable[tuple], fmt: str, out: Optional[str],
-          grid: Optional[tuple] = None) -> None:
+          grid: Optional[tuple] = None, sub_rows: Optional[Callable] = None) -> None:
     """Write the rows, tuples in column order, as they arrive.
 
     Rows go out in batches of 256. A batch of numeric rows is formatted by
@@ -105,48 +244,63 @@ def _emit(command: str, params: dict, columns: tuple[str, ...],
     csv.writer or json.dumps would put it; any other batch goes through
     csv.writer or the JSON encoder itself. ``grid`` (rhos, phis, zs) says
     the rows are ``field_grid``'s, whose first three cells then print from
-    text made once per axis value (see ``_renderer``). csv loads only for
-    CSV and json only for JSON, so ``--version`` and the arguments argparse
-    rejects import neither.
+    text made once per axis value (see ``_renderer``), and ``sub_rows(rhos,
+    phis, zs)`` gives the rows of any sub-grid of it, which ``_split``
+    renders on several CPUs. csv loads only for CSV and json only for JSON,
+    so ``--version`` and the arguments argparse rejects import neither.
     """
-    rows = iter(rows)
-    with (open(out, "w", encoding="utf-8", newline="\n") if out
-          else contextlib.nullcontext(sys.stdout)) as handle:
-        if fmt == "csv":
-            import csv
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            render = _renderer(",".join(["%r"] * len(columns)) + "\n", grid)
-            while batch := list(itertools.islice(rows, 256)):
-                texts = render(batch)
-                if texts is None:
-                    writer.writerows(batch)
-                else:
-                    handle.write("".join(texts))
-            return
+    if fmt == "csv":
+        import csv
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+
+        def fallback(batch: list) -> str:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerows(batch)
+            return buffer.getvalue()
+
+        template = ",".join(["%r"] * len(columns)) + "\n"
+        head, ends = fallback([columns]), ("", "")
+    else:
         import json
         # json.dumps(doc, indent=2) byte for byte, "rows" (the last key) streamed
         # in batches, because each encode call pays the encoder's set-up again
         doc = {"schema": SCHEMA, "command": command, "params": params, "rows": []}
         head, tail = json.dumps(doc, indent=2).rsplit("[]", 1)
+        head += "["
+        ends = ("\n  ]" + tail + "\n", "]" + tail + "\n")
         encode = json.JSONEncoder(indent=2).encode
-        # one row object, indented two levels below the document
-        render = _renderer("\n    {\n" + ",\n".join(
+        # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
+        fallback = lambda batch: "," + encode(
+            [dict(zip(columns, row)) for row in batch])[1:-2].replace("\n", "\n  ")
+        # one row object, indented two levels below the document, after a comma
+        # that the document's first row drops
+        template = ",\n    {\n" + ",\n".join(
             "      " + json.dumps(name).replace("%", "%%") + ": %r" for name in columns
-        ) + "\n    }", grid)
-        handle.write(head)
-        sep = "["
+        ) + "\n    }"
+
+    def body(rows: Iterable[tuple], grid: Optional[tuple]) -> Iterator[str]:
+        render = _renderer(template, grid)
+        rows = iter(rows)
         while batch := list(itertools.islice(rows, 256)):
-            texts = render(batch)
-            text = "" if texts is None else ",".join(texts)
+            text = render(batch)
             # repr spells non-finite floats nan/inf where JSON has NaN/Infinity
-            if texts is None or "nan" in text or "inf" in text:
-                # "[\n  {...},\n  {...}\n]" -> the same objects two levels deeper
-                text = encode([dict(zip(columns, row)) for row in batch])[1:-2].replace(
-                    "\n", "\n  ")
-            handle.write(sep + text)
-            sep = ","
-        handle.write(("[]" if sep == "[" else "\n  ]") + tail + "\n")
+            if text is None or fmt == "json" and ("nan" in text or "inf" in text):
+                text = fallback(batch)
+            yield text
+
+    with (open(out, "w", encoding="utf-8", newline="\n") if out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(head)
+        with contextlib.closing(_split(handle, body, rows, grid, sub_rows) if sub_rows
+                                else body(rows, grid)) as texts:
+            first = next(texts, None)
+            if first is not None:
+                handle.write(first[fmt == "json":])
+                for text in texts:
+                    handle.write(text)
+        handle.write(ends[first is None])
 
 
 def _load_config(path: str) -> list[str]:
@@ -302,7 +456,8 @@ def _cmd_field(args) -> int:
     columns = ("rho", "phi", "z",
                "re_ez", "im_ez", "re_erho", "im_erho", "re_ephi", "im_ephi",
                "re_brho", "im_brho", "re_bphi", "im_bphi")
-    _emit("field", params, columns, rows, args.format, args.out, grid=(rhos, phis, zs))
+    _emit("field", params, columns, rows, args.format, args.out, grid=(rhos, phis, zs),
+          sub_rows=lambda *sub: field_grid(geometry, index, sign, amplitude, *sub))
     return 0
 
 

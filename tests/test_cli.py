@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -19,6 +20,10 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -420,6 +425,18 @@ class TestDeterminismAndFormats:
         "1xNx1": ("cylinder", "3,2,1", "+", "1", "0.5:0.5:1", "-7:-1:300", "-0.0:-0.0:1"),
         "rho-block-over-256": ("annulus", "2,2,1", "+", "-0.5,2", "1:2:2", "-1:5:20",
                                "0:0.5:15"),
+        # from 2 * cli._SPLIT_ROWS rows up, a grid renders on several CPUs (one
+        # more per _SPLIT_ROWS rows): sub-grids split rho, phi or z, whichever
+        # is the outermost axis whose per-value block fits in a CPU's share
+        "rho-split-even": ("annulus", "2,1,1", "-", "0.5,-1", "1:2:4", "0:6.2:20", "0:1:30"),
+        "rho-split-odd": ("cylinder", "1,2,0", "+", "1", "0:1:5", "-3:3:20", "0:1:25"),
+        "phi-split-1xNxM": ("cylinder", "4,1,2", "-", "2,0.5", "0.25:0.25:1", "0:6.28:50",
+                            "0:1:60"),
+        "z-split-1x1xN": ("annulus", "0,2,3", "+", "-1,1", "1.25:1.25:1", "2:2:1",
+                          "0:1:2500"),
+        # more rows than cli._SUBGRID_ROWS per CPU: a 2-CPU host renders it in
+        # three rounds of sub-grids that fix rho and take a range of phi
+        "over-the-cap": ("annulus", "3,1,1", "+", "1,-2", "1:2:3", "0:6:110", "0:1:100"),
     }
 
     def _field_oracle(self, cavity, mode, sign, amp, grid, fmt) -> str:
@@ -446,22 +463,124 @@ class TestDeterminismAndFormats:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", FIELD_GRIDS)
-    def test_field_matches_csv_writer_and_one_shot_dump(self, name, fmt, tmp_path, capsys):
+    def test_field_matches_csv_writer_and_one_shot_dump(self, name, fmt, tmp_path, capsys,
+                                                        monkeypatch):
         cavity, mode, sign, amp, *specs = self.FIELD_GRIDS[name]
         grid = [cli._parse_grid(spec, flag) for spec, flag in zip(specs, ("rho", "phi", "z"))]
-        assert len(grid[0]) * len(grid[1]) * len(grid[2]) > 256  # more than one write
+        rows = len(grid[0]) * len(grid[1]) * len(grid[2])
+        assert rows > 256  # more than one write
         expected = self._field_oracle(cavity, mode, sign, amp, grid, fmt)
-        argv = ["field", "--cavity", cavity, "--b", "1" if cavity == "cylinder" else "2",
-                "--l", "1", "--mode", mode, "--sign", sign, f"--amplitude={amp}",
-                f"--rho={specs[0]}", f"--phi={specs[1]}", f"--z={specs[2]}", "--format", fmt]
-        if cavity == "annulus":
-            argv += ["--a", "1"]
+        argv = self._field_argv(name) + ["--format", fmt]
+        # the job forks exactly where the grid may render on several CPUs
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == expected
         path = tmp_path / f"grid.{fmt}"
         assert main([*argv, "--out", str(path)]) == 0
         assert path.read_bytes().decode("utf-8") == expected
+        assert bool(forks) == (rows >= 2 * cli._SPLIT_ROWS and _usable_cpus() >= 2
+                               and threading.active_count() == 1)
+
+    def _field_expected(self, name, fmt) -> str:
+        cavity, mode, sign, amp, *specs = self.FIELD_GRIDS[name]
+        grid = [cli._parse_grid(spec, flag) for spec, flag in zip(specs, ("rho", "phi", "z"))]
+        return self._field_oracle(cavity, mode, sign, amp, grid, fmt)
+
+    def _field_argv(self, name) -> list[str]:
+        cavity, mode, sign, amp, *specs = self.FIELD_GRIDS[name]
+        argv = ["field", "--cavity", cavity, "--b", "1" if cavity == "cylinder" else "2",
+                "--l", "1", "--mode", mode, "--sign", sign, f"--amplitude={amp}",
+                f"--rho={specs[0]}", f"--phi={specs[1]}", f"--z={specs[2]}"]
+        return argv + ["--a", "1"] if cavity == "annulus" else argv
+
+    def _field_child(self, argv, setup, **popen) -> subprocess.Popen:
+        """A child process that runs ``setup`` (Python lines), then ``main(argv)``."""
+        package_root = os.path.dirname(os.path.dirname(coaxmode.__file__))
+        env = dict(os.environ, **popen.pop("env", {}))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                          env.get("PYTHONPATH")]))
+        code = (setup + "from coaxmode.cli import main\n"
+                f"raise SystemExit(main({argv!r}))\n")
+        return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, **popen)
+
+    NO_FORK = ("import os\n"
+               "def fork():\n"
+               "    raise AssertionError('a serial job forked')\n"
+               "os.fork = fork\n")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("setup", [
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n",
+        "import threading\n"
+        "threading.Thread(target=threading.Event().wait, args=(60,), daemon=True).start()\n",
+    ], ids=["one-cpu", "second-thread"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_field_stays_serial_on_one_cpu_or_beside_a_thread(self, setup, fmt):
+        proc = self._field_child(self._field_argv("rho-split-odd") + ["--format", fmt],
+                                 self.NO_FORK + setup)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        assert out.decode("utf-8") == self._field_expected("rho-split-odd", fmt)
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+    def test_closed_pipe_leaves_no_worker(self):
+        # 98k rows: the job is still rendering when its reader goes away
+        argv = ["field", "--cavity", "cylinder", "--b", "1", "--l", "1", "--mode", "1,1,1",
+                "--sign", "+", "--rho", "0:1:32", "--phi", "0:6:96", "--z", "0:1:32",
+                "--format", "json"]
+        with self._field_child(argv, "", start_new_session=True) as proc:
+            try:
+                assert proc.stdout.read(1 << 16)
+                proc.stdout.close()
+                assert proc.wait(timeout=120) == 1
+                err = proc.stderr.read().decode()
+            finally:
+                proc.kill()
+        assert err.startswith("coaxmode field: ") and err.count("\n") == 1, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.skipif(_usable_cpus() < 2 or not hasattr(os, "killpg"),
+                        reason="needs two CPUs and process groups")
+    def test_failing_worker_is_one_line_exit_1(self):
+        # a worker whose temp file hits the file-size limit fails; stdout, a
+        # pipe, has no such limit, so only the worker's failure can end the job
+        proc = self._field_child(self._field_argv("rho-split-even") + ["--format", "json"],
+                                 "import resource\n"
+                                 "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n",
+                                 start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert err.decode() == ("coaxmode field: a worker rendering the grid failed "
+                                "(exit code 1)\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_tmpdir_keeps_the_job_serial(self, fmt, tmp_path):
+        # without a temp file the workers have nowhere to write: the job
+        # prints the serial bytes and forks nothing
+        proc = self._field_child(self._field_argv("rho-split-even") + ["--format", fmt],
+                                 self.NO_FORK, start_new_session=True,
+                                 env={"TMPDIR": str(tmp_path / "missing")})
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err.decode()
+        assert out.decode("utf-8") == self._field_expected("rho-split-even", fmt)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestVerifyCommand:
