@@ -12,42 +12,51 @@ Two families are located here:
   rho = a and rho = b. gamma = 0 is excluded (the limit of D at 0+ is
   finite and nonzero, and the corresponding radial solution is trivial).
 
-Bracketing is sign-change based. McMahon guesses accelerate the J_m scan
-where they are reliable (certified by the expected sign pattern), and a
-march with a step of 1.0 covers everything else; consecutive zeros are at
-least j_02 - j_01 = 3.115 apart, so neither bracket holds two.
-The cross-product scan rests on the Sturm comparison windows: with
-u = sqrt(rho) R the radial equation reads u'' + (gamma^2 - c/rho^2) u = 0
-with c = m^2 - 1/4, so the n-th root obeys
+J_m zeros are bracketed by sign changes. McMahon guesses accelerate the
+scan where they are reliable (certified by the expected sign pattern), and
+a march with a step of 1.0 covers everything else; consecutive zeros are
+at least j_02 - j_01 = 3.115 apart, so no bracket holds two.
+
+Cross-product roots are found on the wall phase. With J_m = M cos theta
+and N_m = M sin theta (DLMF 10.18), theta rises with x, and
+
+    D = -M_a M_b sin Phi,    Phi(gamma) = theta(gamma b) - theta(gamma a),
+
+with M_a, theta_a at gamma a and M_b, theta_b at gamma b. Phi rises from 0
+at gamma = 0+ with slope Phi' = (2/(pi gamma)) (1/M_b^2 - 1/M_a^2) > 0 (M
+falls with x), so root n is where Phi = n pi. With C = M_a M_b cos Phi,
+the residual r = atan2((-1)^(n+1) D, (-1)^n C) equals Phi - n pi from root
+n-1 up to root n+1. Newton on r starts root n >= 2 at
+gamma_{n-1} + pi / Phi'(gamma_{n-1}), Phi' being read off the tuple the
+polish of root n-1 returned (or evaluated once there when a call resumes
+a table), and root 1 at max(lo_1, j_m1/b): the annulus
+lies inside the disk of radius b, so gamma_1 > j_m1/b. The bracket is
+(gamma_{n-1}, hi_n), where r runs from -pi to a positive value; hi_n is
+the top of the Sturm comparison window below. With u = sqrt(rho) R the
+radial equation reads u'' + (gamma^2 - c/rho^2) u = 0 with c = m^2 - 1/4,
+so the n-th root obeys
 
     (n pi/(b-a))^2 + min(c/a^2, c/b^2) <= gamma_mn^2
                                        <= (n pi/(b-a))^2 + max(c/a^2, c/b^2).
 
-The scan for root n starts one step above root n-1, or at the window's
-lower end if that is higher, brackets the window directly when it cannot
-hold root n+1, and otherwise marches in steps of pi/(4(b-a)). The step
-rests on the root gap: the smallest gap measured over m <= 50 and a/b from
-1e-3 to 0.999 is 0.444 pi/(b-a), so no root lies within one step above
-the root below it, a step holds one root at most, and the first sign
-change of the march is root n. The windows also certify the index: entry
-n must lie in window n, widened by the determinant's rounding (16 eps
-b/(b-a) relative, see ``_sturm_window``), and a march that passes window
-n without a sign change raises instead of handing root n+1 out as root n.
+Where window n cannot hold root n+1, a start past root n+1 lies above the
+bracket, ``_polish`` starts from the bracket's midpoint instead, and r has
+no zero in the bracket but root n. Where windows overlap (large m with small a/b),
+the index rests on the start: r wraps by 2 pi past root n+1, so a start
+more than pi from n pi would converge to root n +- 2. Over m <= 50 and a/b
+from 1e-3 to 0.999 (first 40 roots) every start lay within 0.32 pi of n pi,
+and within 0.15 pi where windows overlap. Entry n must also lie in window n, widened by the
+determinant's rounding (16 eps b/(b-a) relative, see ``_sturm_window``).
 
-Each bracket is polished by safeguarded Newton (``_polish``) to within
-eps x of the root, a tolerance that scales with the walls. The slope is
-exact and comes from the same ladder run as the value (``specfun._ladder``):
-J'_m = m J_m/x - J_{m+1} for J_m zeros, and for the determinant
-
-    D' = b J'_m(gamma b) N_m(gamma a) + a J_m(gamma b) N'_m(gamma a)
-         - a J'_m(gamma a) N_m(gamma b) - b J_m(gamma a) N'_m(gamma b).
-
-Newton starts from the McMahon guess for J_m zeros, and for cross-product
-roots from the flat-gap perturbation formula shifted by its error at the
-root below. Each polished root is verified by its residual, scaled by
-|J_{m+1}| resp. the arch amplitude M_a M_b of D (``_cross_determinant``),
-both from the tuple the polish hands back with the root, and by exceeding
-the entry before it; entries are therefore strictly increasing.
+Each root is polished by safeguarded Newton (``_polish``) to within eps x
+of the root, a tolerance that scales with the walls. The slope comes from
+the same ladder run as the value (``specfun._ladder``): J'_m = m J_m/x -
+J_{m+1} for J_m zeros, and Phi' from the moduli for cross-product roots.
+Newton starts from the McMahon guess for J_m zeros. Each polished root is
+verified by its residual, scaled by |J_{m+1}| resp. the arch amplitude
+M_a M_b of D (``_cross_determinant``), both from the tuple the polish
+hands back with the root, and by exceeding the entry before it; entries
+are therefore strictly increasing.
 
 Tables live in one process-wide store, ``_tables``, which maps a key to
 the table's rows and its lock. Rows are only appended, so a table that
@@ -246,42 +255,34 @@ def bessel_zeros(m: int, count: int) -> ZeroTable:
                      residuals=tuple(res for _, res in rows))
 
 
-def _cross_determinant(m: int, a: float, b: float) -> Callable[[float], tuple[float, float, float]]:
-    """gamma -> (D, dD/dgamma, M_a M_b), from one ladder run at each wall.
+def _cross_determinant(m: int, a: float,
+                       b: float) -> Callable[[float], tuple[float, float, float, float]]:
+    """gamma -> (D, C, Phi', M_a M_b), from one ladder run at each wall.
 
-    Every determinant evaluation passes through here: the scan and the
-    Newton polish. M_a M_b = hypot(J_m, N_m) at gamma a times the same at
-    gamma b is D's arch amplitude, the scale of the residual check: with
-    J_m = M cos theta, N_m = M sin theta, D = M_a M_b sin(theta_a - theta_b)
-    exactly (DLMF 10.18). The wall arguments gamma a and gamma b are
-    rounded to doubles; each value is carried to the exact product to first
-    order with the ladder's slope. Uncorrected, that rounding moves the root
-    by up to ~0.5 eps a/(b-a) relative, 1e-13 at a/b = 0.999.
+    Every determinant evaluation passes through here. With J_m = M cos
+    theta and N_m = M sin theta at gamma a and gamma b (DLMF 10.18),
+    D = J_m(gamma b) N_m(gamma a) - J_m(gamma a) N_m(gamma b) = -M_a M_b sin Phi
+    and C = J_m(gamma a) J_m(gamma b) + N_m(gamma a) N_m(gamma b)
+    = M_a M_b cos Phi, where Phi = theta(gamma b) - theta(gamma a) is the
+    wall phase. Its slope is Phi' = (2/(pi gamma)) (1/M_b^2 - 1/M_a^2),
+    from the Wronskian theta'(x) = 2/(pi x M^2). M_a M_b is D's arch
+    amplitude, the scale of the residual check. The wall arguments gamma a
+    and gamma b are rounded to doubles; each value is carried to the exact
+    product to first order with the ladder's slope. Uncorrected, that
+    rounding moves the root by up to ~0.5 eps a/(b-a) relative, 1e-13 at
+    a/b = 0.999.
     """
-    def d(g: float) -> tuple[float, float, float]:
+    def d(g: float) -> tuple[float, float, float, float]:
         xa, ea = _two_prod(g, a)  # g a = xa + ea exactly
         xb, eb = _two_prod(g, b)
         ja, ja1, na, na1 = _ladder(m, xa, True)
         jb, jb1, nb, nb1 = _ladder(m, xb, True)
-        dja, dna = _slope(m, xa, ja, ja1), _slope(m, xa, na, na1)
-        djb, dnb = _slope(m, xb, jb, jb1), _slope(m, xb, nb, nb1)
-        ja, na, jb, nb = ja + ea * dja, na + ea * dna, jb + eb * djb, nb + eb * dnb
-        return (jb * na - ja * nb,
-                b * djb * na + a * jb * dna - a * dja * nb - b * ja * dnb,
-                math.hypot(ja, na) * math.hypot(jb, nb))
+        ja, na = ja + ea * _slope(m, xa, ja, ja1), na + ea * _slope(m, xa, na, na1)
+        jb, nb = jb + eb * _slope(m, xb, jb, jb1), nb + eb * _slope(m, xb, nb, nb1)
+        ma, mb = math.hypot(ja, na), math.hypot(jb, nb)
+        return (jb * na - ja * nb, ja * jb + na * nb,
+                2.0 / (math.pi * g) * (1.0 / (mb * mb) - 1.0 / (ma * ma)), ma * mb)
     return d
-
-
-def _cross_guess(m: int, a: float, b: float, n: int, below: float) -> float:
-    """Newton start for root n: the first-order perturbation of the flat-gap
-    standing wave, shifted by its error at root n-1 (``below``) for n > 1."""
-    d, c = b - a, m * m - 0.25
-
-    def flat(j: int) -> float:
-        k = j * math.pi / d
-        return math.sqrt(max(k * k + c / (a * b) - c / (2.0 * d * k * k) * (a ** -3 - b ** -3),
-                             0.0))
-    return flat(n) if n == 1 else flat(n) + (below - flat(n - 1))
 
 
 def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
@@ -306,36 +307,23 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
     """Append roots until ``table`` holds ``count``, each from the root below
     it and its own Sturm window alone (module docstring)."""
     d = _cross_determinant(m, a, b)
-    value = lambda g: d(g)[0]
-    step = 0.25 * math.pi / (b - a)  # the march step (module docstring)
+    if table:
+        slope = d(table[-1][0])[2]  # Phi' at the root below, as a one-call table has it
     while len(table) < count:
         n = len(table) + 1
+        sign = -1.0 if n % 2 else 1.0  # (-1)^n
+
+        def phase(g: float) -> tuple[float, float, float, float]:
+            # Phi - n pi, exact between roots n-1 and n+1, then Phi', D, M_a M_b
+            det, c, phi_slope, scale = d(g)
+            return math.atan2(-sign * det, sign * c), phi_slope, det, scale
+
         previous = table[-1][0] if table else 0.0
         lo, hi = _sturm_window(m, a, b, n)
-        # lo_1 is below pi/(4(b-a)) only for m = 0 and a/b < 0.142, where
-        # gamma_01 > j_01/b > pi/(4(b-a)) (the annulus lies inside the disk
-        # of radius b), so root 1 lies above the step like every other root
-        x = max(lo, previous + step)
-        fx = value(x)
-        bracket = None
-        if x < hi < _sturm_window(m, a, b, n + 1)[0]:
-            # window n cannot hold root n+1: [x, hi] holds root n alone
-            fhi = value(hi)
-            if fx == 0.0 or (fx > 0.0) != (fhi > 0.0):
-                bracket = (x, hi, fx, fhi)
-        while bracket is None:
-            if x > hi:
-                raise RootFindingError(
-                    f"cross-product root {n} for m={m} shows no sign change in its "
-                    f"Sturm window [{lo!r}, {hi!r}]")
-            x2 = x + step
-            fx2 = value(x2)
-            if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
-                bracket = (x, x2, fx, fx2)
-            else:
-                x, fx = x2, fx2
-        root, (d_root, _, scale) = _polish(d, *bracket, _cross_guess(m, a, b, n, previous))
-        residual = abs(d_root)
+        # root 1 lies above j_m1/b: the annulus lies inside the disk of radius b
+        start = previous + math.pi / slope if table else max(lo, _bessel_rows(m, 1)[0][0] / b)
+        root, (_, slope, det, scale) = _polish(phase, previous, hi, -math.pi, math.pi, start)
+        residual = abs(det)
         if residual > 1e-10 * scale:
             raise RootFindingError(
                 f"cross-product root near {root:.6g} failed verification: "

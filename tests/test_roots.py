@@ -119,16 +119,47 @@ class TestBesselZeros:
 
 class TestBracketDefense:
     def test_root_gaps_exceed_the_scan_step(self):
-        # the cross-product scan starts one step of pi/(4(b-a)) above the
-        # root below (gamma = 0 below root 1) and takes the first sign change
-        # as the next root; that needs every gap wider than the step, which
-        # leaves no room for two roots in one step either
+        # consecutive roots stay more than 0.4 pi/(b-a) apart (gamma = 0
+        # below root 1); the smallest gap measured over m <= 50 and a/b from
+        # 1e-3 to 0.999 is 0.444 pi/(b-a). No step relies on it: the index
+        # rests on the Newton start (test below) and the Sturm windows
         for m in (0, 10, 30, 50):
             for ratio in (1e-3, 0.01, 0.5, 0.79, 0.99, 0.999):
                 a, b = ratio, 1.0
                 zeros = (0.0,) + cross_product_zeros(m, a, b, 20).zeros
                 gap = min(hi - lo for lo, hi in zip(zeros, zeros[1:]))
                 assert gap > 0.4 * math.pi / (b - a), (m, ratio)
+
+    def test_newton_starts_within_a_quarter_turn(self, monkeypatch):
+        # the phase residual Phi - n pi wraps by 2 pi past root n+1, so where
+        # Sturm windows overlap root n's index rests on its Newton start lying
+        # within pi of n pi; over m <= 50 and a/b from 1e-3 to 0.999 every
+        # start measured lay within 0.32 pi, and within 0.15 pi where
+        # windows overlap
+        rng = random.Random(20261019)
+        real = roots._polish
+        starts = []
+
+        def spy(f, lo, hi, flo, fhi, x):
+            if flo == -math.pi:  # a cross-product root, not the J_m zero for root 1
+                starts.append((x, f(x)[0]))
+            return real(f, lo, hi, flo, fhi, x)
+
+        monkeypatch.setattr(roots, "_polish", spy)
+        for _ in range(40):
+            m = rng.randint(0, 50)
+            ratio = math.exp(rng.uniform(math.log(1e-3), math.log(0.999)))
+            key = ("ann", m, ratio, 1.0)
+            roots._tables.pop(key, None)
+            starts.clear()
+            try:
+                zeros = (0.0,) + cross_product_zeros(m, ratio, 1.0, 21).zeros
+            finally:
+                roots._tables.pop(key, None)
+            for n, (x, residual) in enumerate(starts[:20], 1):
+                # between roots n-1 and n+1 the wrapped residual is the true one
+                assert zeros[n - 1] < x < zeros[n + 1], (m, ratio, n)
+                assert abs(residual) <= 0.5 * math.pi, (m, ratio, n)
 
 
 class TestCrossProductZeros:
@@ -296,29 +327,48 @@ class TestSturmWindows:
             assert abs(zeros[-1] - last) <= 1e-12 * last
 
     def test_planted_missed_root_raises(self, monkeypatch):
-        # D and its slope flip sign just past the first root, so the scan
-        # sees no sign change there; the first change it meets is the second
-        # root, which must not be handed out as entry 1
+        # root n is polished in (root n-1, top of window n); at m = 0, a = 1,
+        # b = 2.5 window n cannot hold root n+1. Phi' read at a third of its
+        # value at root 1 starts root 2 past root 3, above that bracket, so
+        # Newton starts from the bracket's midpoint and still finds root 2:
+        # no start past root n+1 can leave window n. The window check guards
+        # the phase itself: a wall phase an eighth of a turn ahead has its
+        # zero below window 1, where the residual and order checks pass it
         m, a, b = 0, 1.0, 2.5
         key = ("ann", m, a, b)
         first, second = cross_product_zeros(m, a, b, 2).zeros
         real = roots._cross_determinant
 
-        def planted(m, a, b):
+        def slow_start(m, a, b):
             d = real(m, a, b)
 
-            def flipped(g):
-                value, slope, *rest = d(g)
-                return (-value, -slope, *rest) if g > first else (value, slope, *rest)
-            return flipped
+            def planted(g):
+                det, c, slope, scale = d(g)
+                return det, c, slope / 3.0 if g == first else slope, scale
+            return planted
+
+        def ahead(m, a, b):
+            d = real(m, a, b)
+            half = math.sqrt(0.5)
+
+            def planted(g):
+                # (D, C) = M_a M_b (-sin Phi, cos Phi), turned to Phi + pi/4
+                det, c, slope, scale = d(g)
+                return (det - c) * half, (c + det) * half, slope, scale
+            return planted
 
         roots._tables.pop(key, None)
         try:
-            monkeypatch.setattr(roots, "_cross_determinant", planted)
+            monkeypatch.setattr(roots, "_cross_determinant", slow_start)
+            late = cross_product_zeros(m, a, b, 2).zeros
+            assert late[0] == first
+            assert late[1] == pytest.approx(second, rel=4e-16)
+            roots._tables.pop(key, None)
+            monkeypatch.setattr(roots, "_cross_determinant", ahead)
             with pytest.raises(RootFindingError, match="Sturm"):
                 cross_product_zeros(m, a, b, 1)
             assert roots._tables[key][0] == []
-            with pytest.raises(RootFindingError):
+            with pytest.raises(RootFindingError, match="Sturm"):
                 cross_product_zeros(m, a, b, 2)
         finally:
             monkeypatch.undo()
@@ -345,9 +395,10 @@ class TestScanCost:
         monkeypatch.setattr(roots, "_cross_determinant", counting)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
-        # every call counts: scan and Newton polish; the residual's scale
-        # comes with the polished root's own evaluation
-        assert calls[0] / (21 * 20) <= 6.0
+        # every call counts: each Newton step, and the Phi' read when a call
+        # resumes a table; the residual's scale and the next root's start
+        # come with the polished root's own evaluation
+        assert calls[0] / (21 * 20) <= 4.0
 
     def test_ladder_runs_per_bessel_zero(self, monkeypatch):
         # a J zero costs its two bracket checks and a few Newton steps, each
@@ -399,7 +450,8 @@ class TestTableCache:
         lambda count: bessel_zeros(7, count),
         lambda count: cross_product_zeros(0, 0.2, 2.0, count),
         lambda count: cross_product_zeros(4, 0.6, 1.0, count),
-    ], ids=["bessel", "cross-0", "cross-4"])
+        lambda count: cross_product_zeros(50, 0.001, 1.0, count),
+    ], ids=["bessel", "cross-0", "cross-4", "cross-50-overlapping"])
     def test_table_grown_in_pieces_equals_one_call(self, table):
         roots._tables.clear()
         whole = table(40)
