@@ -41,12 +41,13 @@ so the n-th root obeys
 
 Where window n cannot hold root n+1, a start past root n+1 lies above the
 bracket, ``_polish`` starts from the bracket's midpoint instead, and r has
-no zero in the bracket but root n. Where windows overlap (large m with small a/b),
-the index rests on the start: r wraps by 2 pi past root n+1, so a start
-more than pi from n pi would converge to root n +- 2. Over m <= 50 and a/b
-from 1e-3 to 0.999 (first 40 roots) every start lay within 0.32 pi of n pi,
-and within 0.15 pi where windows overlap. Entry n must also lie in window n, widened by the
-determinant's rounding (16 eps b/(b-a) relative, see ``_sturm_window``).
+no zero in the bracket but root n. Where windows overlap (large m with
+small a/b), the index rests on the start: r wraps by 2 pi past root n+1,
+so a start more than pi from n pi would converge to root n +- 2. Over
+m <= 50 and a/b from 1e-3 to 0.999 (first 40 roots) every start lay
+within 0.32 pi of n pi, and within 0.15 pi where windows overlap. Entry n
+must also lie in window n, widened by the determinant's rounding
+(16 eps b/(b-a) relative, see ``_sturm_window``).
 
 Each root is polished by safeguarded Newton (``_polish``) to within eps x
 of the root, a tolerance that scales with the walls. The slope comes from
