@@ -32,14 +32,14 @@ import math
 import random
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
 from .errors import ConditioningError, DomainError, _finite_real, _integer, _record
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
-from .specfun import _cached_ladder, _slope
+from .specfun import _cached_ladder, _ladder, _slope
 
 _TWO_PI = 2.0 * math.pi
 # below this, a field component's bound leaves room for the rounding of the
@@ -68,11 +68,14 @@ class RadialSolution:
             s += self.coeff_n * _slope(m, x, ladder[2], ladder[3])
         return r, self.gamma * s
 
-    def value(self, rho: float) -> float:
-        ladder = _cached_ladder(self.m, self.gamma * rho, bool(self.coeff_n))
-        r = self.coeff_j * ladder[0]
+    def value(self, rho: float,
+              ladder: Callable[[int, float, bool], tuple[float, ...]] = _cached_ladder) -> float:
+        """R(rho), read through the ladder memo; ``ladder=specfun._ladder`` reads
+        past it, with the same bits, for a point that will not come again."""
+        run = ladder(self.m, self.gamma * rho, bool(self.coeff_n))
+        r = self.coeff_j * run[0]
         if self.coeff_n:
-            r += self.coeff_n * ladder[2]
+            r += self.coeff_n * run[2]
         return r
 
     def slope(self, rho: float) -> float:
@@ -438,7 +441,7 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     term, and compared against -(omega/c)^2 E_z. The result is limited by
     the O(h^2) stencil, not by the field evaluation.
     """
-    _integer(npoints, "npoints", 1, 10_000)  # ~46 us a point: at most about 0.5 s
+    _integer(npoints, "npoints", 1, 10_000)  # ~23 us a point: at most about 0.25 s
     rnd = random.Random(_integer(seed, "seed", 0))
     _check_sign(sign)
     entry = tm_frequency(geometry, index)
@@ -450,7 +453,8 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     kz = index.p * math.pi / geometry.l
 
     sol = radial_solution(geometry, index.m, index.n)
-    rhos = [inner + (geometry.b - inner) * (i + 0.5) / 64 for i in range(64)]
+    # boundary_residual's inset grid, so these reads stay on the ladder memo
+    rhos = [inner + (geometry.b - inner) * (i + 0.5) / _GRID for i in range(_GRID)]
     scale = k2 * max(abs(sol.value(r)) for r in rhos)
 
     worst = 0.0
@@ -461,11 +465,13 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
         z = geometry.l * rnd.uniform(0.1, 0.9)
         ang = _angular(index.m, sign, phi)
         cz = math.cos(kz * z)
-        # E_z = R * phase * axial, multiplied in the order ez_mode uses
-        r_ang = sol.value(rho) * ang
+        # E_z = R * phase * axial, multiplied in the order ez_mode uses; a call
+        # with another seed never meets these points again, so they read past
+        # the ladder memo
+        r_ang = sol.value(rho, _ladder) * ang
         e0 = r_ang * cz
-        e_out = sol.value(rho + h) * ang * cz
-        e_in = sol.value(rho - h) * ang * cz
+        e_out = sol.value(rho + h, _ladder) * ang * cz
+        e_in = sol.value(rho - h, _ladder) * ang * cz
         d_rho = (e_out - 2.0 * e0 + e_in) / (h * h)
         d_rho += (e_out - e_in) / (2.0 * h * rho)
         d_z = (r_ang * math.cos(kz * (z + g)) - 2.0 * e0

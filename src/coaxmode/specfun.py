@@ -33,10 +33,15 @@ seeded 30-digit reference sweep supports, stated in README "Numerical notes".
 
 The public calls and ``fields`` share one bounded LRU memo of ladder
 tuples, ``_cached_ladder``: one entry per distinct (m, x, with_n), at most
-300,000 entries, about 100 MB when full. A repeated argument costs one
-lookup, and a value, its slope and every family read the same bits.
-``roots`` calls ``_ladder`` directly: root finding never evaluates the same
-argument twice, so its entries would only evict the ones that repeat.
+24,576 entries, about 8 MB when full. A repeated argument costs one
+lookup, and a value, its slope and every family read the same bits. Two
+callers read ``_ladder`` directly, because their arguments do not come
+again and their entries would only evict the ones that do: root finding,
+which never evaluates the same argument twice, and the stencil of
+``fields.helmholtz_residual``, whose points a seeded stream draws afresh
+(its scale grid is ``boundary_residual``'s and stays on the memo). The
+bound is the smallest multiple of 4,096 entries that kept a 20 s
+library-session run within 0.1% of an unbounded memo's hits (CHANGES.md).
 
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.
@@ -407,7 +412,7 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
 
 # one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
 # which serves a value and its slope; who reads it is in the module docstring
-_cached_ladder = lru_cache(maxsize=300_000)(_ladder)
+_cached_ladder = lru_cache(maxsize=24_576)(_ladder)
 
 
 def _slope(m: int, x: float, value: float, above: float) -> float:

@@ -8,7 +8,7 @@ from coaxmode import (AnnulusGeometry, CylinderGeometry, FieldPoint, ModeAmplitu
                       ModeIndex, bessel_j, boundary_residual, ez_mode, field_grid,
                       helmholtz_residual, orthogonality_check, radial_solution,
                       superpose, transverse_fields)
-from coaxmode import fields
+from coaxmode import fields, specfun
 from coaxmode.fields import ZERO_SAMPLE
 from coaxmode.errors import DomainError, OrderError
 
@@ -360,13 +360,15 @@ class TestHelmholtz:
         calls = []
         real = fields.RadialSolution.value
 
-        def counted(self, rho):
-            calls.append(rho)
-            return real(self, rho)
+        def counted(self, rho, *ladder):
+            calls.append(ladder)
+            return real(self, rho, *ladder)
 
         monkeypatch.setattr(fields.RadialSolution, "value", counted)
         helmholtz_residual(ANN, ModeIndex(2, 1, 2), npoints=12)
         assert len(calls) == 3 * 12 + 64
+        # the scale reads go through the memo, the stencil reads past it
+        assert calls == [()] * 64 + [(specfun._ladder,)] * (3 * 12)
 
     @pytest.mark.parametrize("geom,m,n", [(CYL, 1, 2), (ANN, 2, 1)], ids=["cyl", "ann"])
     @pytest.mark.parametrize("p", [0, 1, 2])

@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
-from coaxmode import (EvalResult, bessel_j, bessel_zeros, cross_product_zeros, derivative,
-                      hankel, neumann_n)
+from coaxmode import (AnnulusGeometry, CylinderGeometry, EvalResult, ModeIndex, bessel_j,
+                      bessel_zeros, cross_product_zeros, derivative, hankel, neumann_n)
 from coaxmode.errors import CoaxmodeError, DomainError, EvaluationError, OrderError
 from coaxmode import fields, roots, specfun
 from coaxmode.specfun import ORDER_MAX, X_MAX
@@ -368,6 +368,22 @@ class TestLadderMemo:
                 roots._tables.pop(key, None)
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("geometry", [CylinderGeometry(b=1.0, l=1.0),
+                                          AnnulusGeometry(a=0.5, b=1.0, l=1.0)],
+                             ids=["cyl", "ann"])
+    def test_fresh_helmholtz_seed_leaves_the_memo_alone(self, geometry):
+        # the stencil's seeded points call _ladder itself; only the 64-point
+        # scale grid reads the memo, and once warm those reads are all hits,
+        # however many points the stencil takes
+        index = ModeIndex(2, 1, 1)
+        fields.helmholtz_residual(geometry, index, npoints=5, seed=11)
+        for npoints, seed in ((5, 12), (40, 13)):
+            before = specfun._cached_ladder.cache_info()
+            fields.helmholtz_residual(geometry, index, npoints=npoints, seed=seed)
+            after = specfun._cached_ladder.cache_info()
+            assert after.currsize == before.currsize
+            assert (after.hits - before.hits, after.misses - before.misses) == (64, 0)
 
     def test_threads_on_overlapping_arguments_get_the_serial_bits(self):
         points = [(m, 2.345 + 0.6113 * i) for i, m in
