@@ -15,8 +15,8 @@ that layer defines, so ``python -m coaxmode zeros`` loads specfun and roots
 only, and ``--version`` loads no layer at all.
 
 All public operations are pure functions of their arguments (caches are
-internal and append-only), so everything here is safe to use from
-multiple threads.
+internal; bounded LRU memos and append-only root tables), so everything
+here is safe to use from multiple threads.
 """
 
 from importlib import import_module

@@ -225,10 +225,12 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
 
     Raises what ``_towers`` raises, before any entry is built.
     """
-    modes = [_mode_entry(ModeIndex(m, n, p), gamma, geometry.l)
-             for m, n, gamma, top in _towers(geometry, omega_max) for p in range(top + 1)]
-    modes.sort(key=lambda e: (e.omega, e.index.m, e.index.n, e.index.p))
-    return modes
+    l = geometry.l
+    # (m, n, p) is unique, so sorting the plain tuples orders the entries
+    modes = sorted((_omega(gamma, p, l), m, n, p, gamma)
+                   for m, n, gamma, top in _towers(geometry, omega_max) for p in range(top + 1))
+    return [ModeEntry(ModeIndex(m, n, p), gamma, omega, 1 if m == 0 else 2)
+            for omega, m, n, p, gamma in modes]
 
 
 def mode_count_histogram(geometry: Geometry, omega_max: float,

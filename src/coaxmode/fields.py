@@ -31,12 +31,14 @@ import cmath
 import math
 import random
 import sys
+from collections.abc import Hashable
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
-from .errors import ConditioningError, DomainError, _finite_real, _integer, _record
+from .errors import (ConditioningError, DomainError, GeometryError, _finite_real, _integer,
+                     _record)
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
 from .specfun import _cached_ladder, _ladder, _slope
@@ -339,13 +341,24 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     (a^2/2) J_{nu+1}(x_nu_n)^2 delta_nk). The integral is taken over
     t = rho/a in [0, 1] and scaled by a^2, so its nodes, and the ladder
     memo's keys, depend on (nu, n, k) only: each value is exactly a*a times
-    its value at a = 1.
+    its value at a = 1. That pair is memoized per (nu, n, k) after the
+    arguments are checked, so a repeated call costs one lookup and runs no
+    quadrature.
     """
     _integer(nu, "nu", 0, 10)
     _integer(n, "n", 1, 20)
     _integer(k, "k", 1, 20)
     if not (_finite_real(a) and a > 0.0):
         raise DomainError(f"a must be a positive real number, got {a!r}")
+    value, expected = _unit_overlap(nu, n, k)
+    return a * a * value, a * a * expected
+
+
+# the validators bound the key to nu <= 10 and n, k <= 20, at most 4,400
+# entries, so the memo needs no eviction; (n, k) and (k, n) stay apart, since
+# their integrands multiply the two factors in opposite orders
+@lru_cache(maxsize=None)
+def _unit_overlap(nu: int, n: int, k: int) -> tuple[float, float]:
     # quadrature loads here, its only use, so a field grid never imports it
     from .quadrature import integrate_adaptive
     zeros = bessel_zeros(nu, max(n, k)).zeros
@@ -358,7 +371,7 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
 
     result = integrate_adaptive(integrand, 0.0, 1.0, abs_tol=1e-10)
     expected = 0.5 * _cached_ladder(nu, xn, False)[1] ** 2 if n == k else 0.0
-    return a * a * result.value, a * a * expected
+    return result.value, expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +398,31 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     ``gamma_scale`` deliberately detunes the eigenvalue (negative-control
     probe); the annular solution is rebuilt so the inner wall stays
     matched and only the outer-wall mismatch shows.
+
+    Once the scale and the geometry are checked, the result is read from
+    an LRU memo of 4,096 entries keyed on (geometry, m, n, p, gamma_scale),
+    so a repeated call costs one lookup. An error is not memoized: the
+    next call raises it again.
     """
     if not (_finite_real(gamma_scale) and gamma_scale > 0.0):
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
-    gamma = radial_eigenvalue(geometry, index.m, index.n) * gamma_scale
-    sol = _build_radial(geometry, index.m, gamma)
-    m = index.m
+    m, n, p = index.m, index.n, index.p
+    # before the memo hashes it: a foreign geometry may not be hashable
+    if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
+        raise GeometryError(f"unsupported geometry {geometry!r}")
+    # a real that cannot key the memo (a 0-d numpy array) is computed afresh
+    residual = _wall_residual if isinstance(gamma_scale, Hashable) else _wall_residual.__wrapped__
+    return residual(geometry, m, n, p, gamma_scale)
+
+
+# plain ints, not the caller's ModeIndex, so the memo pins no caller object;
+# typed, so a scale of 1 and one of 1.0 keep their own entries
+@lru_cache(maxsize=4096, typed=True)
+def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: float) -> float:
+    gamma = radial_eigenvalue(geometry, m, n) * gamma_scale
+    sol = _build_radial(geometry, m, gamma)
     l = geometry.l
-    kz = index.p * math.pi / l
+    kz = p * math.pi / l
     inv_g2 = 1.0 / (gamma * gamma)
     cos_max, sin_max, sin_plate = _axial_maxima(kz, l)
 

@@ -39,9 +39,12 @@ callers read ``_ladder`` directly, because their arguments do not come
 again and their entries would only evict the ones that do: root finding,
 which never evaluates the same argument twice, and the stencil of
 ``fields.helmholtz_residual``, whose points a seeded stream draws afresh
-(its scale grid is ``boundary_residual``'s and stays on the memo). The
-bound is the smallest multiple of 4,096 entries that kept a 20 s
-library-session run within 0.1% of an unbounded memo's hits (CHANGES.md).
+(its scale grid is ``boundary_residual``'s and stays on the memo).
+``fields.orthogonality_check`` and ``fields.boundary_residual`` read it on
+a first call only: each keeps a memo of its own results, so a repeated
+call does not reach the ladder. The bound is the smallest multiple of
+4,096 entries that kept a 20 s library-session run within 0.1% of an
+unbounded memo's hits (CHANGES.md).
 
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.

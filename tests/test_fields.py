@@ -1,6 +1,8 @@
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -8,9 +10,9 @@ from coaxmode import (AnnulusGeometry, CylinderGeometry, FieldPoint, ModeAmplitu
                       ModeIndex, bessel_j, boundary_residual, ez_mode, field_grid,
                       helmholtz_residual, orthogonality_check, radial_solution,
                       superpose, transverse_fields)
-from coaxmode import fields, specfun
+from coaxmode import fields, quadrature, specfun
 from coaxmode.fields import ZERO_SAMPLE
-from coaxmode.errors import DomainError, OrderError
+from coaxmode.errors import DomainError, GeometryError, OrderError
 
 import oracles
 
@@ -440,6 +442,87 @@ class TestProbeArguments:
         # checked before any comparison, under the name the caller passed
         with pytest.raises(DomainError, match=f"^{name} must be an integer"):
             orthogonality_check(nu, n, k, 1.0)
+
+    def test_unhashable_foreign_geometry_is_a_geometry_error(self):
+        # refused before the wall-residual memo would hash it
+        with pytest.raises(GeometryError, match="unsupported geometry"):
+            boundary_residual([1.0, 1.0], ModeIndex(0, 1, 1))
+
+    @pytest.mark.parametrize("a", [-1.0, True])
+    def test_cached_overlap_still_checks_the_radius(self, a):
+        orthogonality_check(0, 1, 1, 1.0)
+        with pytest.raises(DomainError, match="a must be"):
+            orthogonality_check(0, 1, 1, a)
+
+    def test_cached_wall_residual_still_checks_the_scale(self):
+        for geom in (CYL, ANN):
+            boundary_residual(geom, ModeIndex(1, 1, 1))
+            with pytest.raises(DomainError, match="gamma_scale"):
+                boundary_residual(geom, ModeIndex(1, 1, 1), gamma_scale=float("nan"))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a memo hit ran the quadrature")
+
+
+class TestProbeMemo:
+    """A warm repeat of either probe is one lookup with the cold call's bits."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("nu, n, k", [(0, 1, 2), (0, 2, 1), (1, 2, 5), (3, 4, 4)])
+    def test_orthogonality_repeat(self, monkeypatch, nu, n, k, a):
+        fields._unit_overlap.cache_clear()
+        cold = orthogonality_check(nu, n, k, a)
+        monkeypatch.setattr(quadrature, "integrate_adaptive", _refuse)
+        ladder = specfun._cached_ladder.cache_info()
+        warm = orthogonality_check(nu, n, k, a)
+        assert specfun._cached_ladder.cache_info() == ladder
+        assert [v.hex() for v in warm] == [v.hex() for v in cold]
+
+    def test_transposed_overlap_keeps_its_own_bits(self):
+        # t J(x_1 t) J(x_2 t) and t J(x_2 t) J(x_1 t) round differently
+        fields._unit_overlap.cache_clear()
+        transposed = orthogonality_check(0, 2, 1, 1.0)
+        fields._unit_overlap.cache_clear()
+        straight = orthogonality_check(0, 1, 2, 1.0)
+        assert straight[0] != transposed[0]
+        assert orthogonality_check(0, 2, 1, 1.0)[0].hex() == transposed[0].hex()
+
+    @pytest.mark.parametrize("scale", [1, 1.0, 1.01])
+    @pytest.mark.parametrize("geom, idx", [(CYL, ModeIndex(1, 2, 1)), (ANN, ModeIndex(2, 1, 3))])
+    def test_wall_residual_repeat(self, monkeypatch, geom, idx, scale):
+        fields._wall_residual.cache_clear()
+        cold = boundary_residual(geom, idx, scale)
+        monkeypatch.setattr(quadrature, "integrate_adaptive", _refuse)
+        ladder = specfun._cached_ladder.cache_info()
+        warm = boundary_residual(geom, idx, scale)
+        assert specfun._cached_ladder.cache_info() == ladder
+        assert warm.hex() == cold.hex()
+
+    def test_scales_of_each_type_keep_their_own_entries(self):
+        fields._wall_residual.cache_clear()
+        for scale in (1, 1.0, 1, 1.0):
+            boundary_residual(CYL, ModeIndex(1, 1, 1), scale)
+        info = fields._wall_residual.cache_info()
+        assert (info.currsize, info.hits) == (2, 2)
+
+    def test_unhashable_scale_is_computed_afresh(self):
+        class Unhashable(float):
+            __hash__ = None
+
+        fields._wall_residual.cache_clear()
+        got = boundary_residual(ANN, ModeIndex(1, 1, 1), Unhashable(1.01))
+        assert fields._wall_residual.cache_info().currsize == 0
+        assert got.hex() == boundary_residual(ANN, ModeIndex(1, 1, 1), 1.01).hex()
+
+    def test_memo_pins_no_mode_index(self):
+        fields._wall_residual.cache_clear()
+        idx = ModeIndex(2, 2, 2)
+        boundary_residual(CYL, idx)
+        ref = weakref.ref(idx)
+        del idx
+        gc.collect()
+        assert ref() is None
 
 
 class TestRadialValue:
