@@ -162,12 +162,13 @@ def _jm_first_zero_floor(m: int) -> float:
     return max(0.3, 0.99 * math.sqrt(m * (m + 2.0))) if m else 0.3
 
 
-# key -> (rows, lock); rows are (root, residual) pairs, only ever appended
-_tables: dict[tuple, tuple[list[tuple[float, float]], threading.Lock]] = {}
+# key -> (rows, lock); rows are (root, residual) pairs, or (root, residual,
+# Phi') for an annulus, only ever appended
+_tables: dict[tuple, tuple[list[tuple[float, ...]], threading.Lock]] = {}
 
 
 def _rows(key: tuple, count: int,
-          extend: Callable[[list, int], None]) -> list[tuple[float, float]]:
+          extend: Callable[[list, int], None]) -> list[tuple[float, ...]]:
     """The live rows of table ``key``, holding at least ``count`` entries.
 
     The first ``count`` rows stay valid after the lock is released, and a
@@ -303,13 +304,16 @@ def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
             math.sqrt(k2 + max(q_a, q_b)) * (1.0 + slack))
 
 
-def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, float]],
-                        count: int) -> None:
+def _extend_cross_table(m: int, a: float, b: float,
+                        table: list[tuple[float, float, float]], count: int) -> None:
     """Append roots until ``table`` holds ``count``, each from the root below
-    it and its own Sturm window alone (module docstring)."""
+    it and its own Sturm window alone (module docstring).
+
+    A row is (root, residual, Phi'), all three from the polish's last
+    evaluation; Phi' sets the next root's start, so a table grown one root
+    per call costs no more evaluations than one grown in a single call.
+    """
     d = _cross_determinant(m, a, b)
-    if table:
-        slope = d(table[-1][0])[2]  # Phi' at the root below, as a one-call table has it
     while len(table) < count:
         n = len(table) + 1
         sign = -1.0 if n % 2 else 1.0  # (-1)^n
@@ -322,7 +326,8 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
         previous = table[-1][0] if table else 0.0
         lo, hi = _sturm_window(m, a, b, n)
         # root 1 lies above j_m1/b: the annulus lies inside the disk of radius b
-        start = previous + math.pi / slope if table else max(lo, _bessel_rows(m, 1)[0][0] / b)
+        start = (previous + math.pi / table[-1][2] if table
+                 else max(lo, _bessel_rows(m, 1)[0][0] / b))
         root, (_, slope, det, scale) = _polish(phase, previous, hi, -math.pi, math.pi, start)
         residual = abs(det)
         if residual > 1e-10 * scale:
@@ -334,7 +339,7 @@ def _extend_cross_table(m: int, a: float, b: float, table: list[tuple[float, flo
                 f"cross-product root {root!r} for m={m} lies outside the Sturm window "
                 f"[{lo!r}, {hi!r}] of index {n}")
         _check_increasing(root, previous, f"cross-product root {n} for m={m}")
-        table.append((root, residual))
+        table.append((root, residual, slope))
 
 
 def _check_walls(a: float, b: float) -> tuple[float, float]:
@@ -354,8 +359,8 @@ def _check_walls(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float]]:
-    """Live (gamma, residual) rows of the annulus a < rho < b, at least ``count``.
+def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, float, float]]:
+    """Live (gamma, residual, Phi') rows of the annulus a < rho < b, at least ``count``.
 
     The walls are floats that ``_check_walls`` has passed.
     """
@@ -377,6 +382,6 @@ def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
     a, b = _check_walls(a, b)
     rows = _cross_rows(m, a, b, count)[:count]
     return ZeroTable(m=m, kind="annulus",
-                     zeros=tuple(r for r, _ in rows),
-                     residuals=tuple(res for _, res in rows),
+                     zeros=tuple(row[0] for row in rows),
+                     residuals=tuple(row[1] for row in rows),
                      geometry_tag=(a, b))

@@ -145,40 +145,64 @@ def _series_is_safe(m: int, x: float) -> bool:
 # Backward recurrence (normalized by J_0 + 2*sum J_{2k} = 1)
 # ---------------------------------------------------------------------------
 
+def _miller_start(m: int, x: float) -> int:
+    """The even order where ``_miller``'s backward run starts, for 1 <= x < 57.
+
+    Past max(m+1, x) the orders J_k fall faster than geometrically, so
+    c x^(1/3) + d orders above it the error of starting from nothing falls
+    below double precision at orders m and m+1. (c, d) = (11, 6) is the
+    cheapest pair of a seeded 8,000-point scan of the backward regime
+    (CHANGES.md) whose start error, the run taken in 30-digit arithmetic,
+    stays below 1e-17 of README's normalization for J and for N, and
+    whose double-precision errors were no worse than those of the earlier
+    start, 14 x^(1/3) + 22 orders up.
+    """
+    start = max(m + 1, int(x)) + int(11.0 * max(1.0, x) ** (1.0 / 3.0)) + 6
+    return start + start % 2
+
+
 # weights of the mid-range N_0 and N_1 sums by order k of the backward run:
 # N_0 takes 4 (-1)^(k/2+1)/k at even k; N_1 takes 1 at k = 1 and
 # (-1)^i (2i+1)/(i(i+1)) at k = 2i+1, the sum of (-1)^(i+1) (J_2i-1 - J_2i+1)/i
-# by parts. The with-N run starts at order 110 at most (m = 50, x just
-# below 18).
+# by parts. A run reads them below its start, and the with-N run starts
+# highest at m = 50, x just below 18.
+_N_WEIGHTS_LEN = _miller_start(ORDER_MAX, math.nextafter(_ASYM_MIN_X, 0.0))
 _N0_WEIGHTS = tuple(4.0 * (-1) ** (k // 2 + 1) / k if k and k % 2 == 0 else 0.0
-                    for k in range(110))
+                    for k in range(_N_WEIGHTS_LEN))
 _N1_WEIGHTS = (0.0, 1.0) + tuple((-1) ** (k // 2) * k / ((k // 2) * (k // 2 + 1))
-                                 if k % 2 else 0.0 for k in range(2, 110))
+                                 if k % 2 else 0.0 for k in range(2, _N_WEIGHTS_LEN))
 
 
 def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     """(J_m, J_{m+1}) from one backward-recurrence run; with_n, also (N_0, N_1).
 
-    The run steps two orders at a time from an even start above both m
-    and x, so every second value is an even order and enters the
-    normalization sum without a parity test. It starts at 1e-30 and needs
-    no rescaling: it runs only for 1 <= x < 57 and m <= 50, where its
-    values stay below ~1e131. With ``with_n`` (1 <= x < 18) the same loop
-    sums N_0 = (2/pi) [lg J_0 + sum w0_k J_k] and N_1 = (2/pi) [lg J_1 -
+    The run steps two orders at a time from the even order
+    ``_miller_start`` gives, above both m and x, so every second value is
+    an even order and enters the normalization sum without a parity test.
+    Only the steps from order hi down test for a kept order. It starts at
+    1e-30 and needs no rescaling: it runs only for 1 <= x < 57 and
+    m <= 50, where its values stay below ~1e87 (below ~1e34 at the
+    arguments the ladder passes it). With ``with_n`` (1 <= x < 18) the same
+    loop sums N_0 = (2/pi) [lg J_0 + sum w0_k J_k] and N_1 = (2/pi) [lg J_1 -
     J_0/x - sum w1_k J_k], with lg = ln(x/2) + gamma, whose terms stay
     below ~0.4 and alternate mildly: no cancellation amplification at any
     x. J has the same bits either way; for N_0 and N_1 alone, m = 0.
     """
-    start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
-    start += start % 2
     hi = m + 1 + (m + 1) % 2        # the even order at or just above m+1
     lo = hi - 2                     # kept: J_{hi+1}, J_hi, J_{hi-1}, J_lo
     two_over_x = 2.0 / x
     jp, jc, norm = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of 2 J_2i over 2i >= k
-    k = start
+    k = _miller_start(m, x)
     if with_n:
         s0 = s1 = 0.0               # the N_0 and N_1 sums over orders above k
-        kept = []
+        while k > hi:
+            jp = k * two_over_x * jc - jp
+            jc = (k - 1) * two_over_x * jp - jc
+            k -= 2
+            norm += 2.0 * jc
+            s0 += _N0_WEIGHTS[k] * jc
+            s1 += _N1_WEIGHTS[k + 1] * jp
+        kept = [jp, jc]
         while k > 2:
             jp = k * two_over_x * jc - jp
             jc = (k - 1) * two_over_x * jp - jc
@@ -186,7 +210,7 @@ def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
             norm += 2.0 * jc
             s0 += _N0_WEIGHTS[k] * jc
             s1 += _N1_WEIGHTS[k + 1] * jp
-            if lo <= k <= hi:
+            if k == lo:
                 kept += (jp, jc)
     else:
         while k > hi:

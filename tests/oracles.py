@@ -53,6 +53,11 @@ def ladder_midrange_reference() -> list[dict]:
     return _tables["ladder_midrange_reference"]
 
 
+def backward_reference() -> list[dict]:
+    """Probes of the same form where the backward run serves the ladder, seams included."""
+    return _tables["backward_reference"]
+
+
 # textbook anchor values, quoted to double precision
 X01 = 2.404825557695773
 X02 = 5.520078110286311

@@ -687,13 +687,14 @@ def test_long_field_axis_streams_in_flat_memory():
         "raise SystemExit(main(['field', '--cavity', 'cylinder', '--b', '1', '--l', '1',\n"
         "                       '--mode', '1,1,1', '--sign', '+', '--rho', '0.5:0.5:1',\n"
         "                       '--phi', '1:1:1', '--z', '0:1:262144', '--format', 'json']))\n")
-    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    objects, last = 0, b""
-    while chunk := proc.stdout.read(1 << 20):
-        objects += chunk.count(b"{")
-        last = (last + chunk)[-16:]
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0, stderr
+    # the with block closes both pipes and reaps the child, also on a failure
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        objects, last = 0, b""
+        while chunk := proc.stdout.read(1 << 20):
+            objects += chunk.count(b"{")
+            last = (last + chunk)[-16:]
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, stderr
     assert objects == 2 + 262_144  # the document, its params and one object per row
     assert last.endswith(b"\n    }\n  ]\n}\n")

@@ -376,29 +376,52 @@ class TestSturmWindows:
         assert cross_product_zeros(m, a, b, 2).zeros == (first, second)
 
 
+def _count_determinant_evaluations(monkeypatch) -> list[int]:
+    """Patch roots._cross_determinant so that each evaluation adds 1 to the list's entry."""
+    real = roots._cross_determinant
+    calls = [0]
+
+    def counting(m, a, b):
+        d = real(m, a, b)
+
+        def wrapped(g):
+            calls[0] += 1
+            return d(g)
+        return wrapped
+
+    monkeypatch.setattr(roots, "_cross_determinant", counting)
+    return calls
+
+
 class TestScanCost:
     def test_determinant_evaluations_per_root(self, monkeypatch):
-        real = roots._cross_determinant
-        calls = [0]
-
-        def counting(m, a, b):
-            d = real(m, a, b)
-
-            def wrapped(g):
-                calls[0] += 1
-                return d(g)
-            return wrapped
-
         keys = [("ann", m, 1.0, 2.0) for m in range(21)]
         for key in keys:
             roots._tables.pop(key, None)
-        monkeypatch.setattr(roots, "_cross_determinant", counting)
+        calls = _count_determinant_evaluations(monkeypatch)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
-        # every call counts: each Newton step, and the Phi' read when a call
-        # resumes a table; the residual's scale and the next root's start
-        # come with the polished root's own evaluation
+        # every call counts, each Newton step included; the residual's scale
+        # and the next root's start come with the polished root's own
+        # evaluation
         assert calls[0] / (21 * 20) <= 4.0
+
+    def test_growing_a_table_root_by_root_costs_what_one_call_costs(self, monkeypatch):
+        # a resumed table starts its next root from the Phi' its last row
+        # keeps, so it evaluates nothing at the root below again
+        calls = _count_determinant_evaluations(monkeypatch)
+
+        def grow(m, one_at_a_time):
+            key = ("ann", m, 1.0, 2.0)
+            roots._tables.pop(key, None)
+            calls[0] = 0
+            for count in range(1, 21) if one_at_a_time else (20,):
+                cross_product_zeros(m, 1.0, 2.0, count)
+            rows = [tuple(v.hex() for v in row) for row in roots._tables.pop(key)[0]]
+            return calls[0], rows
+
+        for m in (0, 3, 20):
+            assert grow(m, True) == grow(m, False), m
 
     def test_ladder_runs_per_bessel_zero(self, monkeypatch):
         # a J zero costs its two bracket checks and a few Newton steps, each

@@ -212,15 +212,15 @@ class TestRecursionProperty:
                     assert d == pytest.approx(fd, rel=1e-6), (fam, m, x)
 
 
-def _assert_readme_bounds(probes):
-    # J within 1e-13 of the amplitude sqrt(2/(pi max(x, 1))), N within
-    # 1e-14 of max(|N|, amplitude), at orders m and m+1 of one ladder run
+def _assert_readme_bounds(probes, j_tol=1e-13):
+    # J within 1e-13 (or j_tol) of the amplitude sqrt(2/(pi max(x, 1))), N
+    # within 1e-14 of max(|N|, amplitude), at orders m and m+1 of one ladder run
     for probe in probes:
         m, x = probe["m"], probe["x"]
         amp = math.sqrt(2.0 / (math.pi * max(x, 1.0)))
         values = specfun._ladder(m, x, True)
         for got, ref in zip(values[:2], probe["j"]):
-            assert abs(got - ref) <= 1e-13 * amp, (m, x, got, ref)
+            assert abs(got - ref) <= j_tol * amp, (m, x, got, ref)
         for got, ref in zip(values[2:], probe["n"]):
             assert abs(got - ref) <= 1e-14 * max(abs(ref), amp), (m, x, got, ref)
 
@@ -240,12 +240,39 @@ class TestLadderOracle:
         assert backward >= 100, backward
         _assert_readme_bounds(probes)
 
+    def test_backward_run_within_ten_times_tighter_bounds(self, monkeypatch):
+        # every probe runs _miller, both for J (1 <= x < 57) and for N (x < 18),
+        # seams included; a start too shallow for double precision shows here
+        # long before it reaches the README bound
+        probes = oracles.backward_reference()
+        assert len(probes) == 300
+        real = specfun._miller
+        runs = []
+
+        def counted(m, x, with_n):
+            runs.append((m, x, with_n))
+            return real(m, x, with_n)
+
+        monkeypatch.setattr(specfun, "_miller", counted)
+        for probe in probes:
+            m, x = probe["m"], probe["x"]
+            del runs[:]
+            specfun._ladder(m, x, True)
+            assert runs, (m, x)
+        j_runs = sum(not specfun._series_is_safe(p["m"], p["x"]) for p in probes)
+        assert j_runs >= 200, j_runs
+        assert sum(p["x"] >= 18.0 for p in probes) >= 100
+        _assert_readme_bounds(probes, j_tol=1e-14)
+
     def test_n_weights_cover_the_largest_with_n_start(self):
-        # the run that sums N_0 and N_1 starts highest at m = 50, x just below 18
+        # the run that sums N_0 and N_1 reads the weights below its start, and
+        # starts highest at m = 50, x just below 18
         m, x = ORDER_MAX, math.nextafter(18.0, 0.0)
-        start = max(m + 1, int(x)) + int(14.0 * max(1.0, x) ** (1.0 / 3.0)) + 22
-        assert start + start % 2 == 110
-        assert len(specfun._N0_WEIGHTS) == len(specfun._N1_WEIGHTS) == 110
+        start = specfun._miller_start(m, x)
+        assert len(specfun._N0_WEIGHTS) == len(specfun._N1_WEIGHTS) == start
+        starts = [specfun._miller_start(k, 1.0 + i / 64.0)
+                  for k in range(ORDER_MAX + 1) for i in range(17 * 64)]
+        assert max(starts) <= start
         assert not specfun._series_is_safe(m, x)
         assert all(math.isfinite(v) for v in specfun._ladder(m, x, True))
 

@@ -15,6 +15,12 @@ The oracles here are deliberately independent of the package under test:
   (m <= 50, 1e-3 <= x <= 1e4, log-uniform in x) from mpmath besselj and
   bessely in 30-digit arithmetic, and 300 more, with their own seed, at
   1 <= x < 18 (uniform in x), where N comes from the backward run.
+* Backward-run reference values: 300 more of the same form, with a third
+  seed, where the backward run serves the ladder: 100 at 1 <= x < 18,
+  where it gives N (and J where the series does not), 100 at
+  18 <= x < 57 with m+1 >= 0.9 x, where it gives J, and 100 on the seams
+  where its start is highest, m 40-50 at x 45-57 and m 25-50 at
+  1 <= x < 18.
 
 Run from the repository root:  python tests/tools/gen_oracle_tables.py
 """
@@ -40,6 +46,8 @@ LADDER_SEED = 20261018
 LADDER_POINTS = 400
 MIDRANGE_SEED = 20261019
 MIDRANGE_POINTS = 300
+BACKWARD_SEED = 20261020
+BACKWARD_GROUP = 100
 
 
 def j_series(m: int, x) -> mpf:
@@ -113,19 +121,39 @@ def neumann_limit_series(m: int, x) -> mpf:
     return term_log + term_finite - (1 / mp.pi) * (x / 2) ** m * series
 
 
-def ladder_reference(count: int, seed: int, draw_x) -> list[dict]:
-    """Seeded (m, x) points with [J_m, J_{m+1}] and [N_m, N_{m+1}]."""
-    rng = random.Random(seed)
+def reference_probes(points) -> list[dict]:
+    """[J_m, J_{m+1}] and [N_m, N_{m+1}] at each (m, x), in 30-digit arithmetic."""
     probes = []
     with mp.workdps(30):
-        for _ in range(count):
-            m = rng.randint(0, 50)
-            x = draw_x(rng)
+        for m, x in points:
             arg = mpf(x)
             probes.append({"m": m, "x": x,
                            "j": [float(besselj(m, arg)), float(besselj(m + 1, arg))],
                            "n": [float(bessely(m, arg)), float(bessely(m + 1, arg))]})
     return probes
+
+
+def ladder_reference(count: int, seed: int, draw_x) -> list[dict]:
+    """Seeded (m, x) points, m uniform in 0..50, with their reference values."""
+    rng = random.Random(seed)
+    return reference_probes([(rng.randint(0, 50), draw_x(rng)) for _ in range(count)])
+
+
+def backward_points(count: int, seed: int) -> list[tuple[int, float]]:
+    """Seeded (m, x) where the backward run serves the ladder, in four groups."""
+    rng = random.Random(seed)
+
+    def draw(m_lo, m_hi, x_lo, x_hi, n):
+        points = []
+        while len(points) < n:
+            m, x = rng.randint(m_lo, m_hi), rng.uniform(x_lo, x_hi)
+            # from x = 18 on the run gives J only where the upward climb does not
+            if x < 18.0 or m + 1 >= 0.9 * x:
+                points.append((m, x))
+        return points
+
+    return (draw(0, 50, 1.0, 18.0, count) + draw(0, 50, 18.0, 57.0, count)
+            + draw(40, 50, 45.0, 57.0, count // 2) + draw(25, 50, 1.0, 18.0, count // 2))
 
 
 def main() -> None:
@@ -151,6 +179,7 @@ def main() -> None:
             LADDER_POINTS, LADDER_SEED, lambda rng: 10.0 ** rng.uniform(-3.0, 4.0)),
         "ladder_midrange_reference": ladder_reference(
             MIDRANGE_POINTS, MIDRANGE_SEED, lambda rng: rng.uniform(1.0, 18.0)),
+        "backward_reference": reference_probes(backward_points(BACKWARD_GROUP, BACKWARD_SEED)),
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
