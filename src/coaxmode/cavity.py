@@ -156,15 +156,15 @@ def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
     (n - 1/4) pi), and in the annulus fewer than n once Sturm window n of
     order 0 starts above k (root n of every order lies above the low end
     of that window); a tower holds at most k l/pi + 2 axial indices. A
-    closed-form lower bound on gamma_{M,1} (the J_M zero floor, or the
-    first Sturm window's low end) rules most cutoffs out before that
+    closed-form lower bound on gamma_{M,1}, the low end of the first window
+    of J_M's zeros or of the annulus, rules most cutoffs out before that
     eigenvalue is computed.
     """
     top = roots.ORDER_MAX
     k = omega_max / C_LIGHT
     if isinstance(geometry, CylinderGeometry):
         radial = k * geometry.b / math.pi + 1.0
-        floor = roots._jm_first_zero_floor(top) / geometry.b
+        floor = roots._bessel_window(top, 1, 0.0)[0] / geometry.b
     elif isinstance(geometry, AnnulusGeometry):
         a, b = geometry.a, geometry.b
         # window n of order 0 starts near sqrt((n pi/(b-a))^2 - 1/(4a^2)); the

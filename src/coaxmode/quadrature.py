@@ -48,10 +48,12 @@ def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float, n: int) -> float:
+    # fsum rounds the exact sum once, so every interpreter gives the same
+    # bits (the built-in sum of floats is compensated from Python 3.12 on)
     nodes, weights = gauss_legendre_rule(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
 
 
 @_record

@@ -12,29 +12,39 @@ Two families are located here:
   rho = a and rho = b. gamma = 0 is excluded (the limit of D at 0+ is
   finite and nonzero, and the corresponding radial solution is trivial).
 
-J_m zeros are bracketed by sign changes. McMahon guesses accelerate the
-scan where they are reliable (certified by the expected sign pattern), and
-a march with a step of 1.0 covers everything else; consecutive zeros are
-at least j_02 - j_01 = 3.115 apart, so no bracket holds two.
+Both families are found on a phase, by one loop (``_extend_table``).
+With J_m = M cos theta and N_m = M sin theta (DLMF 10.18), theta rises
+with x at theta' = 2/(pi x M^2), and
 
-Cross-product roots are found on the wall phase. With J_m = M cos theta
-and N_m = M sin theta (DLMF 10.18), theta rises with x, and
-
+    J_m(x) = -M sin Phi,     Phi(x) = theta(x) + pi/2,
     D = -M_a M_b sin Phi,    Phi(gamma) = theta(gamma b) - theta(gamma a),
 
-with M_a, theta_a at gamma a and M_b, theta_b at gamma b. Phi rises from 0
-at gamma = 0+ with slope Phi' = (2/(pi gamma)) (1/M_b^2 - 1/M_a^2) > 0 (M
-falls with x), so root n is where Phi = n pi. With C = M_a M_b cos Phi,
-the residual r = atan2((-1)^(n+1) D, (-1)^n C) equals Phi - n pi from root
+with M_a, theta_a at gamma a and M_b, theta_b at gamma b. Each Phi rises
+from 0 at 0+ (the annulus's at Phi' = (2/(pi gamma)) (1/M_b^2 - 1/M_a^2),
+as M falls with x), so root n is where Phi = n pi: a J_m zero is the
+one-wall cross root. With C = M cos Phi = -N_m resp. M_a M_b cos Phi, the
+residual r = atan2((-1)^(n+1) D, (-1)^n C) equals Phi - n pi from root
 n-1 up to root n+1. Newton on r starts root n >= 2 at
-gamma_{n-1} + pi / Phi'(gamma_{n-1}), Phi' being read off the tuple the
-polish of root n-1 returned (or evaluated once there when a call resumes
-a table), and root 1 at max(lo_1, j_m1/b): the annulus
-lies inside the disk of radius b, so gamma_1 > j_m1/b. The bracket is
-(gamma_{n-1}, hi_n), where r runs from -pi to a positive value; hi_n is
-the top of the Sturm comparison window below. With u = sqrt(rho) R the
-radial equation reads u'' + (gamma^2 - c/rho^2) u = 0 with c = m^2 - 1/4,
-so the n-th root obeys
+x_{n-1} + pi / Phi'(x_{n-1}), Phi' being kept in root n-1's row. The
+bracket is (x_{n-1}, hi_n), x_0 = 0, where r runs from -pi to a positive
+value; hi_n is the top of window n, an interval that provably holds root
+n. Entry n must lie in window n, widened for rounding.
+
+J_m windows. Root 1 lies in [m + |a_1| (m/2)^(1/3), that +
+(3/20) |a_1|^2 (m/2)^(-1/3)] for m >= 1 (Qu and Wong, Trans. AMS 351
+(1999) 2833; a_1 the first zero of Ai), and in [2, 3] for m = 0; Newton
+starts at the low end. For n >= 2, u = sqrt(x) J_m solves
+u'' + (1 - c/x^2) u = 0 with c = m^2 - 1/4, so by Sturm comparison the
+gap after root n-1 = p lies between pi and pi/k, k = sqrt(1 - c/p^2),
+and the top is capped at p + 2 pi. Gaps exceed pi for m >= 1 and the top
+is p + pi for m = 0, so the top lies below root n+1 and the bracket holds
+root n alone, as window 1's does. The cap is not a theorem where
+pi/k > 2 pi (m >= 42 at n = 2); a test holds it for every m and n the
+validators accept. Each window is widened by 4 eps relative.
+
+Annulus windows. Root 1 starts at max(lo_1, j_m1/b): the annulus lies
+inside the disk of radius b, so gamma_1 > j_m1/b. With u = sqrt(rho) R
+the radial equation reads u'' + (gamma^2 - c/rho^2) u = 0, so
 
     (n pi/(b-a))^2 + min(c/a^2, c/b^2) <= gamma_mn^2
                                        <= (n pi/(b-a))^2 + max(c/a^2, c/b^2).
@@ -45,19 +55,16 @@ no zero in the bracket but root n. Where windows overlap (large m with
 small a/b), the index rests on the start: r wraps by 2 pi past root n+1,
 so a start more than pi from n pi would converge to root n +- 2. Over
 m <= 50 and a/b from 1e-3 to 0.999 (first 40 roots) every start lay
-within 0.32 pi of n pi, and within 0.15 pi where windows overlap. Entry n
-must also lie in window n, widened by the determinant's rounding
-(16 eps b/(b-a) relative, see ``_sturm_window``).
+within 0.32 pi of n pi, and within 0.15 pi where windows overlap. The
+window is widened by 16 eps b/(b-a) relative (``_sturm_window``).
 
-Each root is polished by safeguarded Newton (``_polish``) to within eps x
-of the root, a tolerance that scales with the walls. The slope comes from
-the same ladder run as the value (``specfun._ladder``): J'_m = m J_m/x -
-J_{m+1} for J_m zeros, and Phi' from the moduli for cross-product roots.
-Newton starts from the McMahon guess for J_m zeros. Each polished root is
-verified by its residual, scaled by |J_{m+1}| resp. the arch amplitude
-M_a M_b of D (``_cross_determinant``), both from the tuple the polish
-hands back with the root, and by exceeding the entry before it; entries
-are therefore strictly increasing.
+Each root is polished by safeguarded Newton (``_polish``) to within eps x,
+a tolerance that scales with the walls; each evaluation is one ladder run
+per argument (``specfun._ladder``). Each polished root is verified by its
+residual |D|, scaled by min(|J_{m+1}|, 1e-2) resp. D's arch amplitude
+M_a M_b, from the tuple the polish hands back with the root, by lying in
+its window, and by exceeding the entry before it; entries are therefore
+strictly increasing.
 
 Tables live in one process-wide store, ``_tables``, which maps a key to
 the table's rows and its lock. Rows are only appended, so a table that
@@ -93,8 +100,7 @@ class ZeroTable:
     and carry rad/m for kind="annulus" (the eigenvalue gamma itself).
     residuals hold |J_m(x_mn)| resp. |D(gamma_mn)| for each entry.
     The zeros are positive and strictly increasing. Each entry is certified
-    once, as it is appended: ``_check_increasing`` compares it with the
-    entry before it, and the first with 0.0.
+    once, as it is appended (``_extend_table``).
     """
 
     m: int
@@ -149,26 +155,12 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
         x = nxt
 
 
-def _mcmahon_guess(m: int, n: int) -> float:
-    mu = 4.0 * m * m
-    beta = (n + 0.5 * m - 0.25) * math.pi
-    return (beta
-            - (mu - 1.0) / (8.0 * beta)
-            - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
-
-
-def _jm_first_zero_floor(m: int) -> float:
-    # x_{m,1} > sqrt(m (m + 2)); J_m is positive below its first zero
-    return max(0.3, 0.99 * math.sqrt(m * (m + 2.0))) if m else 0.3
-
-
-# key -> (rows, lock); rows are (root, residual) pairs, or (root, residual,
-# Phi') for an annulus, only ever appended
-_tables: dict[tuple, tuple[list[tuple[float, ...]], threading.Lock]] = {}
+# key -> (rows, lock); rows are (root, residual, Phi') triples, only ever appended
+_tables: dict[tuple, tuple[list[tuple[float, float, float]], threading.Lock]] = {}
 
 
 def _rows(key: tuple, count: int,
-          extend: Callable[[list, int], None]) -> list[tuple[float, ...]]:
+          extend: Callable[[list, int], None]) -> list[tuple[float, float, float]]:
     """The live rows of table ``key``, holding at least ``count`` entries.
 
     The first ``count`` rows stay valid after the lock is released, and a
@@ -184,53 +176,47 @@ def _rows(key: tuple, count: int,
     return rows
 
 
-def _check_increasing(root: float, previous: float, what: str) -> None:
-    if not root > previous:
-        raise RootFindingError(f"{what} at {root!r} does not exceed the entry before it")
+def _extend_table(d: Callable[[float], tuple[float, float, float, float]],
+                  window: Callable[[int, float], tuple[float, float]],
+                  first: Callable[[float], float],
+                  table: list[tuple[float, float, float]], count: int, what: str) -> None:
+    """Append the roots of Phi = n pi until ``table`` holds ``count``, each
+    from the root below it and its own window alone (module docstring).
 
-
-def _extend_bessel_table(m: int, table: list[tuple[float, float]], count: int) -> None:
-    """Append zeros of J_m until ``table`` holds ``count``; it may hold more."""
-    def f(x: float) -> tuple[float, float, float]:
-        # (J_m, J'_m, J_{m+1}) from one ladder run
-        jm, jm1 = _ladder(m, x, False)
-        return jm, _slope(m, x, jm, jm1), jm1
-
+    d(x) is (D, C, Phi', scale) with (D, C) = A (-sin Phi, cos Phi) for
+    some A > 0; a root passes if |D| <= 1e-10 scale. window(n, previous)
+    is the interval [lo, hi] that holds root n, given root n-1 at
+    ``previous``, and first(lo) is root 1's Newton start. A row is (root,
+    residual, Phi'), all three from the polish's last evaluation; Phi' sets
+    the next root's start, so a table grown one root per call costs no
+    more evaluations than one grown in a single call.
+    """
     while len(table) < count:
         n = len(table) + 1
-        expected_lo_sign = 1.0 if n % 2 else -1.0  # sign of J_m just below zero n
-        guess = _mcmahon_guess(m, n)
-        bracket = None
-        lo = guess - 1.3
-        hi = guess + 1.3
-        if lo > (table[-1][0] if table else _jm_first_zero_floor(m)):
-            flo, fhi = f(lo)[0], f(hi)[0]
-            if (math.copysign(1.0, flo) == expected_lo_sign
-                    and (flo > 0.0) != (fhi > 0.0)):
-                bracket = (lo, hi, flo, fhi)
-        if bracket is None:
-            # march from the last confirmed zero; consecutive zeros are at
-            # least j_02 - j_01 = 3.115 apart, so a step of 1.0 holds one at most
-            x = (table[-1][0] + 0.25) if table else _jm_first_zero_floor(m)
-            fx = f(x)[0]
-            while True:
-                x2 = x + 1.0
-                fx2 = f(x2)[0]
-                if fx == 0.0 or (fx > 0.0) != (fx2 > 0.0):
-                    bracket = (x, x2, fx, fx2)
-                    break
-                x, fx = x2, fx2
-                if x > 1.2e4:
-                    raise RootFindingError(f"scan for zero {n} of J_{m} left the envelope")
-        root, (jm, _, jm1) = _polish(f, *bracket, guess)
-        residual = abs(jm)
-        slope = abs(jm1)  # |J'_m| = |J_{m+1}| at a zero
-        if residual > 1e-12 or residual > 1e-10 * max(slope, 1e-30):
+        sign = -1.0 if n % 2 else 1.0  # (-1)^n
+
+        def phase(x: float) -> tuple[float, float, float, float]:
+            # Phi - n pi, exact between roots n-1 and n+1, then Phi', D, scale
+            det, c, phi_slope, scale = d(x)
+            return math.atan2(-sign * det, sign * c), phi_slope, det, scale
+
+        previous = table[-1][0] if table else 0.0
+        lo, hi = window(n, previous)
+        start = previous + math.pi / table[-1][2] if table else first(lo)
+        root, (_, slope, det, scale) = _polish(phase, previous, hi, -math.pi, math.pi, start)
+        residual = abs(det)
+        if residual > 1e-10 * scale:
             raise RootFindingError(
-                f"zero {n} of J_{m} failed verification: |J|={residual:.2e}, "
-                f"Newton bound {residual / max(slope, 1e-30):.2e}")
-        _check_increasing(root, table[-1][0] if table else 0.0, f"zero {n} of J_{m}")
-        table.append((root, residual))
+                f"root {n} of {what} near {root:.6g} failed verification: "
+                f"|D|={residual:.2e} vs scale {scale:.2e}")
+        if not lo <= root <= hi:
+            raise RootFindingError(
+                f"root {n} of {what} at {root!r} lies outside its Sturm window "
+                f"[{lo!r}, {hi!r}]")
+        if not root > previous:
+            raise RootFindingError(
+                f"root {n} of {what} at {root!r} does not exceed the entry before it")
+        table.append((root, residual, slope))
 
 
 def _check_order_and_count(m: int, count: int) -> None:
@@ -238,23 +224,64 @@ def _check_order_and_count(m: int, count: int) -> None:
     _integer(count, "count", 1, COUNT_MAX)
 
 
-def _bessel_rows(m: int, count: int) -> list[tuple[float, float]]:
-    """Live (zero, residual) rows of J_m, at least ``count`` of them."""
+def _bessel_determinant(m: int) -> Callable[[float], tuple[float, float, float, float]]:
+    """x -> (-J_m, -N_m, Phi', min(|J_{m+1}|, 1e-2)), from one ladder run.
+
+    With that scale the residual check is |J_m| <= 1e-12 and a Newton-step
+    error bound |J_m|/|J'_m| <= 1e-10 (|J'_m| = |J_{m+1}| at a zero).
+    """
+    def d(x: float) -> tuple[float, float, float, float]:
+        jm, jm1, nm, _ = _ladder(m, x, True)
+        modulus = math.hypot(jm, nm)
+        return -jm, -nm, 2.0 / (math.pi * x * modulus * modulus), min(abs(jm1), 1e-2)
+    return d
+
+
+_AIRY_A1 = 2.338107410459767  # |a_1|, the first zero of the Airy function Ai
+
+
+def _bessel_window(m: int, n: int, previous: float) -> tuple[float, float]:
+    """The interval [lo, hi] that holds zero n of J_m, given zero n-1 at
+    ``previous`` (module docstring).
+
+    Each side is widened by 4 eps relative, for the rounding of
+    ``previous`` and of the zero itself, each within 2 eps relative.
+    """
+    if n > 1:
+        # u = sqrt(x) J_m solves u'' + (1 - c/x^2) u = 0 with c = m^2 - 1/4
+        k = math.sqrt(1.0 - (m * m - 0.25) / (previous * previous))
+        lo = previous + math.pi * min(1.0, 1.0 / k)
+        hi = previous + math.pi * min(max(1.0, 1.0 / k), 2.0)
+    elif m:
+        cube = (0.5 * m) ** (1.0 / 3.0)  # Qu and Wong (1999)
+        lo = m + _AIRY_A1 * cube
+        hi = lo + 0.15 * _AIRY_A1 * _AIRY_A1 / cube
+    else:
+        lo, hi = 2.0, 3.0
+    slack = 4.0 * _EPS
+    return lo * (1.0 - slack), hi * (1.0 + slack)
+
+
+def _bessel_rows(m: int, count: int) -> list[tuple[float, float, float]]:
+    """Live (zero, residual, Phi') rows of J_m, at least ``count`` of them."""
     _check_order_and_count(m, count)
-    return _rows(("cyl", m), count, lambda rows, want: _extend_bessel_table(m, rows, want))
+    return _rows(("cyl", m), count, lambda rows, want: _extend_table(
+        _bessel_determinant(m), lambda n, previous: _bessel_window(m, n, previous),
+        lambda lo: lo, rows, want, f"J_{m}"))
 
 
 def bessel_zeros(m: int, count: int) -> ZeroTable:
     """First ``count`` positive zeros of J_m, each verified in place.
 
     Every entry x satisfies |J_m(x)| <= 1e-12 and a Newton-step error
-    bound below 1e-10. Tables are cached, so repeated calls with growing
+    bound below 1e-10, and entry n lies in the n-th window (module
+    docstring). Tables are cached, so repeated calls with growing
     counts only pay for the extension.
     """
     rows = _bessel_rows(m, count)[:count]
     return ZeroTable(m=m, kind="cylinder",
-                     zeros=tuple(r for r, _ in rows),
-                     residuals=tuple(res for _, res in rows))
+                     zeros=tuple(row[0] for row in rows),
+                     residuals=tuple(row[1] for row in rows))
 
 
 def _cross_determinant(m: int, a: float,
@@ -304,44 +331,6 @@ def _sturm_window(m: int, a: float, b: float, n: int) -> tuple[float, float]:
             math.sqrt(k2 + max(q_a, q_b)) * (1.0 + slack))
 
 
-def _extend_cross_table(m: int, a: float, b: float,
-                        table: list[tuple[float, float, float]], count: int) -> None:
-    """Append roots until ``table`` holds ``count``, each from the root below
-    it and its own Sturm window alone (module docstring).
-
-    A row is (root, residual, Phi'), all three from the polish's last
-    evaluation; Phi' sets the next root's start, so a table grown one root
-    per call costs no more evaluations than one grown in a single call.
-    """
-    d = _cross_determinant(m, a, b)
-    while len(table) < count:
-        n = len(table) + 1
-        sign = -1.0 if n % 2 else 1.0  # (-1)^n
-
-        def phase(g: float) -> tuple[float, float, float, float]:
-            # Phi - n pi, exact between roots n-1 and n+1, then Phi', D, M_a M_b
-            det, c, phi_slope, scale = d(g)
-            return math.atan2(-sign * det, sign * c), phi_slope, det, scale
-
-        previous = table[-1][0] if table else 0.0
-        lo, hi = _sturm_window(m, a, b, n)
-        # root 1 lies above j_m1/b: the annulus lies inside the disk of radius b
-        start = (previous + math.pi / table[-1][2] if table
-                 else max(lo, _bessel_rows(m, 1)[0][0] / b))
-        root, (_, slope, det, scale) = _polish(phase, previous, hi, -math.pi, math.pi, start)
-        residual = abs(det)
-        if residual > 1e-10 * scale:
-            raise RootFindingError(
-                f"cross-product root near {root:.6g} failed verification: "
-                f"|D|={residual:.2e} vs arch scale {scale:.2e}")
-        if not lo <= root <= hi:
-            raise RootFindingError(
-                f"cross-product root {root!r} for m={m} lies outside the Sturm window "
-                f"[{lo!r}, {hi!r}] of index {n}")
-        _check_increasing(root, previous, f"cross-product root {n} for m={m}")
-        table.append((root, residual, slope))
-
-
 def _check_walls(a: float, b: float) -> tuple[float, float]:
     """The walls (a, b) as floats, checked: 0 < a < b, both finite, a/b >= MIN_RADIUS_RATIO."""
     try:
@@ -365,8 +354,11 @@ def _cross_rows(m: int, a: float, b: float, count: int) -> list[tuple[float, flo
     The walls are floats that ``_check_walls`` has passed.
     """
     _check_order_and_count(m, count)
-    return _rows(("ann", m, a, b), count,
-                 lambda rows, want: _extend_cross_table(m, a, b, rows, want))
+    # root 1 lies above j_m1/b: the annulus lies inside the disk of radius b
+    return _rows(("ann", m, a, b), count, lambda rows, want: _extend_table(
+        _cross_determinant(m, a, b), lambda n, _: _sturm_window(m, a, b, n),
+        lambda lo: max(lo, _bessel_rows(m, 1)[0][0] / b), rows, want,
+        f"the m={m} cross product"))
 
 
 def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:

@@ -24,6 +24,11 @@ def bessel_zero_oracle(m: int) -> list[float]:
     return _tables["bessel_zeros"][str(m)]
 
 
+def bessel_first_zeros() -> dict[int, tuple[float, float]]:
+    """(j_{m,1}, j_{m,2}) for m = 0..50, from the frozen 30-digit mpmath run."""
+    return {int(m): tuple(pair) for m, pair in _tables["bessel_first_zeros"].items()}
+
+
 def cross_zero_oracle(m: int, a: float, b: float) -> list[float]:
     """First 10 cross-product roots from the frozen 1e-3 sign-scan run."""
     return _tables["cross_zeros"][f"m={m},a={a},b={b}"]

@@ -86,8 +86,9 @@ class TestBesselZeros:
         assert first.residuals == second.residuals
 
     def test_rejected_entry_leaves_the_table_clean(self, monkeypatch):
-        # a second zero that fails the order check must not enter the table,
-        # where it would break every later read of it
+        # a second zero that fails its checks must not enter the table, where
+        # it would break every later read of it; a repeat of the first zero
+        # lies below window 2, so the window check rejects it
         key = ("cyl", 9)
         real = roots._polish
         calls = []
@@ -99,8 +100,9 @@ class TestBesselZeros:
         roots._tables.pop(key, None)
         try:
             monkeypatch.setattr(roots, "_polish", repeat_first)
-            with pytest.raises(RootFindingError, match="does not exceed"):
+            with pytest.raises(RootFindingError, match="Sturm window"):
                 bessel_zeros(9, 2)
+            assert len(roots._tables[key][0]) == 1
             monkeypatch.setattr(roots, "_polish", real)
             assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1][0], abs=1e-14)
         finally:
@@ -117,18 +119,73 @@ class TestBesselZeros:
             bessel_zeros(0, 1001)
 
 
+class TestBesselWindows:
+    def test_every_zero_lies_in_its_window_below_the_next(self):
+        # zero n lies in window n, whose top lies below zero n+1, so each
+        # bracket holds one zero and the index is certified; the top's cap
+        # at p + 2 pi is no theorem where pi/k > 2 pi (m >= 42 at n = 2),
+        # so every order and count the validators accept is checked
+        for m in range(roots.ORDER_MAX + 1):
+            zeros = bessel_zeros(m, roots.COUNT_MAX).zeros
+            previous = 0.0
+            for n, root in enumerate(zeros, 1):
+                lo, hi = roots._bessel_window(m, n, previous)
+                assert lo <= root <= hi, (m, n)
+                if n < len(zeros):
+                    assert hi < zeros[n], (m, n)
+                previous = root
+
+    def test_first_windows_hold_the_first_zero_alone(self):
+        # against 30-digit zeros: window 1 (Qu and Wong for m >= 1, [2, 3]
+        # for m = 0) holds j_{m,1}, and its top lies below j_{m,2}
+        pairs = oracles.bessel_first_zeros()
+        assert sorted(pairs) == list(range(roots.ORDER_MAX + 1))
+        for m, (first, second) in pairs.items():
+            lo, hi = roots._bessel_window(m, 1, 0.0)
+            assert lo < first < hi < second, m
+
+    def test_planted_phase_turn_raises(self, monkeypatch):
+        # a phase an eighth of a turn ahead has its zero below window 1, where
+        # the residual check passes it: the window check must reject it and
+        # leave the table empty
+        m = 3
+        key = ("cyl", m)
+        whole = bessel_zeros(m, 2).zeros
+        real = roots._bessel_determinant
+
+        def ahead(m):
+            d = real(m)
+            half = math.sqrt(0.5)
+
+            def planted(x):
+                # (D, C) = M (-sin Phi, cos Phi), turned to Phi + pi/4
+                det, c, slope, scale = d(x)
+                return (det - c) * half, (c + det) * half, slope, scale
+            return planted
+
+        roots._tables.pop(key, None)
+        try:
+            monkeypatch.setattr(roots, "_bessel_determinant", ahead)
+            with pytest.raises(RootFindingError, match="Sturm window"):
+                bessel_zeros(m, 1)
+            assert roots._tables[key][0] == []
+        finally:
+            monkeypatch.undo()
+            roots._tables.pop(key, None)
+        assert bessel_zeros(m, 2).zeros == whole
+
+
 class TestBracketDefense:
-    def test_root_gaps_exceed_the_scan_step(self):
-        # consecutive roots stay more than 0.4 pi/(b-a) apart (gamma = 0
-        # below root 1); the smallest gap measured over m <= 50 and a/b from
-        # 1e-3 to 0.999 is 0.444 pi/(b-a). No step relies on it: the index
-        # rests on the Newton start (test below) and the Sturm windows
-        for m in (0, 10, 30, 50):
-            for ratio in (1e-3, 0.01, 0.5, 0.79, 0.99, 0.999):
-                a, b = ratio, 1.0
-                zeros = (0.0,) + cross_product_zeros(m, a, b, 20).zeros
-                gap = min(hi - lo for lo, hi in zip(zeros, zeros[1:]))
-                assert gap > 0.4 * math.pi / (b - a), (m, ratio)
+    def test_bessel_gaps_obey_sturm_comparison(self):
+        # u = sqrt(x) J_m solves u'' + (1 - c/x^2) u = 0, c = m^2 - 1/4, so the
+        # gap after a zero p lies between pi and pi/k, k = sqrt(1 - c/p^2):
+        # what makes window n+1 hold zero n+1 and window n's top lie below it
+        for m in (0, 1, 10, 30, 42, 50):
+            zeros = bessel_zeros(m, 200).zeros
+            c = m * m - 0.25
+            for p, q in zip(zeros, zeros[1:]):
+                bound = math.pi / math.sqrt(1.0 - c / (p * p))
+                assert min(math.pi, bound) < q - p < max(math.pi, bound), (m, p)
 
     def test_newton_starts_within_a_quarter_turn(self, monkeypatch):
         # the phase residual Phi - n pi wraps by 2 pi past root n+1, so where
@@ -141,8 +198,7 @@ class TestBracketDefense:
         starts = []
 
         def spy(f, lo, hi, flo, fhi, x):
-            if flo == -math.pi:  # a cross-product root, not the J_m zero for root 1
-                starts.append((x, f(x)[0]))
+            starts.append((x, f(x)[0]))
             return real(f, lo, hi, flo, fhi, x)
 
         monkeypatch.setattr(roots, "_polish", spy)
@@ -151,6 +207,7 @@ class TestBracketDefense:
             ratio = math.exp(rng.uniform(math.log(1e-3), math.log(0.999)))
             key = ("ann", m, ratio, 1.0)
             roots._tables.pop(key, None)
+            bessel_zeros(m, 1)  # root 1's start reads j_m1; its polish is not counted
             starts.clear()
             try:
                 zeros = (0.0,) + cross_product_zeros(m, ratio, 1.0, 21).zeros
@@ -424,8 +481,8 @@ class TestScanCost:
             assert grow(m, True) == grow(m, False), m
 
     def test_ladder_runs_per_bessel_zero(self, monkeypatch):
-        # a J zero costs its two bracket checks and a few Newton steps, each
-        # one ladder run that also supplies the slope and J_{m+1}
+        # a J zero costs a few Newton steps on the phase, each one ladder run
+        # that also supplies N_m for the phase and its slope, and J_{m+1}
         real = roots._ladder
         calls = [0]
 
@@ -444,7 +501,7 @@ class TestScanCost:
             monkeypatch.undo()
             for key in keys:
                 roots._tables.pop(key, None)
-        assert calls[0] / (51 * 100) <= 6.0
+        assert calls[0] / (51 * 100) <= 3.5
 
     def test_small_walls_scale_exactly(self):
         # walls 1e5 times smaller scale every root by 1e5; the scan must not

@@ -21,6 +21,8 @@ The oracles here are deliberately independent of the package under test:
   18 <= x < 57 with m+1 >= 0.9 x, where it gives J, and 100 on the seams
   where its start is highest, m 40-50 at x 45-57 and m 25-50 at
   1 <= x < 18.
+* First two J_m zeros for m = 0..50: mpmath besseljzero in 30-digit
+  arithmetic, which brackets the first window of each order.
 
 Run from the repository root:  python tests/tools/gen_oracle_tables.py
 """
@@ -30,7 +32,7 @@ import pathlib
 import random
 
 import numpy as np
-from mpmath import besselj, bessely, factorial, log, mp, mpf, psi
+from mpmath import besselj, besseljzero, bessely, factorial, log, mp, mpf, psi
 from scipy.optimize import brentq
 from scipy.special import jv, yv
 
@@ -139,6 +141,13 @@ def ladder_reference(count: int, seed: int, draw_x) -> list[dict]:
     return reference_probes([(rng.randint(0, 50), draw_x(rng)) for _ in range(count)])
 
 
+def first_zero_pairs() -> dict[str, list[float]]:
+    """[j_{m,1}, j_{m,2}] for m = 0..50, in 30-digit arithmetic."""
+    with mp.workdps(30):
+        return {str(m): [float(besseljzero(m, 1)), float(besseljzero(m, 2))]
+                for m in range(51)}
+
+
 def backward_points(count: int, seed: int) -> list[tuple[int, float]]:
     """Seeded (m, x) where the backward run serves the ladder, in four groups."""
     rng = random.Random(seed)
@@ -180,6 +189,7 @@ def main() -> None:
         "ladder_midrange_reference": ladder_reference(
             MIDRANGE_POINTS, MIDRANGE_SEED, lambda rng: rng.uniform(1.0, 18.0)),
         "backward_reference": reference_probes(backward_points(BACKWARD_GROUP, BACKWARD_SEED)),
+        "bessel_first_zeros": first_zero_pairs(),
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
