@@ -15,8 +15,8 @@ that layer defines, so ``python -m coaxmode zeros`` loads specfun and roots
 only, and ``--version`` loads no layer at all.
 
 All public operations are pure functions of their arguments (caches are
-internal; bounded LRU memos and append-only root tables), so everything
-here is safe to use from multiple threads.
+internal and bounded, and ``clear_caches()`` empties them all), so
+everything here is safe to use from multiple threads.
 """
 
 from importlib import import_module
@@ -37,6 +37,7 @@ _ORIGIN = {
                      "helmholtz_residual"), "fields"),
     **dict.fromkeys(("QuadratureResult", "gauss_legendre_rule", "integrate_adaptive"),
                     "quadrature"),
+    "clear_caches": "errors",
     "errors": "errors",
 }
 

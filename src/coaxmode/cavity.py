@@ -34,9 +34,12 @@ C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
 ENUMERATION_CAP = 10_000_000
 
 
-def _check_positive(value: float, message: str) -> None:
+def _set_positive(record: object, name: str, what: str) -> None:
+    """Check that field ``name`` of record is positive and finite, and store it as a float."""
+    value = getattr(record, name)
     if not (_finite_real(value) and value > 0.0):
-        raise GeometryError(message)
+        raise GeometryError(f"{what} must be positive, got {name}={value!r}")
+    object.__setattr__(record, name, float(value))
 
 
 @_record
@@ -47,8 +50,8 @@ class CylinderGeometry:
     l: float
 
     def __post_init__(self):
-        _check_positive(self.b, f"cylinder radius must be positive, got b={self.b!r}")
-        _check_positive(self.l, f"cavity height must be positive, got l={self.l!r}")
+        _set_positive(self, "b", "cylinder radius")
+        _set_positive(self, "l", "cavity height")
 
 
 @_record
@@ -63,7 +66,7 @@ class AnnulusGeometry:
         a, b = roots._check_walls(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        _check_positive(self.l, f"cavity height must be positive, got l={self.l!r}")
+        _set_positive(self, "l", "cavity height")
 
 
 Geometry = Union[CylinderGeometry, AnnulusGeometry]
@@ -194,6 +197,7 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     """
     if not (_finite_real(omega_max) and omega_max > 0.0):
         raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
+    omega_max = float(omega_max)
     beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
                          f"{roots.ORDER_MAX}; tighten the cutoff")
     if _stops_at_order_envelope(geometry, omega_max):
@@ -244,6 +248,7 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
     """
     _integer(bins, "bins", 1, 100_000)
     towers = _towers(geometry, omega_max)  # checks omega_max before the edges use it
+    omega_max = float(omega_max)
     edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
     counts = [0] * bins
     for m, n, gamma, top in towers:

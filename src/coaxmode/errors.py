@@ -12,9 +12,13 @@ position or keyword (a class-level value is the default), then the class's
 ``__post_init__`` check; ``Name(field=value, ...)`` as repr; equality only
 with a record of the same class and equal fields, and a hash to match; and
 AttributeError on assigning or deleting any attribute.
+
+So does the cache policy: ``_memo`` makes each memo a bounded lru_cache,
+``_MEMOS`` names every store (root tables too) with its bound, and ``clear_caches`` empties them.
 """
 
 import math
+from functools import lru_cache
 
 
 class CoaxmodeError(Exception):
@@ -65,8 +69,31 @@ def _finite_real(value: float) -> bool:
     """Whether value is a finite real number: not one of _NOT_REAL, nor an int beyond float."""
     try:
         return not isinstance(value, _NOT_REAL) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a real number, or an int beyond float
+    except (TypeError, ValueError, OverflowError):  # not real, a signaling NaN, a huge int
         return False
+
+
+# qualified name -> (bound, size(), clear()) of every store in a loaded module
+_MEMOS: dict[str, tuple] = {}
+
+
+def _memo(maxsize: int, typed: bool = False):
+    """Decorator: fn behind a registered lru_cache of at most ``maxsize`` entries.
+
+    The cache object itself is returned, so a hit stays a C-level lookup.
+    """
+    def wrap(fn):
+        cached = lru_cache(maxsize, typed)(fn)
+        _MEMOS[f"{fn.__module__}.{fn.__qualname__}"] = (
+            maxsize, lambda: cached.cache_info().currsize, cached.cache_clear)
+        return cached
+    return wrap
+
+
+def clear_caches() -> None:
+    """Empty every memo and root table; later calls refill them with the same bits."""
+    for _, _, clear in _MEMOS.values():
+        clear()
 
 
 def _integer(value: int, name: str, lo: int, hi: int | None = None,

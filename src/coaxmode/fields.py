@@ -31,14 +31,12 @@ import cmath
 import math
 import random
 import sys
-from collections.abc import Hashable
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
 from .errors import (ConditioningError, DomainError, GeometryError, _finite_real, _integer,
-                     _record)
+                     _memo, _record)
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
 from .specfun import _cached_ladder, _ladder, _slope
@@ -147,7 +145,7 @@ def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
 
 
 # typed, so an order of 1.0 or True misses the entry of 1 and reaches the validators
-@lru_cache(maxsize=65536, typed=True)
+@_memo(65_536, typed=True)
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     """Radial profile of mode (m, n): unit J coefficient, both walls matched."""
     return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
@@ -342,22 +340,21 @@ def orthogonality_check(nu: int, n: int, k: int, a: float) -> tuple[float, float
     t = rho/a in [0, 1] and scaled by a^2, so its nodes, and the ladder
     memo's keys, depend on (nu, n, k) only: each value is exactly a*a times
     its value at a = 1. That pair is memoized per (nu, n, k) after the
-    arguments are checked, so a repeated call costs one lookup and runs no
-    quadrature.
+    arguments are checked, so a repeated call runs no quadrature.
     """
     _integer(nu, "nu", 0, 10)
     _integer(n, "n", 1, 20)
     _integer(k, "k", 1, 20)
     if not (_finite_real(a) and a > 0.0):
         raise DomainError(f"a must be a positive real number, got {a!r}")
+    a = float(a)
     value, expected = _unit_overlap(nu, n, k)
     return a * a * value, a * a * expected
 
 
-# the validators bound the key to nu <= 10 and n, k <= 20, at most 4,400
-# entries, so the memo needs no eviction; (n, k) and (k, n) stay apart, since
-# their integrands multiply the two factors in opposite orders
-@lru_cache(maxsize=None)
+# the bound is the key space the validators allow (nu <= 10, n, k <= 20); (n, k)
+# and (k, n) stay apart, as their integrands multiply in opposite orders
+@_memo(4_400)
 def _unit_overlap(nu: int, n: int, k: int) -> tuple[float, float]:
     # quadrature loads here, its only use, so a field grid never imports it
     from .quadrature import integrate_adaptive
@@ -399,10 +396,8 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     probe); the annular solution is rebuilt so the inner wall stays
     matched and only the outer-wall mismatch shows.
 
-    Once the scale and the geometry are checked, the result is read from
-    an LRU memo of 4,096 entries keyed on (geometry, m, n, p, gamma_scale),
-    so a repeated call costs one lookup. An error is not memoized: the
-    next call raises it again.
+    The result is memoized per (geometry, m, n, p, float(gamma_scale)) after
+    the checks; an error is not, so the next call raises it again.
     """
     if not (_finite_real(gamma_scale) and gamma_scale > 0.0):
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
@@ -410,14 +405,11 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     # before the memo hashes it: a foreign geometry may not be hashable
     if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
         raise GeometryError(f"unsupported geometry {geometry!r}")
-    # a real that cannot key the memo (a 0-d numpy array) is computed afresh
-    residual = _wall_residual if isinstance(gamma_scale, Hashable) else _wall_residual.__wrapped__
-    return residual(geometry, m, n, p, gamma_scale)
+    return _wall_residual(geometry, m, n, p, float(gamma_scale))
 
 
-# plain ints, not the caller's ModeIndex, so the memo pins no caller object;
-# typed, so a scale of 1 and one of 1.0 keep their own entries
-@lru_cache(maxsize=4096, typed=True)
+# plain ints and a float, not the caller's objects, so the memo pins none of them
+@_memo(4_096)
 def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: float) -> float:
     gamma = radial_eigenvalue(geometry, m, n) * gamma_scale
     sol = _build_radial(geometry, m, gamma)

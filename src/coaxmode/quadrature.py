@@ -11,17 +11,16 @@ coefficient tables.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, QuadratureError, _finite_real, _integer, _record
+from .errors import DomainError, QuadratureError, _finite_real, _integer, _memo, _record
 
 _MAX_DEPTH = 60
 
 
-# typed, so 2.0 and True miss the entries of 2 and 1 and reach the check;
-# a rule costs O(n^2), so the size cap bounds its time and the cache's size
-@lru_cache(maxsize=None, typed=True)
+# typed, so 2.0 and True miss the entries of 2 and 1 and reach the check; the
+# size cap bounds a rule's O(n^2) time, and 16 rules at most 1 MB (10, 20 are used)
+@_memo(16, typed=True)
 def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], 1 <= n <= 1000."""
     _integer(n, "rule size", 1, 1000)
@@ -74,6 +73,7 @@ def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
     """
     if not (_finite_real(lo) and _finite_real(hi) and _finite_real(abs_tol)):
         raise DomainError(f"need finite lo, hi and abs_tol, got {lo!r}, {hi!r}, {abs_tol!r}")
+    lo, hi, abs_tol = float(lo), float(hi), float(abs_tol)
     if hi <= lo:
         raise QuadratureError(f"empty interval [{lo!r}, {hi!r}]", achieved_tolerance=0.0)
     width = hi - lo

@@ -66,15 +66,13 @@ M_a M_b, from the tuple the polish hands back with the root, by lying in
 its window, and by exceeding the entry before it; entries are therefore
 strictly increasing.
 
-Tables live in one process-wide store, ``_tables``, which maps a key to
-the table's rows and its lock. Rows are only appended, so a table that
-already holds the entries asked for is read without a lock and without a
-copy. A shorter table is extended under its own lock by one writer while
-lookups of other tables go on. The store itself needs no lock:
-``dict.setdefault`` inserts a missing entry atomically, so two first
-callers of one key get the same rows and the same lock. Each root is found
-from the root below it alone, so a table is the same whatever the sequence
-of counts it was grown by.
+Tables live in one bounded store, ``_tables`` (``_rows``). Rows are only
+appended, so a table that holds the entries asked for is read without a
+lock or a copy; a shorter one is extended under its own lock, one writer
+per live table, while other tables are read. An evicted table's rows stay
+valid for whoever holds them. Each root is found from the root below it
+alone, so a table, rebuilt or grown by any sequence of counts, has the
+same bits.
 """
 
 from __future__ import annotations
@@ -83,7 +81,8 @@ import math
 import threading
 from typing import Callable, Optional
 
-from .errors import _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer, _record
+from .errors import (_MEMOS, _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer,
+                     _record)
 from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
 
 _EPS = 2.220446049250313e-16
@@ -157,6 +156,16 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
 
 # key -> (rows, lock); rows are (root, residual, Phi') triples, only ever appended
 _tables: dict[tuple, tuple[list[tuple[float, float, float]], threading.Lock]] = {}
+_TABLES_MAX = 256  # about 5x what verify (52) or a library session (36) leaves
+_store_lock = threading.Lock()  # held to insert or evict a table, never while one is extended
+
+
+def _clear_tables() -> None:
+    with _store_lock:
+        _tables.clear()
+
+
+_MEMOS[f"{__name__}._tables"] = (_TABLES_MAX, _tables.__len__, _clear_tables)
 
 
 def _rows(key: tuple, count: int,
@@ -164,12 +173,18 @@ def _rows(key: tuple, count: int,
     """The live rows of table ``key``, holding at least ``count`` entries.
 
     The first ``count`` rows stay valid after the lock is released, and a
-    table that already holds them is read without taking the lock.
+    table that already holds them is read without taking a lock. A missing
+    table is inserted under the store's lock, which first evicts the earliest
+    inserted if ``_TABLES_MAX`` are held: at worst 256 x COUNT_MAX rows of
+    144 B, 37 MB.
     """
     entry = _tables.get(key)
     if entry is not None and len(entry[0]) >= count:
         return entry[0]
-    rows, lock = _tables.setdefault(key, ([], threading.Lock()))
+    with _store_lock:
+        if key not in _tables and len(_tables) >= _TABLES_MAX:
+            del _tables[next(iter(_tables))]
+        rows, lock = _tables.setdefault(key, ([], threading.Lock()))
     with lock:
         if len(rows) < count:
             extend(rows, count)

@@ -31,20 +31,11 @@ that sign.
 Calls return values only. The accuracy over the envelope is the bound a
 seeded 30-digit reference sweep supports, stated in README "Numerical notes".
 
-The public calls and ``fields`` share one bounded LRU memo of ladder
-tuples, ``_cached_ladder``: one entry per distinct (m, x, with_n), at most
-24,576 entries, about 8 MB when full. A repeated argument costs one
-lookup, and a value, its slope and every family read the same bits. Two
-callers read ``_ladder`` directly, because their arguments do not come
-again and their entries would only evict the ones that do: root finding,
-which never evaluates the same argument twice, and the stencil of
-``fields.helmholtz_residual``, whose points a seeded stream draws afresh
-(its scale grid is ``boundary_residual``'s and stays on the memo).
-``fields.orthogonality_check`` and ``fields.boundary_residual`` read it on
-a first call only: each keeps a memo of its own results, so a repeated
-call does not reach the ladder. The bound is the smallest multiple of
-4,096 entries that kept a 20 s library-session run within 0.1% of an
-unbounded memo's hits (CHANGES.md).
+The public calls and ``fields`` read ladder tuples through one memo,
+``_cached_ladder`` (``errors._memo``; 24,576 entries, about 8 MB), so a
+value, its slope and every family read the same bits. Root finding and the
+``fields.helmholtz_residual`` stencil read ``_ladder`` directly: their
+arguments do not come again, and would only evict the ones that do.
 
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.
@@ -53,9 +44,8 @@ any number of threads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from .errors import _NOT_REAL, DomainError, EvaluationError, OrderError, _integer, _record
+from .errors import _NOT_REAL, DomainError, EvaluationError, OrderError, _integer, _memo, _record
 
 ORDER_MAX = 50
 X_MAX = 1.0e4
@@ -439,7 +429,7 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
 
 # one entry per (m, x, with_n): the ladder tuple (J_m, J_{m+1}[, N_m, N_{m+1}]),
 # which serves a value and its slope; who reads it is in the module docstring
-_cached_ladder = lru_cache(maxsize=24_576)(_ladder)
+_cached_ladder = _memo(24_576)(_ladder)
 
 
 def _slope(m: int, x: float, value: float, above: float) -> float:

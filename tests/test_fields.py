@@ -499,21 +499,23 @@ class TestProbeMemo:
         assert specfun._cached_ladder.cache_info() == ladder
         assert warm.hex() == cold.hex()
 
-    def test_scales_of_each_type_keep_their_own_entries(self):
+    def test_scales_of_each_type_share_one_entry(self):
+        # the scale keys the memo as a float, so 1 and 1.0 are one entry with one value
         fields._wall_residual.cache_clear()
-        for scale in (1, 1.0, 1, 1.0):
-            boundary_residual(CYL, ModeIndex(1, 1, 1), scale)
+        got = [boundary_residual(CYL, ModeIndex(1, 1, 1), scale) for scale in (1, 1.0, 1, 1.0)]
         info = fields._wall_residual.cache_info()
-        assert (info.currsize, info.hits) == (2, 2)
+        assert (info.currsize, info.hits) == (1, 3)
+        assert len({value.hex() for value in got}) == 1
 
-    def test_unhashable_scale_is_computed_afresh(self):
+    def test_unhashable_scale_shares_the_float_entry(self):
         class Unhashable(float):
             __hash__ = None
 
         fields._wall_residual.cache_clear()
         got = boundary_residual(ANN, ModeIndex(1, 1, 1), Unhashable(1.01))
-        assert fields._wall_residual.cache_info().currsize == 0
+        assert fields._wall_residual.cache_info().currsize == 1
         assert got.hex() == boundary_residual(ANN, ModeIndex(1, 1, 1), 1.01).hex()
+        assert fields._wall_residual.cache_info().hits == 1
 
     def test_memo_pins_no_mode_index(self):
         fields._wall_residual.cache_clear()

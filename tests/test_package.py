@@ -1,12 +1,16 @@
 """The package's public names, their integer arguments, and what each CLI command loads
 from a cold start."""
 
+import ast
 import importlib
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +30,7 @@ PUBLIC_API = {
                "radial_solution", "ez_mode", "transverse_fields", "field_grid", "superpose",
                "real_basis", "orthogonality_check", "boundary_residual", "helmholtz_residual"),
     "quadrature": ("QuadratureResult", "gauss_legendre_rule", "integrate_adaptive"),
+    "errors": ("clear_caches",),
 }
 
 
@@ -290,3 +295,115 @@ class TestRealArguments:
                                               coaxmode.FieldPoint(1.0, 0.0, 1.0)))
         assert (coaxmode.integrate_adaptive(_unit, 0, 1, 1e-9)
                 == coaxmode.integrate_adaptive(_unit, 0.0, 1.0, 1e-9))
+
+    # every real the validators accept is used as its float, so a Decimal, a
+    # Fraction or a numpy scalar gives the float call's bits, never a raw
+    # TypeError or a single-precision result
+    @pytest.mark.parametrize("call, text", [
+        (lambda x: coaxmode.boundary_residual(_CYL, _MODE, gamma_scale=x), "1.01"),
+        (lambda x: coaxmode.orthogonality_check(0, 1, 1, x), "1.5"),
+        (lambda x: coaxmode.integrate_adaptive(math.cos, x, 2.0, 1e-10), "0.5"),
+        (lambda x: coaxmode.integrate_adaptive(math.cos, 0.0, x, 1e-10), "1.5"),
+        (lambda x: coaxmode.integrate_adaptive(math.cos, 0.0, 1.0, x), "1e-8"),
+        (lambda x: coaxmode.enumerate_modes_below(_CYL, x), "3e9"),
+        (lambda x: coaxmode.mode_count_histogram(_CYL, x, 4), "3e9"),
+        (lambda x: coaxmode.enumerate_modes_below(coaxmode.CylinderGeometry(b=x, l=1.0), 1e10),
+         "0.1"),
+        (lambda x: coaxmode.enumerate_modes_below(coaxmode.CylinderGeometry(b=1.0, l=x), 3e9),
+         "1.5"),
+        (lambda x: coaxmode.tm_frequency(coaxmode.AnnulusGeometry(a=x, b=2.0, l=1.0), _MODE),
+         "0.5"),
+        (lambda x: coaxmode.tm_frequency(coaxmode.AnnulusGeometry(a=1.0, b=2.0, l=x), _MODE),
+         "1.5"),
+    ], ids=["gamma_scale", "ortho_a", "quad_lo", "quad_hi", "quad_tol", "enumerate_omega",
+            "histogram_omega", "cylinder_b", "cylinder_l", "annulus_a", "annulus_l"])
+    @pytest.mark.parametrize("make", [Decimal, Fraction, "float32", "float64", "0-d array"])
+    def test_other_reals_give_the_float_calls_bits(self, call, text, make):
+        if isinstance(make, str):
+            np = pytest.importorskip("numpy")
+            make = {"float32": np.float32, "float64": np.float64,
+                    "0-d array": lambda t: np.array(float(t))}[make]
+        value = make(text)
+        assert _bits(call(value)) == _bits(call(float(value)))
+
+    @pytest.mark.parametrize("call", [
+        lambda x: coaxmode.boundary_residual(_CYL, _MODE, gamma_scale=x),
+        lambda x: coaxmode.orthogonality_check(0, 1, 1, x),
+        lambda x: coaxmode.integrate_adaptive(math.cos, 0.0, x, 1e-10),
+        lambda x: coaxmode.enumerate_modes_below(_CYL, x),
+        lambda x: coaxmode.CylinderGeometry(b=x, l=1.0),
+    ], ids=["gamma_scale", "ortho_a", "quad_hi", "enumerate_omega", "cylinder_b"])
+    @pytest.mark.parametrize("text", ["sNaN", "NaN", "Infinity"])
+    def test_non_finite_decimals_are_typed_errors(self, call, text):
+        with pytest.raises(coaxmode.errors.CoaxmodeError):
+            call(Decimal(text))
+
+
+def _bits(result):
+    """result with every float as its hex, so equal bits compare equal; any
+    other number type (a numpy scalar, a Decimal) is kept and so compares unequal."""
+    if type(result) is float:
+        return result.hex()
+    if isinstance(result, (tuple, list)):
+        return [_bits(item) for item in result]
+    if hasattr(type(result), "__match_args__"):
+        return [type(result).__name__, *(_bits(getattr(result, name))
+                                         for name in type(result).__match_args__)]
+    assert type(result) in (int, str, type(None)), f"{type(result).__name__} in a result"
+    return result
+
+
+# the stores clear_caches() empties, by the name the registry gives each
+_STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._tables",
+           "coaxmode.fields.radial_solution", "coaxmode.fields._unit_overlap",
+           "coaxmode.fields._wall_residual", "coaxmode.quadrature.gauss_legendre_rule")
+_SRC = pathlib.Path(coaxmode.__file__).parent
+
+
+class TestCaches:
+    def _warm(self):
+        ann = coaxmode.AnnulusGeometry(0.5, 1.0, 1.0)
+        return [coaxmode.bessel_j(3, 7.5), coaxmode.bessel_zeros(2, 5),
+                coaxmode.cross_product_zeros(1, 0.5, 1.0, 5),
+                coaxmode.radial_solution(ann, 2, 3), coaxmode.boundary_residual(ann, _MODE),
+                coaxmode.boundary_residual(_CYL, _MODE, 1.01),
+                coaxmode.orthogonality_check(1, 2, 3, 1.5),
+                coaxmode.orthogonality_check(2, 4, 4, 1.0), coaxmode.gauss_legendre_rule(10)]
+
+    def test_every_store_is_registered_with_a_finite_bound(self):
+        for layer in ("fields", "quadrature"):
+            importlib.import_module(f"coaxmode.{layer}")
+        memos = coaxmode.errors._MEMOS
+        assert sorted(memos) == sorted(_STORES)
+        for name, (bound, size, _) in memos.items():
+            assert type(bound) is int and 0 < bound <= 65_536, name
+            assert 0 <= size() <= bound, name
+
+    def test_clear_caches_empties_every_store_and_cold_bits_match_warm(self):
+        warm = _bits(self._warm())
+        assert all(size() for _, size, _ in coaxmode.errors._MEMOS.values())
+        coaxmode.clear_caches()
+        assert {name: size() for name, (_, size, _) in coaxmode.errors._MEMOS.items()} == \
+            dict.fromkeys(_STORES, 0)
+        assert _bits(self._warm()) == warm
+
+    def test_lru_cache_is_used_only_inside_the_helper(self):
+        # one memo helper: lru_cache is named nowhere in code but inside
+        # errors._memo, and every _memo call passes a finite int bound
+        for path in sorted(_SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            helper = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_memo":
+                    helper.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in ("lru_cache", "cache", "cached_property"):
+                    assert id(node) in helper, f"{path.name}:{node.lineno} uses {name}"
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    assert path.name == "errors.py" and \
+                        [a.name for a in node.names] == ["lru_cache"], path.name
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memo":
+                    bound = node.args[0]
+                    assert isinstance(bound, ast.Constant) and type(bound.value) is int \
+                        and bound.value > 0, f"{path.name}:{node.lineno}"

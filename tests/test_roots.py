@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
-from coaxmode import (AnnulusGeometry, bessel_j, bessel_zeros, cross_product_zeros,
-                      neumann_n, radial_eigenvalue)
+from coaxmode import (AnnulusGeometry, bessel_j, bessel_zeros, clear_caches,
+                      cross_product_zeros, neumann_n, radial_eigenvalue)
 from coaxmode import roots
 from coaxmode.errors import DomainError, GeometryError, OrderError, RootFindingError
 
@@ -526,6 +526,38 @@ class TestScanCost:
 
 
 class TestTableCache:
+    def test_annulus_sweep_keeps_the_store_at_its_bound(self):
+        # 10,000 fresh tables: the store stays at its bound, rows a caller
+        # holds survive their table's eviction, a rebuilt table has the
+        # evicted one's bits, and peak RSS grows by under 2 MB (the unbounded
+        # store grew it by about 5 MB)
+        out = run_child(
+            "import resource\n"
+            "from coaxmode import AnnulusGeometry, ModeIndex, roots, tm_frequency\n"
+            "from coaxmode.errors import _MEMOS\n"
+            "bound, size, _ = _MEMOS['coaxmode.roots._tables']\n"
+            "def rss_kb():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "def hexes(rows):\n"
+            "    return [[v.hex() for v in row] for row in rows]\n"
+            "held = roots._cross_rows(0, 0.5, 1.0, 3)\n"
+            "first = hexes(held)\n"
+            "start, most = rss_kb(), 0\n"
+            "for i in range(2_000):\n"
+            "    geometry = AnnulusGeometry(a=0.5, b=1.0 + (i + 1) * 1e-4, l=1.0)\n"
+            "    for m in range(5):\n"
+            "        tm_frequency(geometry, ModeIndex(m, 1, 0))\n"
+            "        most = max(most, size())\n"
+            "growth = rss_kb() - start\n"
+            "assert ('ann', 0, 0.5, 1.0) not in roots._tables\n"
+            "assert hexes(held) == first\n"
+            "assert hexes(roots._cross_rows(0, 0.5, 1.0, 3)) == first\n"
+            "print(bound, most, size(), growth)\n", timeout=120)
+        bound, most, size, growth_kb = map(int, out.split())
+        assert bound == roots._TABLES_MAX
+        assert most == size == bound
+        assert growth_kb < 2048
+
     @pytest.mark.parametrize("table", [
         lambda count: bessel_zeros(7, count),
         lambda count: cross_product_zeros(0, 0.2, 2.0, count),
@@ -570,6 +602,42 @@ class TestTableCache:
         assert not errors
         assert len(seen) == sum(len(range(k, 61, 7)) for k in range(1, 7))
         assert all(value == whole[n - 1] for n, value in seen)
+
+    def test_evictions_race_reads_and_clears(self, monkeypatch):
+        # with room for four tables, six threads evict each other's tables
+        # while they read them, and one empties every store now and then;
+        # every read has the bits a lone thread gets
+        monkeypatch.setattr(roots, "_TABLES_MAX", 4)
+        walls = [(m, 0.3 + 0.05 * k) for m in range(3) for k in range(4)]
+        whole = {(m, a): cross_product_zeros(m, a, 1.5, 6).zeros for m, a in walls}
+        seen, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in range(offset, offset + 40):
+                    m, a = walls[i % len(walls)]
+                    count = 1 + i % 6
+                    seen.append(((m, a), count, cross_product_zeros(m, a, 1.5, count).zeros))
+                    if offset == 0 and i % 8 == 0:
+                        clear_caches()
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(seen) == 6 * 40
+        assert all(zeros == whole[key][:count] for key, count, zeros in seen)
+        assert len(roots._tables) <= 4
 
     def test_warm_read_takes_no_lock(self):
         # rows are only appended, so a table that already holds the entries
