@@ -31,7 +31,7 @@ import cmath
 import math
 import random
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
                      ModeIndex, _omega, radial_eigenvalue, tm_frequency)
@@ -68,14 +68,12 @@ class RadialSolution:
             s += self.coeff_n * _slope(m, x, ladder[2], ladder[3])
         return r, self.gamma * s
 
-    def value(self, rho: float,
-              ladder: Callable[[int, float, bool], tuple[float, ...]] = _cached_ladder) -> float:
-        """R(rho), read through the ladder memo; ``ladder=specfun._ladder`` reads
-        past it, with the same bits, for a point that will not come again."""
-        run = ladder(self.m, self.gamma * rho, bool(self.coeff_n))
-        r = self.coeff_j * run[0]
+    def value(self, rho: float) -> float:
+        """R(rho), read through the ladder memo."""
+        ladder = _cached_ladder(self.m, self.gamma * rho, bool(self.coeff_n))
+        r = self.coeff_j * ladder[0]
         if self.coeff_n:
-            r += self.coeff_n * run[2]
+            r += self.coeff_n * ladder[2]
         return r
 
     def slope(self, rho: float) -> float:
@@ -144,16 +142,22 @@ def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
     return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=-ja / na)
 
 
-# typed, so an order of 1.0 or True misses the entry of 1 and reaches the validators
-@_memo(65_536, typed=True)
+# typed, so an order of 1.0 or True misses the entry of 1 and reaches the validators.
+# A full verify holds 5 entries, warm-up plus 400 library-session blocks 42 and a
+# field job 1; each entry pins its geometry, about 450 B with an annulus, so 1,024
+# entries hold at most about 0.45 MiB
+@_memo(1_024, typed=True)
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     """Radial profile of mode (m, n): unit J coefficient, both walls matched."""
     return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
 
 
-def _require_inside(geometry: Geometry, rho: float, phi: float, z: float) -> None:
+def _require_inside(geometry: Geometry, rho: float, phi: float,
+                    z: float) -> tuple[float, float, float]:
+    """(rho, phi, z) as floats, once each is a finite real and the point is inside."""
     # three floats, the usual case, skip the type test: one call runs per sample
-    if not (type(rho) is float and type(phi) is float and type(z) is float):
+    floats = type(rho) is float and type(phi) is float and type(z) is float
+    if not floats:
         for name, value in (("rho", rho), ("phi", phi), ("z", z)):
             if not _finite_real(value):
                 raise DomainError(f"{name} must be a finite real number, got {value!r}")
@@ -164,6 +168,7 @@ def _require_inside(geometry: Geometry, rho: float, phi: float, z: float) -> Non
             f"closure rho in [{lo}, {geometry.b}], z in [0, {geometry.l}]")
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi!r}")
+    return (rho, phi, z) if floats else (float(rho), float(phi), float(z))
 
 
 def _check_sign(sign: int) -> int:
@@ -173,13 +178,17 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
-def _check_amplitude(amplitude: complex) -> None:
+def _check_amplitude(amplitude: complex) -> complex:
+    """The amplitude once finite; any other complex as a complex, any other real as a float."""
     # a complex or a float, the usual case, passes the type test at once: one runs per sample
     kind = type(amplitude)
     number = (kind is complex or kind is float or isinstance(amplitude, complex)
               or _finite_real(amplitude))
     if not (number and cmath.isfinite(amplitude)):
         raise DomainError(f"amplitude must be finite, got {amplitude!r}")
+    if kind is complex or kind is float:
+        return amplitude
+    return complex(amplitude) if isinstance(amplitude, complex) else float(amplitude)
 
 
 def _angular(m: int, sign: int, phi: float) -> complex:
@@ -190,12 +199,11 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
             point: FieldPoint) -> complex:
     """Axial field of one mode at one point."""
     _check_sign(sign)
-    _check_amplitude(amplitude)
-    _require_inside(geometry, point.rho, point.phi, point.z)
+    amplitude = _check_amplitude(amplitude)
+    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
     kz = index.p * math.pi / geometry.l
-    return (amplitude * sol.value(point.rho)
-            * _angular(index.m, sign, point.phi) * math.cos(kz * point.z))
+    return amplitude * sol.value(rho) * _angular(index.m, sign, phi) * math.cos(kz * z)
 
 
 def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
@@ -204,10 +212,9 @@ def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: co
 
     Each component is factor * radial * axial * angular, multiplied left to
     right in that order; the grid and the per-point path both rely on it to
-    give the same bits. A non-finite amplitude, or a finite one that
-    overflows a factor, is a DomainError.
+    give the same bits. The amplitude is one ``_check_amplitude`` passed; one
+    that overflows a factor is a DomainError.
     """
-    _check_amplitude(amplitude)
     kz = index.p * math.pi / geometry.l
     omega = _omega(gamma, index.p, geometry.l)
     inv_g2 = 1.0 / (gamma * gamma)
@@ -228,14 +235,15 @@ def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
                       amplitude: complex, point: FieldPoint) -> FieldSample:
     """All five TM components of one mode at one point."""
     _check_sign(sign)
-    _require_inside(geometry, point.rho, point.phi, point.z)
+    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
+    amplitude = _check_amplitude(amplitude)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
                                                      sol.gamma)
-    ang = _angular(index.m, sign, point.phi)
-    cz = math.cos(kz * point.z)
-    sz = math.sin(kz * point.z)
-    r_val, slope, r_over_rho = sol.profile(point.rho)
+    ang = _angular(index.m, sign, phi)
+    cz = math.cos(kz * z)
+    sz = math.sin(kz * z)
+    r_val, slope, r_over_rho = sol.profile(rho)
     e_z = amplitude * r_val * ang * cz
     e_rho = k_rho * slope * sz * ang
     e_phi = k_phi * r_over_rho * sz * ang
@@ -261,15 +269,12 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
     before this returns, so a bad grid raises before the first row.
     """
     _check_sign(sign)
-    rhos, phis, zs = tuple(rhos), tuple(phis), tuple(zs)
     # each coordinate once, the other two at a point every cavity contains
-    for rho in rhos:
-        _require_inside(geometry, rho, 0.0, 0.0)
-    for phi in phis:
-        _require_inside(geometry, geometry.b, phi, 0.0)
-    for z in zs:
-        _require_inside(geometry, geometry.b, 0.0, z)
+    rhos = [_require_inside(geometry, rho, 0.0, 0.0)[0] for rho in rhos]
+    phis = [_require_inside(geometry, geometry.b, phi, 0.0)[1] for phi in phis]
+    zs = [_require_inside(geometry, geometry.b, 0.0, z)[2] for z in zs]
     sol = radial_solution(geometry, index.m, index.n)
+    amplitude = _check_amplitude(amplitude)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
                                                      sol.gamma)
     profiles = [sol.profile(rho) for rho in rhos]
@@ -478,6 +483,8 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     # boundary_residual's inset grid, so these reads stay on the ladder memo
     rhos = [inner + (geometry.b - inner) * (i + 0.5) / _GRID for i in range(_GRID)]
     scale = k2 * max(abs(sol.value(r)) for r in rhos)
+    m, gamma, cj, cn = sol.m, sol.gamma, sol.coeff_j, sol.coeff_n
+    with_n = bool(cn)
 
     worst = 0.0
     for _ in range(npoints):
@@ -487,13 +494,19 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
         z = geometry.l * rnd.uniform(0.1, 0.9)
         ang = _angular(index.m, sign, phi)
         cz = math.cos(kz * z)
-        # E_z = R * phase * axial, multiplied in the order ez_mode uses; a call
-        # with another seed never meets these points again, so they read past
-        # the ladder memo
-        r_ang = sol.value(rho, _ladder) * ang
+        # R at rho and rho +- h as RadialSolution.value forms it; a call with
+        # another seed never meets these points again, so they read past the
+        # ladder memo
+        radial = []
+        for r in (rho, rho + h, rho - h):
+            run = _ladder(m, gamma * r, with_n)
+            radial.append(cj * run[0] + cn * run[2] if with_n else cj * run[0])
+        r0, r_out, r_in = radial
+        # E_z = R * phase * axial, multiplied in the order ez_mode uses
+        r_ang = r0 * ang
         e0 = r_ang * cz
-        e_out = sol.value(rho + h, _ladder) * ang * cz
-        e_in = sol.value(rho - h, _ladder) * ang * cz
+        e_out = r_out * ang * cz
+        e_in = r_in * ang * cz
         d_rho = (e_out - 2.0 * e0 + e_in) / (h * h)
         d_rho += (e_out - e_in) / (2.0 * h * rho)
         d_z = (r_ang * math.cos(kz * (z + g)) - 2.0 * e0

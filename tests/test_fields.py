@@ -1,7 +1,10 @@
 import cmath
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -51,6 +54,36 @@ class TestRadialSolution:
             radial_solution(geom, order, 1)
         with pytest.raises(DomainError):
             radial_solution(geom, 1, 1.0)
+
+    def test_annulus_sweep_keeps_the_store_at_its_bound(self):
+        # four times as many fresh annuli as the store holds: it fills to its
+        # bound and stays there, and peak RSS grows by under 2.5 MB (1.5-1.8 MB
+        # on CPython 3.10-3.13, most of it the ladder memo's entries for the
+        # inner walls; 3.3 MB with the earlier 65,536-entry bound)
+        code = (
+            "import resource\n"
+            "from coaxmode import AnnulusGeometry, radial_solution\n"
+            "from coaxmode.errors import _MEMOS\n"
+            "bound, size, _ = _MEMOS['coaxmode.fields.radial_solution']\n"
+            "def rss_kb():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "radial_solution(AnnulusGeometry(a=0.5, b=1.0, l=1.0), 0, 1)\n"
+            "start, most = rss_kb(), 0\n"
+            "for i in range(4 * bound):\n"
+            "    geometry = AnnulusGeometry(a=0.5, b=1.0 + (i + 1) * 1e-4, l=1.0)\n"
+            "    radial_solution(geometry, i % 3, 1)\n"
+            "    most = max(most, size())\n"
+            "print(bound, most, size(), rss_kb() - start)\n")
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(fields.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        bound, most, size, growth_kb = map(int, proc.stdout.split())
+        assert bound == 1_024
+        assert most == size == bound
+        assert growth_kb < 2_560
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_interior_node_count(self, n):
@@ -356,21 +389,27 @@ class TestHelmholtz:
         assert helmholtz_residual(geom, idx, npoints=40) <= 1e-4
 
     def test_stencil_evaluates_five_points(self, monkeypatch):
-        # five E_z values per point from three radial reads (rho and rho +- h):
+        # five E_z values per point from three ladder runs (rho and rho +- h):
         # the axial neighbours share R(rho), and the radial second difference
-        # and slope share R(rho +- h); 64 more reads set the scale
-        calls = []
-        real = fields.RadialSolution.value
+        # and slope share R(rho +- h); 64 memo reads set the scale
+        runs, reads = [], []
+        real_ladder, real_value = fields._ladder, fields.RadialSolution.value
 
-        def counted(self, rho, *ladder):
-            calls.append(ladder)
-            return real(self, rho, *ladder)
+        def counted_ladder(m, x, with_n):
+            runs.append((m, x, with_n))
+            return real_ladder(m, x, with_n)
 
-        monkeypatch.setattr(fields.RadialSolution, "value", counted)
+        def counted_value(self, rho):
+            reads.append(rho)
+            return real_value(self, rho)
+
+        monkeypatch.setattr(fields, "_ladder", counted_ladder)
+        monkeypatch.setattr(fields.RadialSolution, "value", counted_value)
         helmholtz_residual(ANN, ModeIndex(2, 1, 2), npoints=12)
-        assert len(calls) == 3 * 12 + 64
-        # the scale reads go through the memo, the stencil reads past it
-        assert calls == [()] * 64 + [(specfun._ladder,)] * (3 * 12)
+        # the scale reads go through the memo, the stencil runs past it
+        assert len(reads) == 64
+        assert len(runs) == 3 * 12
+        assert {(m, with_n) for m, _, with_n in runs} == {(2, True)}
 
     @pytest.mark.parametrize("geom,m,n", [(CYL, 1, 2), (ANN, 2, 1)], ids=["cyl", "ann"])
     @pytest.mark.parametrize("p", [0, 1, 2])

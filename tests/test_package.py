@@ -214,6 +214,7 @@ class TestColdImports:
 _CYL = coaxmode.CylinderGeometry(1.0, 1.0)
 _MODE = coaxmode.ModeIndex(1, 1, 1)
 _POINT = coaxmode.FieldPoint(0.5, 0.0, 0.5)
+_ANN = coaxmode.AnnulusGeometry(0.5, 1.0, 1.0)
 
 
 class TestIntegerArguments:
@@ -315,8 +316,29 @@ class TestRealArguments:
          "0.5"),
         (lambda x: coaxmode.tm_frequency(coaxmode.AnnulusGeometry(a=1.0, b=2.0, l=x), _MODE),
          "1.5"),
+        # a field call's coordinates and amplitude; a grid row carries the float
+        (lambda x: coaxmode.ez_mode(_ANN, _MODE, 1, 1.0, coaxmode.FieldPoint(x, 0.4, 0.3)), "0.7"),
+        (lambda x: coaxmode.ez_mode(_ANN, _MODE, 1, 1.0, coaxmode.FieldPoint(0.7, x, 0.3)), "0.4"),
+        (lambda x: coaxmode.ez_mode(_ANN, _MODE, 1, 1.0, coaxmode.FieldPoint(0.7, 0.4, x)), "0.3"),
+        (lambda x: coaxmode.ez_mode(_ANN, _MODE, -1, x, _POINT), "-1.5"),
+        (lambda x: coaxmode.transverse_fields(_ANN, _MODE, 1, 0.5j,
+                                              coaxmode.FieldPoint(x, 0.4, 0.3)), "0.7"),
+        (lambda x: coaxmode.transverse_fields(_ANN, _MODE, 1, 0.5j,
+                                              coaxmode.FieldPoint(0.7, x, 0.3)), "0.4"),
+        (lambda x: coaxmode.transverse_fields(_ANN, _MODE, 1, 0.5j,
+                                              coaxmode.FieldPoint(0.7, 0.4, x)), "0.3"),
+        (lambda x: coaxmode.transverse_fields(_ANN, _MODE, -1, x, _POINT), "-1.5"),
+        (lambda x: list(coaxmode.field_grid(_ANN, _MODE, 1, 1.0, [x, 0.9], [0.4], [0.3])), "0.7"),
+        (lambda x: list(coaxmode.field_grid(_ANN, _MODE, 1, 1.0, [0.7], [0.2, x], [0.3])), "0.4"),
+        (lambda x: list(coaxmode.field_grid(_ANN, _MODE, 1, 1.0, [0.7], [0.4], [x, 0.8])), "0.3"),
+        (lambda x: list(coaxmode.field_grid(_ANN, _MODE, 1, x, [0.7], [0.4], [0.3])), "-1.5"),
+        (lambda x: coaxmode.superpose(_ANN, [coaxmode.ModeAmplitude(_MODE, 1, x)],
+                                      coaxmode.FieldPoint(x, 0.4, 0.3)), "0.7"),
     ], ids=["gamma_scale", "ortho_a", "quad_lo", "quad_hi", "quad_tol", "enumerate_omega",
-            "histogram_omega", "cylinder_b", "cylinder_l", "annulus_a", "annulus_l"])
+            "histogram_omega", "cylinder_b", "cylinder_l", "annulus_a", "annulus_l",
+            "ez_rho", "ez_phi", "ez_z", "ez_amplitude", "transverse_rho", "transverse_phi",
+            "transverse_z", "transverse_amplitude", "grid_rho", "grid_phi", "grid_z",
+            "grid_amplitude", "superpose"])
     @pytest.mark.parametrize("make", [Decimal, Fraction, "float32", "float64", "0-d array"])
     def test_other_reals_give_the_float_calls_bits(self, call, text, make):
         if isinstance(make, str):
@@ -344,6 +366,8 @@ def _bits(result):
     other number type (a numpy scalar, a Decimal) is kept and so compares unequal."""
     if type(result) is float:
         return result.hex()
+    if type(result) is complex:
+        return [result.real.hex(), result.imag.hex()]
     if isinstance(result, (tuple, list)):
         return [_bits(item) for item in result]
     if hasattr(type(result), "__match_args__"):

@@ -1,4 +1,7 @@
+import collections
+import json
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -276,6 +279,22 @@ class TestLadderOracle:
         assert not specfun._series_is_safe(m, x)
         assert all(math.isfinite(v) for v in specfun._ladder(m, x, True))
 
+    def test_step_table_covers_every_backward_start(self):
+        # the run walks the table from its start; the J-only run starts
+        # highest at m = 50 and x just below 51 / 0.9, where the climb takes over
+        x = math.nextafter((ORDER_MAX + 1) / 0.9, 0.0)
+        assert x >= 18.0 and not ORDER_MAX + 1 < 0.9 * x
+        assert specfun._miller_start(ORDER_MAX, x) <= specfun._STEPS_TOP
+        # entry i is step k = top - 2i, down to 4, with its orders and the
+        # weights the with-N run adds there
+        steps = specfun._STEPS
+        assert [kf for kf, *_ in steps] == list(map(float, range(specfun._STEPS_TOP, 2, -2)))
+        for kf, km1, w0, w1 in steps:
+            k = int(kf)
+            assert km1 == k - 1
+            if k <= len(specfun._N0_WEIGHTS):
+                assert (w0, w1) == (specfun._N0_WEIGHTS[k - 2], specfun._N1_WEIGHTS[k - 1])
+
     def test_public_calls_read_the_ladder(self):
         for probe in oracles.ladder_reference()[:100]:
             m, x = probe["m"], probe["x"]
@@ -301,6 +320,46 @@ class TestLadderOracle:
 def _bits(v):
     # exact representation, sign of zero included
     return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+class TestLadderBits:
+    """The ladder's frozen bits, written by tests/tools/gen_ladder_bits.py.
+
+    Every kernel is meant to perform the plain recurrence's float
+    operations in its order, so a faster loop must give these bits exactly.
+    """
+
+    ROWS = [row.split() for row in json.loads(
+        (pathlib.Path(__file__).parent / "data" / "ladder_bits.json").read_text())["rows"]]
+
+    def test_every_regime_and_seam_is_pinned(self):
+        regimes = collections.Counter()
+        for m, x, *_ in self.ROWS:
+            m, x = int(m), float.fromhex(x)
+            if x >= 18.0:
+                regimes["expansion" if 4.0 * (m + 1) ** 2 <= 6.0 * x
+                        else "climb" if m + 1 < 0.9 * x else "backward J"] += 1
+            elif x >= 1.0:
+                regimes["series" if specfun._series_is_safe(m, x) else "backward"] += 1
+            else:
+                regimes["limit series"] += 1
+        assert len(self.ROWS) >= 1_500
+        assert min(regimes.values()) >= 100, regimes
+        xs = {float.fromhex(x) for _, x, *_ in self.ROWS}
+        for edge in (1.0, 4.0, 18.0, 57.0):
+            assert {math.nextafter(edge, 0.0), edge, math.nextafter(edge, 99.0)} <= xs
+        orders = {int(m) for m, *_ in self.ROWS}
+        assert orders == set(range(ORDER_MAX + 1))
+
+    def test_ladder_keeps_its_bits(self):
+        changed = []
+        for m, x, *values in self.ROWS:
+            m, x = int(m), float.fromhex(x)
+            with_n = [v.hex() for v in specfun._ladder(m, x, True)]
+            j_only = [v.hex() for v in specfun._ladder(m, x, False)]
+            if with_n != values or j_only != values[:2]:
+                changed.append((m, x.hex()))
+        assert not changed, (len(changed), changed[:5])
 
 
 class TestExpansionDeclines:
