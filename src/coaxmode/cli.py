@@ -370,9 +370,6 @@ def _cmd_zeros(args) -> int:
     if kind == "cross":
         a = _require(args, "a")
         b = _require(args, "b")
-        if a >= b:
-            raise _UsageError(f"--a must be smaller than --b (inner < outer); "
-                              f"got a={a!r}, b={b!r}")
     elif args.a is not None or args.b is not None:
         raise _UsageError("--a/--b apply to --kind cross only")
     m = abs(_require(args, "m"))  # the table of J_{-m} equals that of J_m

@@ -13,8 +13,9 @@ position or keyword (a class-level value is the default), then the class's
 with a record of the same class and equal fields, and a hash to match; and
 AttributeError on assigning or deleting any attribute.
 
-So does the cache policy: ``_memo`` makes each memo a bounded lru_cache,
-``_MEMOS`` names every store (root tables too) with its bound, and ``clear_caches`` empties them.
+So does the cache policy: ``_memo`` makes every store, root tables too, a bounded
+lru_cache, ``_MEMOS`` holds each by name (``cache_info()`` gives bound, size, hits and
+misses), and ``clear_caches`` empties them.
 """
 
 import math
@@ -73,8 +74,8 @@ def _finite_real(value: float) -> bool:
         return False
 
 
-# qualified name -> (bound, size(), clear()) of every store in a loaded module
-_MEMOS: dict[str, tuple] = {}
+# qualified name -> the lru_cache of every store in a loaded module
+_MEMOS: dict = {}
 
 
 def _memo(maxsize: int, typed: bool = False):
@@ -84,16 +85,15 @@ def _memo(maxsize: int, typed: bool = False):
     """
     def wrap(fn):
         cached = lru_cache(maxsize, typed)(fn)
-        _MEMOS[f"{fn.__module__}.{fn.__qualname__}"] = (
-            maxsize, lambda: cached.cache_info().currsize, cached.cache_clear)
+        _MEMOS[f"{fn.__module__}.{fn.__qualname__}"] = cached
         return cached
     return wrap
 
 
 def clear_caches() -> None:
-    """Empty every memo and root table; later calls refill them with the same bits."""
-    for _, _, clear in _MEMOS.values():
-        clear()
+    """Empty every memo, root tables too; later calls refill them with the same bits."""
+    for store in _MEMOS.values():
+        store.cache_clear()
 
 
 def _integer(value: int, name: str, lo: int, hi: int | None = None,

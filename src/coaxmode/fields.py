@@ -135,7 +135,7 @@ class ModeAmplitude:
 def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
     if isinstance(geometry, CylinderGeometry):
         return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=0.0)
-    ja, _, na, _ = _cached_ladder(m, gamma * geometry.a, True)
+    ja, _, na, _ = _ladder(m, gamma * geometry.a, True)  # its caller memoizes the build
     if not 1e-300 <= abs(na) < math.inf:
         raise ConditioningError(
             f"N_{m}(gamma a) = {na!r} is too close to underflow or overflow to divide by")
@@ -203,7 +203,11 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
     rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
     sol = radial_solution(geometry, index.m, index.n)
     kz = index.p * math.pi / geometry.l
-    return amplitude * sol.value(rho) * _angular(index.m, sign, phi) * math.cos(kz * z)
+    e_z = amplitude * sol.value(rho) * _angular(index.m, sign, phi) * math.cos(kz * z)
+    if not cmath.isfinite(e_z):
+        raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
+                          f"({index.m}, {index.n}, {index.p}) at rho = {point.rho!r}")
+    return e_z
 
 
 def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,

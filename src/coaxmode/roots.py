@@ -66,10 +66,11 @@ M_a M_b, from the tuple the polish hands back with the root, by lying in
 its window, and by exceeding the entry before it; entries are therefore
 strictly increasing.
 
-Tables live in one bounded store, ``_tables`` (``_rows``). Rows are only
-appended, so a table that holds the entries asked for is read without a
-lock or a copy; a shorter one is extended under its own lock, one writer
-per live table, while other tables are read. An evicted table's rows stay
+Tables live in one memo of at most 256, ``_table`` (``errors._memo``),
+which evicts the least recently used. Rows are only appended, so a table
+that holds the entries asked for is read without a lock or a copy; a
+shorter one is extended under its own lock, one writer per live table,
+while other tables are read (``_rows``). An evicted table's rows stay
 valid for whoever holds them. Each root is found from the root below it
 alone, so a table, rebuilt or grown by any sequence of counts, has the
 same bits.
@@ -81,7 +82,7 @@ import math
 import threading
 from typing import Callable, Optional
 
-from .errors import (_MEMOS, _NOT_REAL, GeometryError, OrderError, RootFindingError, _integer,
+from .errors import (_NOT_REAL, GeometryError, OrderError, RootFindingError, _integer, _memo,
                      _record)
 from .specfun import ORDER_MAX, _ladder, _slope, _two_prod
 
@@ -110,8 +111,8 @@ class ZeroTable:
 
 
 def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
-            flo: float, fhi: float, x: float) -> tuple[float, tuple[float, ...]]:
-    """Root of f in [lo, hi], given f(lo) f(hi) <= 0, and f's tuple there.
+            x: float) -> tuple[float, tuple[float, ...]]:
+    """Root of f in [lo, hi], where f runs from below 0 to above 0, and f's tuple there.
 
     f(x) returns (value, slope, ...). Safeguarded Newton in the rtsafe
     style from the guess x (the midpoint if x lies outside the bracket):
@@ -123,13 +124,6 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
     would otherwise bisect for nothing. The returned tuple is f at the
     returned point, so its residual costs no further evaluation.
     """
-    if flo == 0.0:
-        return lo, f(lo)
-    if fhi == 0.0:
-        return hi, f(hi)
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RootFindingError("bracket endpoints do not straddle a sign change")
-    positive_lo = flo > 0.0
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     last = before = hi - lo  # the last two steps taken
@@ -138,7 +132,7 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
         value, slope = fx[0], fx[1]
         if value == 0.0:
             return x, fx
-        if (value > 0.0) == positive_lo:
+        if value < 0.0:
             lo = x
         else:
             hi = x
@@ -154,18 +148,18 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
         x = nxt
 
 
-# key -> (rows, lock); rows are (root, residual, Phi') triples, only ever appended
-_tables: dict[tuple, tuple[list[tuple[float, float, float]], threading.Lock]] = {}
-_TABLES_MAX = 256  # about 5x what verify (52) or a library session (36) leaves
-_store_lock = threading.Lock()  # held to insert or evict a table, never while one is extended
+# about 5x what verify (52) or a library session (36) leaves
+@_memo(256)
+def _table(*key) -> tuple[list[tuple[float, float, float]], threading.Lock]:
+    """A new table for ``key``: its (root, residual, Phi') rows, only ever
+    appended, and the lock an extension holds.
 
-
-def _clear_tables() -> None:
-    with _store_lock:
-        _tables.clear()
-
-
-_MEMOS[f"{__name__}._tables"] = (_TABLES_MAX, _tables.__len__, _clear_tables)
+    The memo keeps the 256 tables used last: at worst 256 x COUNT_MAX rows
+    of 144 B, 37 MB. Two threads that miss one key at the same instant,
+    inside this call, each get a table, and only one is kept; both fill
+    with the same bits.
+    """
+    return [], threading.Lock()
 
 
 def _rows(key: tuple, count: int,
@@ -173,21 +167,13 @@ def _rows(key: tuple, count: int,
     """The live rows of table ``key``, holding at least ``count`` entries.
 
     The first ``count`` rows stay valid after the lock is released, and a
-    table that already holds them is read without taking a lock. A missing
-    table is inserted under the store's lock, which first evicts the earliest
-    inserted if ``_TABLES_MAX`` are held: at worst 256 x COUNT_MAX rows of
-    144 B, 37 MB.
+    table that already holds them is read without taking a lock.
     """
-    entry = _tables.get(key)
-    if entry is not None and len(entry[0]) >= count:
-        return entry[0]
-    with _store_lock:
-        if key not in _tables and len(_tables) >= _TABLES_MAX:
-            del _tables[next(iter(_tables))]
-        rows, lock = _tables.setdefault(key, ([], threading.Lock()))
-    with lock:
-        if len(rows) < count:
-            extend(rows, count)
+    rows, lock = _table(*key)
+    if len(rows) < count:
+        with lock:
+            if len(rows) < count:
+                extend(rows, count)
     return rows
 
 
@@ -218,7 +204,7 @@ def _extend_table(d: Callable[[float], tuple[float, float, float, float]],
         previous = table[-1][0] if table else 0.0
         lo, hi = window(n, previous)
         start = previous + math.pi / table[-1][2] if table else first(lo)
-        root, (_, slope, det, scale) = _polish(phase, previous, hi, -math.pi, math.pi, start)
+        root, (_, slope, det, scale) = _polish(phase, previous, hi, start)
         residual = abs(det)
         if residual > 1e-10 * scale:
             raise RootFindingError(

@@ -36,7 +36,7 @@ def _report(number: int, detail: str) -> None:
 
 
 def _fresh_root_cache() -> None:
-    coaxmode.roots._tables.clear()
+    coaxmode.roots._table.cache_clear()
 
 
 def test_criterion_1_bessel_zero_correctness():

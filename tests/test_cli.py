@@ -53,9 +53,10 @@ class TestZerosCommand:
 
     def test_swapped_radii_exit_2_names_requirement(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--kind", "cross",
-                               "--m", "0", "--a", "2", "--b", "1")
+                               "--m", "0", "--a", "2", "--b", "1", "--count", "3")
+        # the library's wall check, the one the modes command reaches too
         assert code == 2
-        assert "--a must be smaller than --b" in err
+        assert "need 0 < a < b, got a=2.0, b=1.0" in err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -55,6 +55,14 @@ class TestRadialSolution:
         with pytest.raises(DomainError):
             radial_solution(geom, 1, 1.0)
 
+    def test_fresh_annuli_leave_the_ladder_memo_alone(self):
+        # the build matches the inner wall from one ladder run, read directly:
+        # the build is memoized itself, so the memo would only keep the run
+        ladder = specfun._cached_ladder.cache_info()
+        for i in range(100):
+            radial_solution(AnnulusGeometry(a=0.41, b=1.0 + (i + 1) * 1.3e-5, l=1.0), i % 3, 1)
+        assert specfun._cached_ladder.cache_info() == ladder
+
     def test_annulus_sweep_keeps_the_store_at_its_bound(self):
         # four times as many fresh annuli as the store holds: it fills to its
         # bound and stays there, and peak RSS grows by under 2.5 MB (1.5-1.8 MB
@@ -64,7 +72,10 @@ class TestRadialSolution:
             "import resource\n"
             "from coaxmode import AnnulusGeometry, radial_solution\n"
             "from coaxmode.errors import _MEMOS\n"
-            "bound, size, _ = _MEMOS['coaxmode.fields.radial_solution']\n"
+            "store = _MEMOS['coaxmode.fields.radial_solution']\n"
+            "bound = store.cache_info().maxsize\n"
+            "def size():\n"
+            "    return store.cache_info().currsize\n"
             "def rss_kb():\n"
             "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "radial_solution(AnnulusGeometry(a=0.5, b=1.0, l=1.0), 0, 1)\n"
@@ -224,6 +235,17 @@ class TestNonFiniteAmplitude:
             field_grid(geom, idx, 1, 1e308, [0.5], [0.0], [0.001])
         # E_z carries A R cos(kz z) alone, which stays finite
         assert cmath.isfinite(ez_mode(geom, idx, 1, 1e308, point))
+
+    def test_overflowing_axial_field_is_rejected(self):
+        # N_0(gamma a) is near 0 here, so R carries a coefficient of 6.3e14
+        # and A R overflows: E_z is refused as transverse_fields refuses it
+        geom = AnnulusGeometry(0.1, 0.44290291364542866, 1.0)
+        idx = ModeIndex(0, 1, 0)
+        point = FieldPoint(0.25, 0.0, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            transverse_fields(geom, idx, 1, 1e300, point)
+        with pytest.raises(DomainError, match="overflows"):
+            ez_mode(geom, idx, 1, 1e300, point)
 
     def test_overflowing_sum_is_rejected(self):
         # each term passes transverse_fields' check; E_z on the axis is 1e308 each

@@ -378,7 +378,7 @@ def _bits(result):
 
 
 # the stores clear_caches() empties, by the name the registry gives each
-_STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._tables",
+_STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._table",
            "coaxmode.fields.radial_solution", "coaxmode.fields._unit_overlap",
            "coaxmode.fields._wall_residual", "coaxmode.quadrature.gauss_legendre_rule")
 _SRC = pathlib.Path(coaxmode.__file__).parent
@@ -399,15 +399,18 @@ class TestCaches:
             importlib.import_module(f"coaxmode.{layer}")
         memos = coaxmode.errors._MEMOS
         assert sorted(memos) == sorted(_STORES)
-        for name, (bound, size, _) in memos.items():
-            assert type(bound) is int and 0 < bound <= 65_536, name
-            assert 0 <= size() <= bound, name
+        assert memos["coaxmode.roots._table"] is coaxmode.roots._table
+        for name, store in memos.items():
+            info = store.cache_info()
+            assert type(info.maxsize) is int and 0 < info.maxsize <= 65_536, name
+            assert 0 <= info.currsize <= info.maxsize, name
 
     def test_clear_caches_empties_every_store_and_cold_bits_match_warm(self):
         warm = _bits(self._warm())
-        assert all(size() for _, size, _ in coaxmode.errors._MEMOS.values())
+        assert all(store.cache_info().currsize for store in coaxmode.errors._MEMOS.values())
         coaxmode.clear_caches()
-        assert {name: size() for name, (_, size, _) in coaxmode.errors._MEMOS.items()} == \
+        assert {name: store.cache_info().currsize
+                for name, store in coaxmode.errors._MEMOS.items()} == \
             dict.fromkeys(_STORES, 0)
         assert _bits(self._warm()) == warm
 

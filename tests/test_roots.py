@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from coaxmode import (AnnulusGeometry, bessel_j, bessel_zeros, clear_caches,
                       cross_product_zeros, neumann_n, radial_eigenvalue)
 from coaxmode import roots
-from coaxmode.errors import DomainError, GeometryError, OrderError, RootFindingError
+from coaxmode.errors import _MEMOS, DomainError, GeometryError, OrderError, RootFindingError
 
 import oracles
 
@@ -37,6 +38,14 @@ def run_child(code, timeout=120):
                           text=True, timeout=timeout, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def cached_table(key):
+    """The (rows, lock) the table store holds for ``key``; it must hold one."""
+    hits = roots._table.cache_info().hits
+    table = roots._table(*key)
+    assert roots._table.cache_info().hits == hits + 1, f"no table for {key}"
+    return table
 
 
 class TestBesselZeros:
@@ -89,24 +98,23 @@ class TestBesselZeros:
         # a second zero that fails its checks must not enter the table, where
         # it would break every later read of it; a repeat of the first zero
         # lies below window 2, so the window check rejects it
-        key = ("cyl", 9)
         real = roots._polish
         calls = []
 
-        def repeat_first(f, lo, hi, flo, fhi, x):
-            calls.append(real(f, lo, hi, flo, fhi, x))
+        def repeat_first(f, lo, hi, x):
+            calls.append(real(f, lo, hi, x))
             return calls[0]
 
-        roots._tables.pop(key, None)
+        roots._table.cache_clear()
         try:
             monkeypatch.setattr(roots, "_polish", repeat_first)
             with pytest.raises(RootFindingError, match="Sturm window"):
                 bessel_zeros(9, 2)
-            assert len(roots._tables[key][0]) == 1
+            assert len(cached_table(("cyl", 9))[0]) == 1
             monkeypatch.setattr(roots, "_polish", real)
             assert bessel_zeros(9, 2).zeros[1] == pytest.approx(calls[1][0], abs=1e-14)
         finally:
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
 
     def test_argument_validation(self):
         with pytest.raises(OrderError):
@@ -163,15 +171,15 @@ class TestBesselWindows:
                 return (det - c) * half, (c + det) * half, slope, scale
             return planted
 
-        roots._tables.pop(key, None)
+        roots._table.cache_clear()
         try:
             monkeypatch.setattr(roots, "_bessel_determinant", ahead)
             with pytest.raises(RootFindingError, match="Sturm window"):
                 bessel_zeros(m, 1)
-            assert roots._tables[key][0] == []
+            assert cached_table(key)[0] == []
         finally:
             monkeypatch.undo()
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
         assert bessel_zeros(m, 2).zeros == whole
 
 
@@ -197,22 +205,21 @@ class TestBracketDefense:
         real = roots._polish
         starts = []
 
-        def spy(f, lo, hi, flo, fhi, x):
+        def spy(f, lo, hi, x):
             starts.append((x, f(x)[0]))
-            return real(f, lo, hi, flo, fhi, x)
+            return real(f, lo, hi, x)
 
         monkeypatch.setattr(roots, "_polish", spy)
         for _ in range(40):
             m = rng.randint(0, 50)
             ratio = math.exp(rng.uniform(math.log(1e-3), math.log(0.999)))
-            key = ("ann", m, ratio, 1.0)
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
             bessel_zeros(m, 1)  # root 1's start reads j_m1; its polish is not counted
             starts.clear()
             try:
                 zeros = (0.0,) + cross_product_zeros(m, ratio, 1.0, 21).zeros
             finally:
-                roots._tables.pop(key, None)
+                roots._table.cache_clear()
             for n, (x, residual) in enumerate(starts[:20], 1):
                 # between roots n-1 and n+1 the wrapped residual is the true one
                 assert zeros[n - 1] < x < zeros[n + 1], (m, ratio, n)
@@ -284,20 +291,21 @@ class TestCrossProductZeros:
         real = roots._polish
         calls = []
 
-        def moved(f, lo, hi, flo, fhi, x):
-            root, values = real(f, lo, hi, flo, fhi, x)
+        def moved(f, lo, hi, x):
+            root, values = real(f, lo, hi, x)
             calls.append(root)
             return (root, values) if len(calls) < 3 else (root * shift, f(root * shift))
 
-        roots._tables.pop(key, None)
+        roots._table.cache_clear()
+        bessel_zeros(m, 1)  # root 1's start reads j_m1; its polish is not counted
         try:
             monkeypatch.setattr(roots, "_polish", moved)
             with pytest.raises(RootFindingError, match="failed verification"):
                 cross_product_zeros(m, ratio, 1.0, 3)
-            assert len(roots._tables[key][0]) == 2
+            assert len(cached_table(key)[0]) == 2
         finally:
             monkeypatch.undo()
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
         assert cross_product_zeros(m, ratio, 1.0, 3).zeros == tuple(calls)
 
     def test_conditioning_floor_behavior(self):
@@ -414,22 +422,22 @@ class TestSturmWindows:
                 return (det - c) * half, (c + det) * half, slope, scale
             return planted
 
-        roots._tables.pop(key, None)
+        roots._table.cache_clear()
         try:
             monkeypatch.setattr(roots, "_cross_determinant", slow_start)
             late = cross_product_zeros(m, a, b, 2).zeros
             assert late[0] == first
             assert late[1] == pytest.approx(second, rel=4e-16)
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
             monkeypatch.setattr(roots, "_cross_determinant", ahead)
             with pytest.raises(RootFindingError, match="Sturm"):
                 cross_product_zeros(m, a, b, 1)
-            assert roots._tables[key][0] == []
+            assert cached_table(key)[0] == []
             with pytest.raises(RootFindingError, match="Sturm"):
                 cross_product_zeros(m, a, b, 2)
         finally:
             monkeypatch.undo()
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
         assert cross_product_zeros(m, a, b, 2).zeros == (first, second)
 
 
@@ -452,9 +460,7 @@ def _count_determinant_evaluations(monkeypatch) -> list[int]:
 
 class TestScanCost:
     def test_determinant_evaluations_per_root(self, monkeypatch):
-        keys = [("ann", m, 1.0, 2.0) for m in range(21)]
-        for key in keys:
-            roots._tables.pop(key, None)
+        roots._table.cache_clear()
         calls = _count_determinant_evaluations(monkeypatch)
         for m in range(21):
             cross_product_zeros(m, 1.0, 2.0, 20)
@@ -469,12 +475,11 @@ class TestScanCost:
         calls = _count_determinant_evaluations(monkeypatch)
 
         def grow(m, one_at_a_time):
-            key = ("ann", m, 1.0, 2.0)
-            roots._tables.pop(key, None)
+            roots._table.cache_clear()
             calls[0] = 0
             for count in range(1, 21) if one_at_a_time else (20,):
                 cross_product_zeros(m, 1.0, 2.0, count)
-            rows = [tuple(v.hex() for v in row) for row in roots._tables.pop(key)[0]]
+            rows = [tuple(v.hex() for v in row) for row in cached_table(("ann", m, 1.0, 2.0))[0]]
             return calls[0], rows
 
         for m in (0, 3, 20):
@@ -490,17 +495,14 @@ class TestScanCost:
             calls[0] += 1
             return real(m, x, with_n)
 
-        keys = [("cyl", m) for m in range(51)]
-        for key in keys:
-            roots._tables.pop(key, None)
+        roots._table.cache_clear()
         monkeypatch.setattr(roots, "_ladder", counting)
         try:
             for m in range(51):
                 bessel_zeros(m, 100)
         finally:
             monkeypatch.undo()
-            for key in keys:
-                roots._tables.pop(key, None)
+            roots._table.cache_clear()
         assert calls[0] / (51 * 100) <= 3.5
 
     def test_small_walls_scale_exactly(self):
@@ -535,7 +537,10 @@ class TestTableCache:
             "import resource\n"
             "from coaxmode import AnnulusGeometry, ModeIndex, roots, tm_frequency\n"
             "from coaxmode.errors import _MEMOS\n"
-            "bound, size, _ = _MEMOS['coaxmode.roots._tables']\n"
+            "store = _MEMOS['coaxmode.roots._table']\n"
+            "bound = store.cache_info().maxsize\n"
+            "def size():\n"
+            "    return store.cache_info().currsize\n"
             "def rss_kb():\n"
             "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "def hexes(rows):\n"
@@ -549,14 +554,29 @@ class TestTableCache:
             "        tm_frequency(geometry, ModeIndex(m, 1, 0))\n"
             "        most = max(most, size())\n"
             "growth = rss_kb() - start\n"
-            "assert ('ann', 0, 0.5, 1.0) not in roots._tables\n"
+            "again = roots._cross_rows(0, 0.5, 1.0, 3)\n"
+            "assert again is not held\n"
             "assert hexes(held) == first\n"
-            "assert hexes(roots._cross_rows(0, 0.5, 1.0, 3)) == first\n"
+            "assert hexes(again) == first\n"
             "print(bound, most, size(), growth)\n", timeout=120)
         bound, most, size, growth_kb = map(int, out.split())
-        assert bound == roots._TABLES_MAX
+        assert bound == roots._table.cache_info().maxsize == 256
         assert most == size == bound
         assert growth_kb < 2048
+
+    def test_table_in_use_outlives_a_sweep(self):
+        # the store evicts the least recently used table: one read between
+        # each of 1,000 fresh annuli, four times the bound, is never rebuilt
+        # (evicting the oldest inserted rebuilt it 3 times)
+        roots._table.cache_clear()
+        hot = roots._cross_rows(0, 0.5, 1.0, 1)
+        rebuilt = 0
+        for i in range(1_000):
+            roots._cross_rows(0, 0.5, 1.0 + (i + 1) * 1e-4, 1)
+            rows = roots._cross_rows(0, 0.5, 1.0, 1)
+            if rows is not hot:
+                rebuilt, hot = rebuilt + 1, rows
+        assert rebuilt == 0
 
     @pytest.mark.parametrize("table", [
         lambda count: bessel_zeros(7, count),
@@ -565,9 +585,9 @@ class TestTableCache:
         lambda count: cross_product_zeros(50, 0.001, 1.0, count),
     ], ids=["bessel", "cross-0", "cross-4", "cross-50-overlapping"])
     def test_table_grown_in_pieces_equals_one_call(self, table):
-        roots._tables.clear()
+        roots._table.cache_clear()
         whole = table(40)
-        roots._tables.clear()
+        roots._table.cache_clear()
         for count in (2, 3, 7, 15, 22, 40):
             grown = table(count)
         assert grown.zeros == whole.zeros
@@ -578,7 +598,7 @@ class TestTableCache:
         # while other threads extend it
         geometry = AnnulusGeometry(a=0.3, b=1.5, l=1.0)
         whole = cross_product_zeros(2, 0.3, 1.5, 60).zeros
-        roots._tables.pop(("ann", 2, 0.3, 1.5), None)
+        roots._table.cache_clear()
         seen, errors = [], []
 
         def reader(first):
@@ -607,7 +627,9 @@ class TestTableCache:
         # with room for four tables, six threads evict each other's tables
         # while they read them, and one empties every store now and then;
         # every read has the bits a lone thread gets
-        monkeypatch.setattr(roots, "_TABLES_MAX", 4)
+        small = functools.lru_cache(4)(roots._table.__wrapped__)
+        monkeypatch.setattr(roots, "_table", small)
+        monkeypatch.setitem(_MEMOS, "coaxmode.roots._table", small)
         walls = [(m, 0.3 + 0.05 * k) for m in range(3) for k in range(4)]
         whole = {(m, a): cross_product_zeros(m, a, 1.5, 6).zeros for m, a in walls}
         seen, errors = [], []
@@ -637,13 +659,13 @@ class TestTableCache:
         assert not errors
         assert len(seen) == 6 * 40
         assert all(zeros == whole[key][:count] for key, count, zeros in seen)
-        assert len(roots._tables) <= 4
+        assert small.cache_info().currsize <= 4
 
     def test_warm_read_takes_no_lock(self):
         # rows are only appended, so a table that already holds the entries
         # is read while another thread holds the table's lock
         bessel_zeros(7, 5)
-        _, lock = roots._tables[("cyl", 7)]
+        _, lock = cached_table(("cyl", 7))
         done = []
         reader = threading.Thread(target=lambda: done.append(bessel_zeros(7, 3)))
         with lock:
@@ -677,5 +699,5 @@ class TestTableCache:
             holder.join(timeout=10)
             if reader.ident is not None:
                 reader.join(timeout=10)
-            roots._tables.pop(("held",), None)
+            roots._table.cache_clear()
         assert not holder.is_alive() and not reader.is_alive()
