@@ -14,19 +14,26 @@ Enumeration below a cutoff relies on monotonicity only: omega grows with
 n at fixed (m, p), with p at fixed (m, n), and the smallest eigenvalue
 per angular order, gamma_m1, grows with m. Scanning therefore terminates
 provably without index caps. One scan yields the (m, n) towers of axial
-modes below the cutoff; enumerate_modes_below builds and sorts their
-entries, while mode_count_histogram bins each tower in O(bins) memory and
-builds no ModeEntry.
+modes below the cutoff; mode_count_histogram bins each tower in O(bins)
+memory and builds no ModeEntry.
+
+enumerate_modes_below keeps each geometry's sorted spectrum, the way roots
+keeps root tables: one ``_spectrum`` memo entry, grown with the cutoff. A
+call at or below the held cutoff returns a prefix of the held list; a higher
+cutoff builds only the modes above the held one, sorts them and appends
+them. Every held omega is at most the held cutoff and every new one above
+it, so the concatenation is the order a cold sort gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Union
 
-from .errors import DomainError, GeometryError, ResourceLimitError, _finite_real, _integer, _record
+from .errors import (DomainError, GeometryError, ResourceLimitError, _finite_real, _integer,
+                     _memo, _record)
 from . import roots
 
 C_LIGHT = 299_792_458.0  # exact SI speed of light, m/s
@@ -185,6 +192,13 @@ def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
             and C_LIGHT * radial_eigenvalue(geometry, top, 1) <= omega_max)
 
 
+def _cutoff(omega_max: float) -> float:
+    """omega_max as a float, once it is a positive finite real; else DomainError."""
+    if not (_finite_real(omega_max) and omega_max > 0.0):
+        raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
+    return float(omega_max)
+
+
 def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float, int]]:
     """Each (m, n, gamma_mn, top p) tower of modes with omega <= omega_max.
 
@@ -195,9 +209,7 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     stop the scan first, before any order is scanned) or more than
     roots.COUNT_MAX radial eigenvalues in one order.
     """
-    if not (_finite_real(omega_max) and omega_max > 0.0):
-        raise DomainError(f"omega_max must be positive and finite, got {omega_max!r}")
-    omega_max = float(omega_max)
+    omega_max = _cutoff(omega_max)
     beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
                          f"{roots.ORDER_MAX}; tighten the cutoff")
     if _stops_at_order_envelope(geometry, omega_max):
@@ -224,17 +236,55 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     raise beyond
 
 
-def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
-    """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p).
+# a snapshot is kept while it holds at most this many modes; at about 244 B a
+# mode the store holds at most 16 x 2,048 modes, about 8 MB. A library session
+# holds 230 and 194, verify and a modes job tens
+_SPECTRUM_MODES = 2_048
 
-    Raises what ``_towers`` raises, before any entry is built.
+
+@_memo(16)
+def _spectrum(geometry: Geometry) -> list[tuple[float, list[float], list[ModeEntry]]]:
+    """A one-slot holder of geometry's spectrum: [(cutoff, omegas, entries)].
+
+    It starts empty at cutoff 0.0. The entries are every mode with omega <=
+    cutoff in sorted order, and omegas their frequencies. A snapshot is never
+    changed: a longer one replaces it by one assignment, so a reader slices
+    the snapshot it read, and two threads that extend at once each publish a
+    valid one.
     """
-    l = geometry.l
-    # (m, n, p) is unique, so sorting the plain tuples orders the entries
-    modes = sorted((_omega(gamma, p, l), m, n, p, gamma)
-                   for m, n, gamma, top in _towers(geometry, omega_max) for p in range(top + 1))
-    return [ModeEntry(ModeIndex(m, n, p), gamma, omega, 1 if m == 0 else 2)
-            for omega, m, n, p, gamma in modes]
+    return [(0.0, [], [])]
+
+
+def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntry]:
+    """Every TM mode with omega <= omega_max, sorted by (omega, m, n, p), as a new list.
+
+    Raises what ``_towers`` raises, before any entry is built; a cutoff at
+    or below one a scan has passed raises nothing the scan would not.
+    """
+    omega_max = _cutoff(omega_max)
+    # before the store hashes it: a foreign geometry may not be hashable
+    if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
+        raise GeometryError(f"unsupported geometry {geometry!r}")
+    holder = _spectrum(geometry)
+    cutoff, omegas, entries = holder[0]
+    if omega_max > cutoff:
+        l = geometry.l
+        # only the modes above the held cutoff; (m, n, p) is unique, so sorting
+        # the plain tuples orders them
+        modes = sorted((_omega(gamma, p, l), m, n, p, gamma)
+                       for m, n, gamma, top in _towers(geometry, omega_max)
+                       for p in range(_axial_top(gamma, l, cutoff) + 1, top + 1))
+        omegas = omegas + [mode[0] for mode in modes]
+        entries = entries + [ModeEntry(ModeIndex(m, n, p), gamma, omega, 1 if m == 0 else 2)
+                             for omega, m, n, p, gamma in modes]
+        if len(entries) > _SPECTRUM_MODES:
+            return entries
+        holder[0] = (omega_max, omegas, entries)
+    count = bisect_right(omegas, omega_max)
+    if count > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"spectrum below omega_max={omega_max!r} exceeds {ENUMERATION_CAP} modes")
+    return entries[:count]
 
 
 def mode_count_histogram(geometry: Geometry, omega_max: float,

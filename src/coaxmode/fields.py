@@ -235,11 +235,11 @@ def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: co
     return kz, k_rho, k_phi, k_brho, k_bphi
 
 
-def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
-                      amplitude: complex, point: FieldPoint) -> FieldSample:
-    """All five TM components of one mode at one point."""
-    _check_sign(sign)
-    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
+def _components(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
+                rho: float, phi: float,
+                z: float) -> tuple[complex, complex, complex, complex, complex]:
+    """(E_z, E_rho, E_phi, B_rho, B_phi) of one mode at a point ``_require_inside``
+    passed, for a sign ``_check_sign`` passed; the amplitude is checked here."""
     sol = radial_solution(geometry, index.m, index.n)
     amplitude = _check_amplitude(amplitude)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
@@ -257,8 +257,16 @@ def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
     if not (finite(e_z) and finite(e_rho) and finite(e_phi) and finite(b_rho)
             and finite(b_phi)):
         raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
-                          f"({index.m}, {index.n}, {index.p}) at rho = {point.rho!r}")
-    return FieldSample(e_z, e_rho, e_phi, b_rho, b_phi)
+                          f"({index.m}, {index.n}, {index.p}) at rho = {rho!r}")
+    return e_z, e_rho, e_phi, b_rho, b_phi
+
+
+def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
+                      amplitude: complex, point: FieldPoint) -> FieldSample:
+    """All five TM components of one mode at one point."""
+    _check_sign(sign)
+    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
+    return FieldSample(*_components(geometry, index, sign, amplitude, rho, phi, z))
 
 
 def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
@@ -271,6 +279,13 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
     order, z fastest. Every value is bit-identical to ``transverse_fields``
     at the same point. The sign, every coordinate and the mode are checked
     before this returns, so a bad grid raises before the first row.
+
+    The amplitude check is conservative by design. Made before any row, it
+    bounds each component's modulus, |factor| times the largest |radial|,
+    which a part of the product reaches at some phase, so it refuses some
+    amplitudes that ``transverse_fields`` accepts at a given point: for
+    1.7e308+1.7e308j, |A| = 2.4e308 is above the largest float, and the grid
+    raises even where no part of A R overflows.
     """
     _check_sign(sign)
     # each coordinate once, the other two at a point every cavity contains
@@ -317,17 +332,26 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
 
 def superpose(geometry: Geometry, amplitudes: Iterable[ModeAmplitude],
               point: FieldPoint) -> FieldSample:
-    """Componentwise sum over modes, accumulated in input order."""
-    _require_inside(geometry, point.rho, point.phi, point.z)
-    total = ZERO_SAMPLE
+    """Componentwise sum over modes, accumulated in input order from 0j.
+
+    The point is checked once; each term is checked as ``transverse_fields``
+    checks it, and its sum is bit-identical to adding those samples.
+    """
+    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
+    e_z = e_rho = e_phi = b_rho = b_phi = 0j
     for term in amplitudes:
-        total = total + transverse_fields(geometry, term.index, term.sign,
-                                          term.amplitude, point)
+        sign = _check_sign(term.sign)
+        t_z, t_rho, t_phi, t_brho, t_bphi = _components(geometry, term.index, sign,
+                                                        term.amplitude, rho, phi, z)
+        e_z += t_z
+        e_rho += t_rho
+        e_phi += t_phi
+        b_rho += t_brho
+        b_phi += t_bphi
     # each term is finite, but their sum can still overflow
-    if not all(map(cmath.isfinite, (total.e_z, total.e_rho, total.e_phi, total.b_rho,
-                                    total.b_phi))):
+    if not all(map(cmath.isfinite, (e_z, e_rho, e_phi, b_rho, b_phi))):
         raise DomainError(f"the sum of the modes overflows at rho = {point.rho!r}")
-    return total
+    return FieldSample(e_z, e_rho, e_phi, b_rho, b_phi)
 
 
 def real_basis(plus: FieldSample, minus: FieldSample) -> tuple[FieldSample, FieldSample]:

@@ -3,13 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from bisect import bisect_right
 
 import pytest
 
 import coaxmode.cavity as cavity
 from coaxmode import verify
-from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex,
+from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex, clear_caches,
                       cross_product_zeros, enumerate_modes_below, mode_count_histogram,
                       radial_eigenvalue, tm_frequency)
 from coaxmode.errors import DomainError, GeometryError, ResourceLimitError
@@ -130,11 +131,117 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_modes_below(CYL, -1.0)
 
+    def test_foreign_geometry_is_a_geometry_error(self):
+        # as mode_count_histogram and tm_frequency say, and before the store
+        # hashes it; the cutoff is checked first
+        for geometry in (object(), [1.0, 1.0]):
+            with pytest.raises(GeometryError):
+                enumerate_modes_below(geometry, 3e9)
+            with pytest.raises(GeometryError):
+                mode_count_histogram(geometry, 3e9, 4)
+            with pytest.raises(DomainError):
+                enumerate_modes_below(geometry, math.nan)
+        with pytest.raises(GeometryError):
+            tm_frequency(object(), ModeIndex(0, 1, 0))
+
     def test_cutoff_beyond_order_envelope_is_explicit(self):
         # x_{50,1} = 57.1, so a cutoff of c*60 would need angular orders
         # past the supported maximum; the message should say so
         with pytest.raises(DomainError, match="angular orders beyond"):
             enumerate_modes_below(CYL, C_LIGHT * 60.0)
+
+
+def _cold(geometry, omega_max):
+    clear_caches()
+    return enumerate_modes_below(geometry, omega_max)
+
+
+class TestSpectrumStore:
+    # about 230 and 100 modes below the top cutoffs
+    TOPS = ((CYL, 20.0), (ANN, 9.0))
+
+    @staticmethod
+    def cutoffs(geometry, top, count, seed):
+        # rising and falling runs, repeats, and cutoffs on a mode's own omega
+        rng = random.Random(seed)
+        exact = [e.omega for e in _cold(geometry, C_LIGHT * top)]
+        cuts = []
+        while len(cuts) < count:
+            kind = rng.randrange(4)
+            run = [C_LIGHT * top * rng.uniform(0.2, 1.0) for _ in range(rng.randint(2, 6))]
+            if kind == 0:
+                cuts += sorted(run)
+            elif kind == 1:
+                cuts += sorted(run, reverse=True)
+            elif kind == 2:
+                cuts += [run[0]] * 3
+            else:
+                cuts += rng.sample(exact, 3)
+        return cuts[:count]
+
+    @pytest.mark.parametrize("geometry,top", TOPS, ids=["cylinder", "annulus"])
+    def test_any_cutoff_sequence_matches_cold_enumerations(self, geometry, top):
+        cuts = self.cutoffs(geometry, top, 200, 20261020)
+        cold = {cut: _cold(geometry, cut) for cut in cuts}
+        assert any(cold.values()) and any(e.omega in cold for e in cold[max(cuts)])
+        clear_caches()
+        for cut in cuts:
+            got = enumerate_modes_below(geometry, cut)
+            assert got == cold[cut], cut
+            assert [e.omega.hex() for e in got] == [e.omega.hex() for e in cold[cut]]
+
+    def test_mutating_a_result_leaves_the_next_call_intact(self):
+        clear_caches()
+        first = enumerate_modes_below(CYL, C_LIGHT * 12.0)
+        kept = list(first)
+        first.clear()
+        again = enumerate_modes_below(CYL, C_LIGHT * 12.0)
+        assert again == kept
+        again.append(again[0])
+        del again[:3]
+        assert enumerate_modes_below(CYL, C_LIGHT * 8.0) == _cold(CYL, C_LIGHT * 8.0)
+        assert enumerate_modes_below(CYL, C_LIGHT * 12.0) == kept
+
+    def test_a_spectrum_above_the_bound_is_returned_whole_and_not_kept(self):
+        clear_caches()
+        held = enumerate_modes_below(CYL, C_LIGHT * 20.0)
+        omega_max = C_LIGHT * 50.0
+        whole = enumerate_modes_below(CYL, omega_max)
+        assert len(whole) > cavity._SPECTRUM_MODES
+        assert whole[:len(held)] == held
+        keys = [(e.omega, e.index.m, e.index.n, e.index.p) for e in whole]
+        assert keys == sorted(keys)
+        assert sum(e.degeneracy for e in whole) == mode_count_histogram(CYL, omega_max, 1)[0][1]
+        assert cavity._spectrum(CYL)[0][0] == C_LIGHT * 20.0
+        assert len(cavity._spectrum(CYL)[0][2]) == len(held)
+        assert _cold(CYL, omega_max) == whole
+
+    def test_threads_at_interleaved_cutoffs_give_the_serial_results(self):
+        cuts = [(geometry, cut) for geometry, top in self.TOPS
+                for cut in self.cutoffs(geometry, top, 48, 7)]
+        random.Random(3).shuffle(cuts)
+        serial = [_cold(geometry, cut) for geometry, cut in cuts]
+        clear_caches()
+        results = [None] * len(cuts)
+        start = threading.Barrier(8, timeout=60)
+        interval = sys.getswitchinterval()
+
+        def work(first):
+            start.wait()
+            for i in range(first, len(cuts), 8):
+                results[i] = enumerate_modes_below(*cuts[i])
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 
 class TestScaling:

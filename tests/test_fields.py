@@ -1,6 +1,8 @@
 import cmath
+import functools
 import gc
 import math
+import operator
 import os
 import random
 import subprocess
@@ -289,6 +291,19 @@ class TestFieldGrid:
                         rows += len(grid)
         assert rows == 3 * 4 * 3 * 2 * 36
 
+    def test_amplitude_check_bounds_the_modulus(self):
+        # |A| = 1.7e308 sqrt(2) = 2.4e308 lies above the largest float, so the
+        # check made before the first row refuses A on every grid, this one-point
+        # grid too, where transverse_fields accepts it: no part of E_z overflows
+        # at this point, but a part of A R reaches |A| R at some phase
+        amplitude = 1.7e308 + 1.7e308j
+        idx = ModeIndex(0, 1, 0)
+        sample = transverse_fields(CYL, idx, 1, amplitude, FieldPoint(0.0, 0.0, 0.0))
+        assert sample.e_z == amplitude
+        with pytest.raises(DomainError, match="overflows the fields of mode .* on this grid"):
+            field_grid(CYL, idx, 1, amplitude, [0.0], [0.0], [0.0])
+        assert math.isinf((amplitude * cmath.exp(-0.25j * math.pi)).real)
+
     def test_checks_run_before_the_first_row(self):
         idx = ModeIndex(1, 1, 1)
         grid = ([0.5], [0.0], [0.5])
@@ -322,6 +337,41 @@ class TestSuperpose:
         term = ModeAmplitude(ModeIndex(1, 1, 1), -1, 0.3 + 0.1j)
         assert superpose(ANN, [term], self.POINT) == transverse_fields(
             ANN, term.index, term.sign, term.amplitude, self.POINT)
+
+    def test_bits_equal_the_left_fold_of_point_samples(self):
+        rng = random.Random(20261020)
+        signed_zeros = 0
+        for geom in (CYL, ANN):
+            lo = geom.a if isinstance(geom, AnnulusGeometry) else 0.0
+            for _ in range(40):
+                # walls, end plates and (cylinder) the axis give exact and signed zeros
+                rho = rng.choice([lo, geom.b, rng.uniform(lo, geom.b)])
+                z = rng.choice([0.0, geom.l, rng.uniform(0.0, geom.l)])
+                point = FieldPoint(rho, rng.uniform(-7.0, 7.0), z)
+                terms = []
+                for _ in range(rng.randint(1, 6)):
+                    idx = ModeIndex(rng.randint(0, 4), rng.randint(1, 3), rng.randint(0, 3))
+                    sign = rng.choice((1, -1))
+                    amplitude = rng.choice([complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
+                                            rng.uniform(-2.0, 2.0), -0.0, complex(-0.0, 0.0)])
+                    terms.append(ModeAmplitude(idx, sign, amplitude))
+                    if rng.random() < 0.3:  # cancels the term exactly
+                        terms.append(ModeAmplitude(idx, sign, -amplitude))
+                samples = [transverse_fields(geom, t.index, t.sign, t.amplitude, point)
+                           for t in terms]
+                folded = functools.reduce(operator.add, samples, ZERO_SAMPLE)
+                assert _sample_hex(superpose(geom, terms, point)) == _sample_hex(folded)
+                signed_zeros += sum(v == "-0x0.0p+0" for s in samples for v in _sample_hex(s))
+        assert signed_zeros
+
+    def test_every_term_is_checked(self):
+        good = ModeAmplitude(ModeIndex(1, 1, 1), 1, 1.0)
+        with pytest.raises(DomainError, match="sign"):
+            superpose(ANN, [good, ModeAmplitude(ModeIndex(1, 1, 1), 2, 1.0)], self.POINT)
+        with pytest.raises(DomainError, match="amplitude"):
+            superpose(ANN, [good, ModeAmplitude(ModeIndex(1, 1, 1), 1, math.inf)], self.POINT)
+        with pytest.raises(OrderError):
+            superpose(ANN, [good, ModeAmplitude(ModeIndex(51, 1, 1), 1, 1.0)], self.POINT)
 
     def test_opposite_amplitudes_cancel(self):
         plus = ModeAmplitude(ModeIndex(2, 1, 1), 1, 1.0)

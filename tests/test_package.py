@@ -378,7 +378,7 @@ def _bits(result):
 
 
 # the stores clear_caches() empties, by the name the registry gives each
-_STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._table",
+_STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._table", "coaxmode.cavity._spectrum",
            "coaxmode.fields.radial_solution", "coaxmode.fields._unit_overlap",
            "coaxmode.fields._wall_residual", "coaxmode.quadrature.gauss_legendre_rule")
 _SRC = pathlib.Path(coaxmode.__file__).parent
@@ -392,7 +392,8 @@ class TestCaches:
                 coaxmode.radial_solution(ann, 2, 3), coaxmode.boundary_residual(ann, _MODE),
                 coaxmode.boundary_residual(_CYL, _MODE, 1.01),
                 coaxmode.orthogonality_check(1, 2, 3, 1.5),
-                coaxmode.orthogonality_check(2, 4, 4, 1.0), coaxmode.gauss_legendre_rule(10)]
+                coaxmode.orthogonality_check(2, 4, 4, 1.0), coaxmode.gauss_legendre_rule(10),
+                coaxmode.enumerate_modes_below(ann, 6.0 * coaxmode.C_LIGHT)]
 
     def test_every_store_is_registered_with_a_finite_bound(self):
         for layer in ("fields", "quadrature"):
