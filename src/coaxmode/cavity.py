@@ -51,8 +51,9 @@ def _set_positive(record: object, name: str, what: str) -> None:
 
 @_record
 class CylinderGeometry:
-    """Solid cylindrical cavity: wall at rho = b, end plates at z = 0, l."""
+    """Solid cylindrical cavity: radial interval [a, b] with a = 0.0, end plates at z = 0, l."""
 
+    a = 0.0  # a class constant, not a field
     b: float
     l: float
 
@@ -77,6 +78,13 @@ class AnnulusGeometry:
 
 
 Geometry = Union[CylinderGeometry, AnnulusGeometry]
+
+
+def _check_geometry(geometry: Geometry) -> Geometry:
+    """geometry, if it is one of the two records; else GeometryError."""
+    if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
+        raise GeometryError(f"unsupported geometry {geometry!r}")
+    return geometry
 
 
 @_record
@@ -121,14 +129,10 @@ def _omega(gamma: float, p: int, l: float) -> float:
     return C_LIGHT * math.hypot(gamma, p * math.pi / l)
 
 
-def _mode_entry(index: ModeIndex, gamma: float, l: float) -> ModeEntry:
-    return ModeEntry(index=index, gamma=gamma, omega=_omega(gamma, index.p, l),
-                     degeneracy=1 if index.m == 0 else 2)
-
-
 def tm_frequency(geometry: Geometry, index: ModeIndex) -> ModeEntry:
     """Resolve one TM mode: eigenvalue, angular frequency, degeneracy."""
-    return _mode_entry(index, radial_eigenvalue(geometry, index.m, index.n), geometry.l)
+    gamma = radial_eigenvalue(geometry, index.m, index.n)
+    return ModeEntry(index, gamma, _omega(gamma, index.p, geometry.l), 1 if index.m == 0 else 2)
 
 
 def _axial_top(gamma: float, l: float, omega_max: float) -> int:
@@ -172,19 +176,17 @@ def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
     """
     top = roots.ORDER_MAX
     k = omega_max / C_LIGHT
-    if isinstance(geometry, CylinderGeometry):
-        radial = k * geometry.b / math.pi + 1.0
-        floor = roots._bessel_window(top, 1, 0.0)[0] / geometry.b
-    elif isinstance(geometry, AnnulusGeometry):
-        a, b = geometry.a, geometry.b
+    a, b = geometry.a, geometry.b
+    if a == 0.0:  # the cylinder
+        radial = k * b / math.pi + 1.0
+        floor = roots._bessel_window(top, 1, 0.0)[0] / b
+    else:
         # window n of order 0 starts near sqrt((n pi/(b-a))^2 - 1/(4a^2)); the
         # window itself certifies the count, rounding and slack included
         radial = int(min((b - a) / math.pi * math.hypot(k, 0.5 / a), roots.COUNT_MAX)) + 1
         if roots._sturm_window(0, a, b, radial)[0] <= k:
             return False
         floor = roots._sturm_window(top, a, b, 1)[0]
-    else:
-        return False  # the scan raises GeometryError at its first eigenvalue
     axial = k * geometry.l / math.pi + 2.0
     return (radial < roots.COUNT_MAX
             and (top + 1) * radial * axial <= ENUMERATION_CAP
@@ -212,7 +214,7 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     omega_max = _cutoff(omega_max)
     beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
                          f"{roots.ORDER_MAX}; tighten the cutoff")
-    if _stops_at_order_envelope(geometry, omega_max):
+    if _stops_at_order_envelope(_check_geometry(geometry), omega_max):
         raise beyond
     towers: list[tuple[int, int, float, int]] = []
     size = 0
@@ -263,9 +265,7 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
     """
     omega_max = _cutoff(omega_max)
     # before the store hashes it: a foreign geometry may not be hashable
-    if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
-        raise GeometryError(f"unsupported geometry {geometry!r}")
-    holder = _spectrum(geometry)
+    holder = _spectrum(_check_geometry(geometry))
     cutoff, omegas, entries = holder[0]
     if omega_max > cutoff:
         l = geometry.l

@@ -341,6 +341,12 @@ def _geometry(args: argparse.Namespace):
     return CylinderGeometry(b=b, l=l)
 
 
+def _params(geometry, **job) -> dict:
+    """A job's JSON params: the cavity, b and l, the job's own, then a for the annulus."""
+    a = {"a": geometry.a} if geometry.a else {}
+    return {"cavity": "annulus" if a else "cylinder", "b": geometry.b, "l": geometry.l, **job, **a}
+
+
 def _parse_grid(spec: str, flag: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -396,13 +402,10 @@ def _omega_max(args) -> float:
 
 
 def _cmd_modes(args) -> int:
-    from .cavity import AnnulusGeometry, enumerate_modes_below, mode_count_histogram
+    from .cavity import enumerate_modes_below, mode_count_histogram
     geometry = _geometry(args)
     omega_max = _omega_max(args)
-    params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),
-              "b": geometry.b, "l": geometry.l, "omega_max": omega_max}
-    if isinstance(geometry, AnnulusGeometry):
-        params["a"] = geometry.a
+    params = _params(geometry, omega_max=omega_max)
     if args.histogram is not None:
         hist = mode_count_histogram(geometry, omega_max, args.histogram)
         params["histogram_bins"] = args.histogram
@@ -417,7 +420,7 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    from .cavity import AnnulusGeometry, ModeIndex
+    from .cavity import ModeIndex
     from .fields import field_grid
     geometry = _geometry(args)
     mode_spec = _require(args, "mode")
@@ -433,23 +436,18 @@ def _cmd_field(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--amplitude expects RE or RE,IM, got {args.amplitude!r}") from exc
 
-    rho_lo = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
     rhos = _parse_grid(_require(args, "rho"), "--rho")
     phis = _parse_grid(_require(args, "phi"), "--phi")
     zs = _parse_grid(_require(args, "z"), "--z")
-    if rhos[0] < rho_lo or rhos[-1] > geometry.b or zs[0] < 0.0 or zs[-1] > geometry.l:
+    if rhos[0] < geometry.a or rhos[-1] > geometry.b or zs[0] < 0.0 or zs[-1] > geometry.l:
         raise _UsageError(
-            f"grid leaves the cavity: rho must stay in [{rho_lo}, {geometry.b}], "
+            f"grid leaves the cavity: rho must stay in [{geometry.a}, {geometry.b}], "
             f"z in [0, {geometry.l}]")
 
     # the grid and the mode are checked here, before any output
     rows = field_grid(geometry, index, sign, amplitude, rhos, phis, zs)
-    params = {"cavity": type(geometry).__name__.removesuffix("Geometry").lower(),
-              "b": geometry.b, "l": geometry.l, "mode": [m, n, p],
-              "sign": "+" if sign > 0 else "-",
-              "amplitude": [amplitude.real, amplitude.imag]}
-    if isinstance(geometry, AnnulusGeometry):
-        params["a"] = geometry.a
+    params = _params(geometry, mode=[m, n, p], sign="+" if sign > 0 else "-",
+                     amplitude=[amplitude.real, amplitude.imag])
     columns = ("rho", "phi", "z",
                "re_ez", "im_ez", "re_erho", "im_erho", "re_ephi", "im_ephi",
                "re_brho", "im_brho", "re_bphi", "im_bphi")

@@ -7,7 +7,8 @@ One mode (m, n, p) with orientation sign s (the e^{+-imphi} choice) has
     B_t   = (i omega / (c^2 gamma^2)) e_z x grad_t E_z
 
 where R is J_m(gamma rho) for the cylinder and the J/N combination that
-vanishes at both walls for the annulus. E_rho and E_phi carry sin(kz z)
+vanishes at both walls for the annulus, over the radial interval [a, b]
+the cavity spans (a = 0.0 for the cylinder). E_rho and E_phi carry sin(kz z)
 and vanish identically for p = 0 and on the end plates; E_z and E_phi
 vanish on the radial walls through R itself.
 
@@ -33,10 +34,9 @@ import random
 import sys
 from typing import Iterable, Iterator
 
-from .cavity import (AnnulusGeometry, C_LIGHT, CylinderGeometry, Geometry,
-                     ModeIndex, _omega, radial_eigenvalue, tm_frequency)
-from .errors import (ConditioningError, DomainError, GeometryError, _finite_real, _integer,
-                     _memo, _record)
+from .cavity import (C_LIGHT, Geometry, ModeIndex, _check_geometry, _omega,
+                     radial_eigenvalue, tm_frequency)
+from .errors import ConditioningError, DomainError, _finite_real, _integer, _memo, _record
 from .roots import bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
 from .specfun import _cached_ladder, _ladder, _slope
@@ -133,7 +133,7 @@ class ModeAmplitude:
 
 
 def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
-    if isinstance(geometry, CylinderGeometry):
+    if geometry.a == 0.0:  # the cylinder
         return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=0.0)
     ja, _, na, _ = _ladder(m, gamma * geometry.a, True)  # its caller memoizes the build
     if not 1e-300 <= abs(na) < math.inf:
@@ -147,9 +147,13 @@ def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
 # field job 1; each entry pins its geometry, about 450 B with an annulus, so 1,024
 # entries hold at most about 0.45 MiB
 @_memo(1_024, typed=True)
+def _radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
+    return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
+
+
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     """Radial profile of mode (m, n): unit J coefficient, both walls matched."""
-    return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
+    return _radial_solution(_check_geometry(geometry), m, n)  # before the memo hashes it
 
 
 def _require_inside(geometry: Geometry, rho: float, phi: float,
@@ -161,7 +165,7 @@ def _require_inside(geometry: Geometry, rho: float, phi: float,
         for name, value in (("rho", rho), ("phi", phi), ("z", z)):
             if not _finite_real(value):
                 raise DomainError(f"{name} must be a finite real number, got {value!r}")
-    lo = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
+    lo = _check_geometry(geometry).a
     if not (lo <= rho <= geometry.b) or not (0.0 <= z <= geometry.l):
         raise DomainError(
             f"point (rho={rho!r}, z={z!r}) lies outside the cavity "
@@ -201,7 +205,7 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
     _check_sign(sign)
     amplitude = _check_amplitude(amplitude)
     rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
-    sol = radial_solution(geometry, index.m, index.n)
+    sol = _radial_solution(geometry, index.m, index.n)
     kz = index.p * math.pi / geometry.l
     e_z = amplitude * sol.value(rho) * _angular(index.m, sign, phi) * math.cos(kz * z)
     if not cmath.isfinite(e_z):
@@ -240,7 +244,7 @@ def _components(geometry: Geometry, index: ModeIndex, sign: int, amplitude: comp
                 z: float) -> tuple[complex, complex, complex, complex, complex]:
     """(E_z, E_rho, E_phi, B_rho, B_phi) of one mode at a point ``_require_inside``
     passed, for a sign ``_check_sign`` passed; the amplitude is checked here."""
-    sol = radial_solution(geometry, index.m, index.n)
+    sol = _radial_solution(geometry, index.m, index.n)
     amplitude = _check_amplitude(amplitude)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
                                                      sol.gamma)
@@ -288,11 +292,12 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
     raises even where no part of A R overflows.
     """
     _check_sign(sign)
+    _check_geometry(geometry)  # here too, as an axis may be empty
     # each coordinate once, the other two at a point every cavity contains
     rhos = [_require_inside(geometry, rho, 0.0, 0.0)[0] for rho in rhos]
     phis = [_require_inside(geometry, geometry.b, phi, 0.0)[1] for phi in phis]
     zs = [_require_inside(geometry, geometry.b, 0.0, z)[2] for z in zs]
-    sol = radial_solution(geometry, index.m, index.n)
+    sol = _radial_solution(geometry, index.m, index.n)
     amplitude = _check_amplitude(amplitude)
     kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
                                                      sol.gamma)
@@ -411,6 +416,11 @@ def _unit_overlap(nu: int, n: int, k: int) -> tuple[float, float]:
 _GRID = 64
 
 
+def _inset(geometry: Geometry) -> list[float]:
+    # the midpoints of _GRID equal cells of [a, b]: both probes' interior grid
+    return [geometry.a + (geometry.b - geometry.a) * (i + 0.5) / _GRID for i in range(_GRID)]
+
+
 def _axial_maxima(kz: float, l: float) -> tuple[float, float, float]:
     # max |cos|, max |sin| over the axial grid, and |sin| on the far plate
     zs = [l * i / (_GRID - 1) for i in range(_GRID)]
@@ -434,11 +444,9 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     """
     if not (_finite_real(gamma_scale) and gamma_scale > 0.0):
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
-    m, n, p = index.m, index.n, index.p
     # before the memo hashes it: a foreign geometry may not be hashable
-    if not isinstance(geometry, (CylinderGeometry, AnnulusGeometry)):
-        raise GeometryError(f"unsupported geometry {geometry!r}")
-    return _wall_residual(geometry, m, n, p, float(gamma_scale))
+    return _wall_residual(_check_geometry(geometry), index.m, index.n, index.p,
+                          float(gamma_scale))
 
 
 # plain ints and a float, not the caller's objects, so the memo pins none of them
@@ -451,8 +459,7 @@ def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: floa
     inv_g2 = 1.0 / (gamma * gamma)
     cos_max, sin_max, sin_plate = _axial_maxima(kz, l)
 
-    inner = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
-    walls = [geometry.b] if inner == 0.0 else [inner, geometry.b]
+    walls = [geometry.b] if geometry.a == 0.0 else [geometry.a, geometry.b]
 
     # radial-wall tangentials E_z and E_phi, both proportional to R(wall)
     wall_peak = 0.0
@@ -464,7 +471,7 @@ def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: floa
 
     # end-plate tangentials E_rho, E_phi: sin(0) = 0 exactly, the far plate
     # carries only the rounding of sin(p pi)
-    rhos = [inner + (geometry.b - inner) * i / (_GRID - 1) for i in range(_GRID)]
+    rhos = [geometry.a + (geometry.b - geometry.a) * i / (_GRID - 1) for i in range(_GRID)]
     # peaks of |R|, |dR/drho| and |R/rho| over each radial grid
     _, slope_peak, over_peak = (max(map(abs, c)) for c in zip(*map(sol.profile, rhos)))
     if kz:
@@ -473,8 +480,8 @@ def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: floa
             wall_peak = max(wall_peak, m * kz * inv_g2 * over_peak * sin_plate)
 
     # interior peak across E_z, E_rho, E_phi on an inset grid
-    inset = [inner + (geometry.b - inner) * (i + 0.5) / _GRID for i in range(_GRID)]
-    value_peak, slope_in, over_in = (max(map(abs, c)) for c in zip(*map(sol.profile, inset)))
+    value_peak, slope_in, over_in = (max(map(abs, c))
+                                     for c in zip(*map(sol.profile, _inset(geometry))))
     zs_in = [l * (i + 0.5) / _GRID for i in range(_GRID)]
     cos_in = max(abs(math.cos(kz * z)) for z in zs_in)
     sin_in = max(abs(math.sin(kz * z)) for z in zs_in)
@@ -501,16 +508,15 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     _check_sign(sign)
     entry = tm_frequency(geometry, index)
     k2 = (entry.omega / C_LIGHT) ** 2
-    inner = geometry.a if isinstance(geometry, AnnulusGeometry) else 0.0
+    inner = geometry.a
     h = 1e-3 * (geometry.b - inner)
     g = 1e-3 * geometry.l
     m2 = index.m * index.m
     kz = index.p * math.pi / geometry.l
 
-    sol = radial_solution(geometry, index.m, index.n)
+    sol = _radial_solution(geometry, index.m, index.n)
     # boundary_residual's inset grid, so these reads stay on the ladder memo
-    rhos = [inner + (geometry.b - inner) * (i + 0.5) / _GRID for i in range(_GRID)]
-    scale = k2 * max(abs(sol.value(r)) for r in rhos)
+    scale = k2 * max(abs(sol.value(r)) for r in _inset(geometry))
     m, gamma, cj, cn = sol.m, sol.gamma, sol.coeff_j, sol.coeff_n
     with_n = bool(cn)
 

@@ -27,20 +27,16 @@ def gauss_legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     nodes = []
     weights = []
     for i in range(1, n + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        for _ in range(100):
+        x, dx = math.cos(math.pi * (i - 0.25) / (n + 0.5)), 1.0
+        for steps in range(101):
             pm, p = 1.0, x
             for k in range(2, n + 1):
                 pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
             dp = n * (x * p - pm) / (x * x - 1.0)
+            if abs(dx) < 1e-15 or steps == 100:  # converged, or 100 Newton steps taken
+                break
             dx = p / dp
             x -= dx
-            if abs(dx) < 1e-15:
-                break
-        pm, p = 1.0, x
-        for k in range(2, n + 1):
-            pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
-        dp = n * (x * p - pm) / (x * x - 1.0)
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
     return tuple(nodes), tuple(weights)

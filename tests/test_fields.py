@@ -49,7 +49,7 @@ class TestRadialSolution:
     def test_non_int_order_reaches_the_validators(self, order, warm):
         # 1.0 and True hash like 1, so an untyped cache would hand back mode 1
         geom = CylinderGeometry(b=1.0, l=3.0)
-        radial_solution.cache_clear()
+        fields._radial_solution.cache_clear()
         if warm:
             radial_solution(geom, 1, 1)
         with pytest.raises(OrderError):
@@ -74,7 +74,7 @@ class TestRadialSolution:
             "import resource\n"
             "from coaxmode import AnnulusGeometry, radial_solution\n"
             "from coaxmode.errors import _MEMOS\n"
-            "store = _MEMOS['coaxmode.fields.radial_solution']\n"
+            "store = _MEMOS['coaxmode.fields._radial_solution']\n"
             "bound = store.cache_info().maxsize\n"
             "def size():\n"
             "    return store.cache_info().currsize\n"

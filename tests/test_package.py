@@ -11,6 +11,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,6 +245,55 @@ class TestIntegerArguments:
             call()
 
 
+# a bare object, an unhashable list, and a duck that carries walls and a height
+_FOREIGN = [object(), [1.0, 1.0], SimpleNamespace(a=0.5, b=1.0, l=1.0)]
+
+
+class TestForeignGeometry:
+    # every public call that takes a geometry refuses anything but the two
+    # records with GeometryError, before a store would hash it or a wall is read
+    @pytest.mark.parametrize("call", [
+        lambda g: coaxmode.tm_frequency(g, _MODE),
+        lambda g: coaxmode.radial_eigenvalue(g, 1, 1),
+        lambda g: coaxmode.enumerate_modes_below(g, 6.0 * coaxmode.C_LIGHT),
+        lambda g: coaxmode.mode_count_histogram(g, 6.0 * coaxmode.C_LIGHT, 4),
+        lambda g: coaxmode.radial_solution(g, 1, 1),
+        lambda g: coaxmode.ez_mode(g, _MODE, 1, 1.0, _POINT),
+        lambda g: coaxmode.transverse_fields(g, _MODE, 1, 1.0, _POINT),
+        lambda g: coaxmode.superpose(g, [], _POINT),
+        lambda g: coaxmode.superpose(g, [coaxmode.ModeAmplitude(_MODE, 1, 1.0)], _POINT),
+        lambda g: coaxmode.field_grid(g, _MODE, 1, 1.0, [], [], []),
+        lambda g: coaxmode.field_grid(g, _MODE, 1, 1.0, [0.75], [0.0], [0.5]),
+        lambda g: coaxmode.boundary_residual(g, _MODE),
+        lambda g: coaxmode.helmholtz_residual(g, _MODE),
+    ], ids=["tm_frequency", "radial_eigenvalue", "enumerate_modes_below",
+            "mode_count_histogram", "radial_solution", "ez_mode", "transverse_fields",
+            "superpose_empty", "superpose", "field_grid_empty", "field_grid",
+            "boundary_residual", "helmholtz_residual"])
+    @pytest.mark.parametrize("geometry", _FOREIGN, ids=["object", "list", "duck"])
+    def test_is_a_geometry_error_and_leaves_the_stores_alone(self, call, geometry):
+        def sizes():
+            return {name: store.cache_info().currsize
+                    for name, store in coaxmode.errors._MEMOS.items()}
+
+        before = sizes()
+        with pytest.raises(coaxmode.errors.GeometryError, match="unsupported geometry"):
+            call(geometry)
+        assert sizes() == before
+
+    def test_cylinder_inner_wall_is_a_constant_not_a_field(self):
+        cylinder = coaxmode.CylinderGeometry(b=1, l=1)
+        assert cylinder.a == 0.0 and type(cylinder.a) is float
+        assert coaxmode.CylinderGeometry.__match_args__ == ("b", "l")
+        assert repr(cylinder) == "CylinderGeometry(b=1.0, l=1.0)"
+        assert cylinder == coaxmode.CylinderGeometry(1.0, 1.0)
+        assert hash(cylinder) == hash(coaxmode.CylinderGeometry(1.0, 1.0))
+        with pytest.raises(TypeError):
+            coaxmode.CylinderGeometry(a=0.0, b=1, l=1)
+        with pytest.raises(AttributeError):
+            cylinder.a = 0.5
+
+
 def _unit(t):
     return t * t
 
@@ -379,7 +429,7 @@ def _bits(result):
 
 # the stores clear_caches() empties, by the name the registry gives each
 _STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._table", "coaxmode.cavity._spectrum",
-           "coaxmode.fields.radial_solution", "coaxmode.fields._unit_overlap",
+           "coaxmode.fields._radial_solution", "coaxmode.fields._unit_overlap",
            "coaxmode.fields._wall_residual", "coaxmode.quadrature.gauss_legendre_rule")
 _SRC = pathlib.Path(coaxmode.__file__).parent
 
@@ -435,3 +485,23 @@ class TestCaches:
                     bound = node.args[0]
                     assert isinstance(bound, ast.Constant) and type(bound.value) is int \
                         and bound.value > 0, f"{path.name}:{node.lineno}"
+
+    def test_only_cavity_tests_a_geometry_type(self):
+        # the cross-section is decided in cavity alone: no other module names a
+        # geometry class in an isinstance or issubclass call or a type() comparison
+        geometries = {"CylinderGeometry", "AnnulusGeometry"}
+        for path in sorted(_SRC.glob("*.py")):
+            if path.name == "cavity.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    tests = getattr(node.func, "id", None) in ("isinstance", "issubclass")
+                elif isinstance(node, ast.Compare):
+                    tests = any(isinstance(part, ast.Call) and getattr(part.func, "id", None)
+                                == "type" for part in (node.left, *node.comparators))
+                else:
+                    continue
+                named = {getattr(part, "id", None) or getattr(part, "attr", None)
+                         for part in ast.walk(node)}
+                assert not (tests and named & geometries), f"{path.name}:{node.lineno}"
+        assert "__name__.removesuffix" not in (_SRC / "cli.py").read_text(encoding="utf-8")

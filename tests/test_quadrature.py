@@ -9,7 +9,41 @@ from coaxmode import gauss_legendre_rule, integrate_adaptive, quadrature
 from coaxmode.errors import DomainError, QuadratureError
 
 
+def _two_pass_rule(n):
+    # the rule as the Newton loop once built it: P_n evaluated inside the loop,
+    # then once more at the final node for the weight
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            pm, p = 1.0, x
+            for k in range(2, n + 1):
+                pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
+            dp = n * (x * p - pm) / (x * x - 1.0)
+            dx = p / dp
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        pm, p = 1.0, x
+        for k in range(2, n + 1):
+            pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
+        dp = n * (x * p - pm) / (x * x - 1.0)
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(nodes), tuple(weights)
+
+
 class TestRule:
+    def test_rules_match_the_two_pass_loop_bit_for_bit(self):
+        # every size up to 100 and three large ones, read past the memo; a rule
+        # costs O(n^2), so the full 1..1000 sweep (about ten CPU-minutes) runs
+        # outside the suite
+        for n in [*range(1, 101), 250, 500, 1000]:
+            got = quadrature.gauss_legendre_rule.__wrapped__(n)
+            want = _two_pass_rule(n)
+            assert [[v.hex() for v in part] for part in got] == \
+                [[v.hex() for v in part] for part in want], n
+
     @pytest.mark.parametrize("n", [10, 20])
     def test_weights_sum_to_interval_length(self, n):
         _, weights = gauss_legendre_rule(n)
