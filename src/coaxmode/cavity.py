@@ -238,9 +238,10 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     raise beyond
 
 
-# a snapshot is kept while it holds at most this many modes; at about 244 B a
-# mode the store holds at most 16 x 2,048 modes, about 8 MB. A library session
-# holds 230 and 194, verify and a modes job tens
+# a snapshot is kept while it holds at most this many modes; at about 370 B a
+# mode (each record's fields sit in its own instance dict) the store holds at
+# most 16 x 2,048 modes, about 12 MB. A library session holds 230 and 194,
+# verify and a modes job tens
 _SPECTRUM_MODES = 2_048
 
 

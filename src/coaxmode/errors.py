@@ -107,7 +107,8 @@ def _integer(value: int, name: str, lo: int, hi: int | None = None,
 
 
 _RECORD_METHODS = """
-def __init__(self, {params}):{sets}{post}
+def __init__(self, {params}):
+    _store = self.__dict__{sets}{post}
 def __repr__(self):
     return f"{{type(self).__qualname__}}({shown})"
 def __eq__(self, other):
@@ -124,13 +125,17 @@ def __delattr__(self, name):
 
 
 def _record(cls):
-    """Give cls the record contract; its methods, compiled per class, loop over no fields."""
+    """Give cls the record contract; its methods, compiled per class, loop over no fields.
+
+    ``__init__`` writes each field into the instance ``__dict__``, past the
+    ``__setattr__`` that refuses every later assignment.
+    """
     names = tuple(cls.__annotations__)
     own = "".join(f"self.{n}, " for n in names)
-    namespace = {"_set": object.__setattr__, "_defaults": vars(cls)}
+    namespace = {"_defaults": vars(cls)}
     exec(_RECORD_METHODS.format(
         params=", ".join(f"{n}=_defaults[{n!r}]" if n in vars(cls) else n for n in names),
-        sets="".join(f"\n    _set(self, {n!r}, {n})" for n in names),
+        sets="".join(f"\n    _store[{n!r}] = {n}" for n in names),
         post="\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
         shown=", ".join(f"{n}={{self.{n}!r}}" for n in names),
         own=own, theirs=own.replace("self.", "other.")), namespace)

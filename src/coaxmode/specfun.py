@@ -181,12 +181,14 @@ _N1_WEIGHTS = (0.0, 1.0) + tuple((-1) ** (k // 2) * k / ((k // 2) * (k // 2 + 1)
 # 4, so step k sits at (_STEPS_TOP - k) / 2: (k, k-1) as floats, and the N_0
 # weight at k-2 and the N_1 weight at k-1 (0 past the weights). A run walks
 # it with islice: slices of every length would each keep an allocator pool
-# in use, about 0.4 MB more peak RSS over a library session.
+# in use, about 0.4 MB more peak RSS over a library session. The J-only run
+# walks _J_STEPS, the same rows without the weights.
 _STEPS_TOP = _miller_start(ORDER_MAX, 57.0)
 _STEPS = tuple((float(k), float(k - 1),
                 _N0_WEIGHTS[k - 2] if k - 2 < _N_WEIGHTS_LEN else 0.0,
                 _N1_WEIGHTS[k - 1] if k - 1 < _N_WEIGHTS_LEN else 0.0)
                for k in range(_STEPS_TOP, 2, -2))
+_J_STEPS = tuple(step[:2] for step in _STEPS)
 
 
 def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
@@ -208,10 +210,11 @@ def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     """
     cut = m + m % 2 or 2            # at m = 0 the run's last step gives the pair
     two_over_x = 2.0 / x
-    jp, jc, norm = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of 2 J_2i over 2i >= k
+    jp, jc, half = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of J_2i over 2i >= k
     at_cut = (_STEPS_TOP - cut) // 2
-    parts = (islice(_STEPS, (_STEPS_TOP - _miller_start(m, x)) // 2, at_cut),
-             islice(_STEPS, at_cut, None))
+    table = _STEPS if with_n else _J_STEPS
+    parts = (islice(table, (_STEPS_TOP - _miller_start(m, x)) // 2, at_cut),
+             islice(table, at_cut, None))
     kept = ()                       # (J_{cut+1}, J_cut)
     if with_n:
         s0 = s1 = 0.0               # the N_0 and N_1 sums over the orders passed
@@ -219,21 +222,22 @@ def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
             for kf, km1, w0, w1 in steps:
                 jp = kf * two_over_x * jc - jp
                 jc = km1 * two_over_x * jp - jc
-                norm += 2.0 * jc
+                half += jc
                 s0 += w0 * jc
                 s1 += w1 * jp
             kept = kept or (jp, jc)
     else:
         for steps in parts:
-            for kf, km1, _, _ in steps:
+            for kf, km1 in steps:
                 jp = kf * two_over_x * jc - jp
                 jc = km1 * two_over_x * jp - jc
-                norm += 2.0 * jc
+                half += jc
             kept = kept or (jp, jc)
     jp = 2.0 * two_over_x * jc - jp  # J_1
     jc = two_over_x * jp - jc        # J_0, which enters the sum once
-    norm += jc
-    inv = 1.0 / norm
+    # doubling is exact and commutes with each rounding (no value nears
+    # overflow or the subnormals), so this is the sum of 2 J_2i, step by step
+    inv = 1.0 / (2.0 * half + jc)
     if m % 2:
         kept = kept[1], _ORDERS[cut] * two_over_x * kept[1] - kept[0]
     elif m == 0:

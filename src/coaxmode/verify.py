@@ -6,11 +6,17 @@ seconds together. Each suite imports the layers it checks when it runs,
 so ``run_checks`` for specfun or roots loads neither cavity nor fields.
 
 The cavity suite compares the cutoff enumeration with an exhaustive loop
-over every (m, n, p) up to 20. That loop reads each radial eigenvalue
-gamma_mn once, through ``cavity.radial_eigenvalue``, and forms omega for
-all 21 axial indices with ``cavity._omega``, the expression
-``tm_frequency`` and the enumeration use, so the two sides compare bit
-for bit while no ``ModeEntry`` is built per triple.
+over every (m, n, p) up to 20. That loop settles each (m, n) first with a
+closed-form lower bound on gamma_mn (``_gamma_floor``): where omega at that
+bound and p = 0 already exceeds the cutoff, no p gives a mode and the
+eigenvalue is not read, so only the roots near the cutoff are polished.
+Otherwise it reads gamma_mn once, through ``cavity.radial_eigenvalue``, and
+forms omega for all 21 axial indices with ``cavity._omega``, the expression
+``tm_frequency`` and the enumeration use, so the two sides compare bit for
+bit while no ``ModeEntry`` is built per triple. The bounds are the
+package's own windows, not the enumeration's stopping rules: the loop
+decides every triple up to the cap by itself, so a wrong stopping rule
+makes the two sides differ instead of hiding the same mode from both.
 """
 
 from __future__ import annotations
@@ -183,15 +189,38 @@ def _roots_checks() -> list[CheckResult]:
 # cavity
 # ---------------------------------------------------------------------------
 
+def _gamma_floor(geometry, m, n):
+    """A closed-form lower bound on gamma_mn, at or below its computed entry.
+
+    Annulus: the low end of Sturm window n, which ``roots`` checks every
+    entry against. Cylinder: j_mn >= j_0n > (n - 1/4) pi (DLMF 10.21), and
+    for m >= 1 j_mn >= j_m1 + (n - 1) pi, since the gaps exceed pi, with
+    j_m1 above the low end of its Qu-Wong window. Both margins lie far
+    above rounding; 4 eps relative off covers the bound's own rounding.
+    """
+    from . import roots
+    a, b = geometry.a, geometry.b
+    if a:  # the annulus; the cylinder's a is 0.0
+        return roots._sturm_window(m, a, b, n)[0]
+    x = (n - 0.25) * math.pi
+    if m:
+        x = max(x, roots._bessel_window(m, 1, 0.0)[0] + (n - 1) * math.pi)
+    return x * (1.0 - 4.0 * roots._EPS) / b
+
+
 def _brute_force_modes(geometry, omega_max, cap=20):
     """Every (m, n, p) up to ``cap`` with omega <= omega_max, in index order.
 
-    One eigenvalue read per (m, n); see the module docstring.
+    gamma_mn is read once, and only where omega at its lower bound and
+    p = 0 is within the cutoff; see the module docstring.
     """
     from . import cavity
     found = []
     for m in range(0, cap + 1):
         for n in range(1, cap + 1):
+            # omega_mnp >= omega_mn0 >= omega at the bound, for every p
+            if cavity._omega(_gamma_floor(geometry, m, n), 0, geometry.l) > omega_max:
+                continue
             gamma = cavity.radial_eigenvalue(geometry, m, n)
             found.extend((m, n, p) for p in range(0, cap + 1)
                          if cavity._omega(gamma, p, geometry.l) <= omega_max)

@@ -9,7 +9,7 @@ from bisect import bisect_right
 import pytest
 
 import coaxmode.cavity as cavity
-from coaxmode import verify
+from coaxmode import roots, verify
 from coaxmode import (AnnulusGeometry, C_LIGHT, CylinderGeometry, ModeIndex, clear_caches,
                       cross_product_zeros, enumerate_modes_below, mode_count_histogram,
                       radial_eigenvalue, tm_frequency)
@@ -436,9 +436,40 @@ class TestVerifySuite:
         assert results.pop("enumeration_vs_brute_force") is False
         assert all(results.values())
 
-    def test_brute_force_reads_each_eigenvalue_once(self, monkeypatch):
-        # the brute force reads each gamma_mn once instead of resolving 8,820
-        # modes per geometry through tm_frequency
+    # each a defect in the enumeration's stopping rules, planted after the
+    # scan: the exhaustive loop must see the modes it hides
+    @staticmethod
+    def _drop_each_orders_top_index(towers):
+        tops = {m: n for m, n, _, _ in towers}
+        return [tower for tower in towers if tower[1] != tops[tower[0]]]
+
+    @staticmethod
+    def _drop_the_last_order(towers):
+        return [tower for tower in towers if tower[0] != towers[-1][0]]
+
+    @pytest.mark.parametrize("defect", ["top_radial_index", "last_order", "axial_top"])
+    def test_planted_stopping_defects_fail_the_comparison(self, defect, monkeypatch):
+        if defect == "axial_top":
+            real_top = cavity._axial_top
+            monkeypatch.setattr(cavity, "_axial_top",
+                                lambda *args: max(real_top(*args) - 1, -1))
+        else:
+            real = cavity._towers
+            drop = (self._drop_each_orders_top_index if defect == "top_radial_index"
+                    else self._drop_the_last_order)
+            monkeypatch.setattr(cavity, "_towers", lambda *args: drop(real(*args)))
+        cavity._spectrum.cache_clear()  # held spectra would hide the defect
+        try:
+            results = {r.check: r.passed for r in verify.run_checks("cavity")}
+        finally:
+            cavity._spectrum.cache_clear()  # and must not keep it
+        assert results.pop("enumeration_vs_brute_force") is False
+        assert all(results.values())
+
+    def test_brute_force_reads_only_the_eigenvalues_its_bound_admits(self, monkeypatch):
+        # each gamma_mn is read at most once, and only where omega at its lower
+        # bound and p = 0 is within the cutoff; no mode is resolved through
+        # tm_frequency
         reads = []
         real = cavity.radial_eigenvalue
 
@@ -451,6 +482,45 @@ class TestVerifySuite:
 
         monkeypatch.setattr(cavity, "radial_eigenvalue", counting)
         monkeypatch.setattr(cavity, "tm_frequency", forbidden)
+        admitted = set()
         for geom, cut in self.SUITE_CUTS:
             verify._brute_force_modes(geom, C_LIGHT * cut)
-        assert len(reads) == len(set(reads)) == len(self.SUITE_CUTS) * 21 * 20
+            admitted.update(
+                (geom, m, n) for m in range(21) for n in range(1, 21)
+                if cavity._omega(verify._gamma_floor(geom, m, n), 0, geom.l) <= C_LIGHT * cut)
+        assert len(reads) == len(set(reads))
+        assert set(reads) == admitted
+        assert len(admitted) < len(self.SUITE_CUTS) * 21 * 20 // 10
+
+    def test_cold_suite_polishes_few_roots(self, monkeypatch):
+        # reading all 2 x 21 x 20 eigenvalues polished 850 roots
+        polished = []
+        real = roots._polish
+
+        def counting(*args):
+            polished.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(roots, "_polish", counting)
+        clear_caches()
+        results = verify.run_checks("cavity")
+        assert all(r.passed for r in results)
+        assert 0 < len(polished) <= 64
+
+
+class TestGammaFloor:
+    """The brute force's premise: each closed-form bound lies at or below its entry."""
+
+    @pytest.mark.parametrize("b", [1.0, 0.3])
+    def test_cylinder(self, b):
+        geom = CylinderGeometry(b=b, l=1.0)
+        for m in range(51):
+            for n in range(1, 201):
+                assert verify._gamma_floor(geom, m, n) <= radial_eigenvalue(geom, m, n), (m, n)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.999])
+    def test_annulus(self, ratio):
+        geom = AnnulusGeometry(a=ratio, b=1.0, l=1.0)
+        for m in (0, 1, 5, 20, 50):
+            for n in range(1, 51):
+                assert verify._gamma_floor(geom, m, n) <= radial_eigenvalue(geom, m, n), (m, n)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -593,6 +594,13 @@ class TestVerifyCommand:
         assert {r["module"] for r in doc["rows"]} == {"specfun", "roots",
                                                       "cavity", "fields"}
         assert "[FAIL]" not in err
+
+    def test_json_bytes_match_the_committed_document(self, capsys):
+        # the document each supported interpreter prints; CI compares a cold run too
+        data = pathlib.Path(__file__).parent / "data" / "verify.json"
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert out == data.read_text(encoding="utf-8")
 
     def test_module_filter(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--module", "roots",
