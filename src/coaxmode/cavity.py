@@ -5,17 +5,19 @@ axial index p >= 0. Its angular frequency is
 
     omega_mnp = c * sqrt(gamma_mn^2 + (p pi / l)^2)
 
-with gamma_mn = x_mn / b for the solid cylinder and gamma_mn the n-th
-cross-product root for the annulus. p = 0 is a valid TM mode (the axial
-cosine is then constant). Modes with m >= 1 come in two azimuthal
-orientations and carry degeneracy 2; m = 0 modes carry 1.
+with gamma_mn the n-th radial eigenvalue of the interval [a, b] the
+cross-section spans (a = 0.0 for the solid cylinder), which this module
+reads, bounds and counts only through ``roots``. p = 0 is a valid TM mode
+(the axial cosine is then constant). Modes with m >= 1 come in two
+azimuthal orientations and carry degeneracy 2; m = 0 modes carry 1.
 
 Enumeration below a cutoff relies on monotonicity only: omega grows with
 n at fixed (m, p), with p at fixed (m, n), and the smallest eigenvalue
 per angular order, gamma_m1, grows with m. Scanning therefore terminates
 provably without index caps. One scan yields the (m, n) towers of axial
-modes below the cutoff; mode_count_histogram bins each tower in O(bins)
-memory and builds no ModeEntry.
+modes below the cutoff; it takes the walls, the height and the cutoff that
+the public call checked once. mode_count_histogram bins each tower in
+O(bins) memory and builds no ModeEntry.
 
 enumerate_modes_below keeps each geometry's sorted spectrum, the way roots
 keeps root tables: one ``_spectrum`` memo entry, grown with the cutoff. A
@@ -113,15 +115,9 @@ class ModeEntry:
 
 
 def radial_eigenvalue(geometry: Geometry, m: int, n: int) -> float:
-    """gamma_mn in rad/m for either geometry (n-th radial eigenvalue).
-
-    Reads entry n of the cached table in place; the geometry checked its walls.
-    """
-    if isinstance(geometry, CylinderGeometry):
-        return roots._bessel_rows(m, n)[n - 1][0] / geometry.b
-    if isinstance(geometry, AnnulusGeometry):
-        return roots._cross_rows(m, geometry.a, geometry.b, n)[n - 1][0]
-    raise GeometryError(f"unsupported geometry {geometry!r}")
+    """gamma_mn in rad/m for either geometry (n-th radial eigenvalue), read in place."""
+    geometry = _check_geometry(geometry)
+    return roots._gamma(m, n, geometry.a, geometry.b)
 
 
 def _omega(gamma: float, p: int, l: float) -> float:
@@ -157,41 +153,26 @@ def _axial_top(gamma: float, l: float, omega_max: float) -> int:
     return top
 
 
-def _stops_at_order_envelope(geometry: Geometry, omega_max: float) -> bool:
+def _stops_at_order_envelope(a: float, b: float, l: float, omega_max: float) -> bool:
     """Whether the order scan below omega_max would end by passing ORDER_MAX.
 
     gamma_m1 grows with m, so the scan passes M = ORDER_MAX exactly when
     c gamma_{M,1} <= omega_max. On the way it would first raise
     ResourceLimitError, or DomainError for more than COUNT_MAX radial
     eigenvalues, if the spectrum of orders 0..M were that large; this says
-    True only where a count bound rules both out, so every cutoff keeps the
-    error the scan would give. Below k = omega_max/c an order has fewer
-    than k b/pi + 1 radial eigenvalues in the cylinder (j_{m,n} >= j_{0,n} >
-    (n - 1/4) pi), and in the annulus fewer than n once Sturm window n of
-    order 0 starts above k (root n of every order lies above the low end
-    of that window); a tower holds at most k l/pi + 2 axial indices. A
-    closed-form lower bound on gamma_{M,1}, the low end of the first window
-    of J_M's zeros or of the annulus, rules most cutoffs out before that
-    eigenvalue is computed.
+    True only where ``roots._count_bound`` rules both out, so every cutoff
+    keeps the error the scan would give. A tower holds at most k l/pi + 2
+    axial indices. ``roots._gamma_floor`` rules most cutoffs out before
+    gamma_{M,1} is computed.
     """
     top = roots.ORDER_MAX
     k = omega_max / C_LIGHT
-    a, b = geometry.a, geometry.b
-    if a == 0.0:  # the cylinder
-        radial = k * b / math.pi + 1.0
-        floor = roots._bessel_window(top, 1, 0.0)[0] / b
-    else:
-        # window n of order 0 starts near sqrt((n pi/(b-a))^2 - 1/(4a^2)); the
-        # window itself certifies the count, rounding and slack included
-        radial = int(min((b - a) / math.pi * math.hypot(k, 0.5 / a), roots.COUNT_MAX)) + 1
-        if roots._sturm_window(0, a, b, radial)[0] <= k:
-            return False
-        floor = roots._sturm_window(top, a, b, 1)[0]
-    axial = k * geometry.l / math.pi + 2.0
+    radial = roots._count_bound(k, a, b)
+    axial = k * l / math.pi + 2.0
     return (radial < roots.COUNT_MAX
             and (top + 1) * radial * axial <= ENUMERATION_CAP
-            and C_LIGHT * floor <= omega_max
-            and C_LIGHT * radial_eigenvalue(geometry, top, 1) <= omega_max)
+            and C_LIGHT * roots._gamma_floor(top, 1, a, b) <= omega_max
+            and C_LIGHT * roots._gamma(top, 1, a, b) <= omega_max)
 
 
 def _cutoff(omega_max: float) -> float:
@@ -201,7 +182,7 @@ def _cutoff(omega_max: float) -> float:
     return float(omega_max)
 
 
-def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float, int]]:
+def _towers(a: float, b: float, l: float, omega_max: float) -> list[tuple[int, int, float, int]]:
     """Each (m, n, gamma_mn, top p) tower of modes with omega <= omega_max.
 
     Only the tower sizes are known here, so every error is raised before
@@ -211,17 +192,16 @@ def _towers(geometry: Geometry, omega_max: float) -> list[tuple[int, int, float,
     stop the scan first, before any order is scanned) or more than
     roots.COUNT_MAX radial eigenvalues in one order.
     """
-    omega_max = _cutoff(omega_max)
     beyond = DomainError(f"omega_max = {omega_max!r} needs angular orders beyond "
                          f"{roots.ORDER_MAX}; tighten the cutoff")
-    if _stops_at_order_envelope(_check_geometry(geometry), omega_max):
+    if _stops_at_order_envelope(a, b, l, omega_max):
         raise beyond
     towers: list[tuple[int, int, float, int]] = []
     size = 0
     for m in range(roots.ORDER_MAX + 1):
         for n in range(1, roots.COUNT_MAX + 1):
-            gamma = radial_eigenvalue(geometry, m, n)
-            top = _axial_top(gamma, geometry.l, omega_max)
+            gamma = roots._gamma(m, n, a, b)
+            top = _axial_top(gamma, l, omega_max)
             if top < 0:
                 break
             size += top + 1
@@ -273,7 +253,7 @@ def enumerate_modes_below(geometry: Geometry, omega_max: float) -> list[ModeEntr
         # only the modes above the held cutoff; (m, n, p) is unique, so sorting
         # the plain tuples orders them
         modes = sorted((_omega(gamma, p, l), m, n, p, gamma)
-                       for m, n, gamma, top in _towers(geometry, omega_max)
+                       for m, n, gamma, top in _towers(geometry.a, geometry.b, l, omega_max)
                        for p in range(_axial_top(gamma, l, cutoff) + 1, top + 1))
         omegas = omegas + [mode[0] for mode in modes]
         entries = entries + [ModeEntry(ModeIndex(m, n, p), gamma, omega, 1 if m == 0 else 2)
@@ -298,13 +278,14 @@ def mode_count_histogram(geometry: Geometry, omega_max: float,
     is built and nothing is sorted.
     """
     _integer(bins, "bins", 1, 100_000)
-    towers = _towers(geometry, omega_max)  # checks omega_max before the edges use it
-    omega_max = float(omega_max)
+    omega_max = _cutoff(omega_max)
+    l = _check_geometry(geometry).l
+    towers = _towers(geometry.a, geometry.b, l, omega_max)
     edges = [omega_max if i == bins else omega_max * i / bins for i in range(1, bins + 1)]
     counts = [0] * bins
     for m, n, gamma, top in towers:
         weight = 1 if m == 0 else 2
         for p in range(top + 1):
             # the first edge >= omega: the mode counts at every edge from there on
-            counts[bisect_left(edges, _omega(gamma, p, geometry.l))] += weight
+            counts[bisect_left(edges, _omega(gamma, p, l))] += weight
     return list(zip(edges, accumulate(counts)))

@@ -34,10 +34,9 @@ import random
 import sys
 from typing import Iterable, Iterator
 
-from .cavity import (C_LIGHT, Geometry, ModeIndex, _check_geometry, _omega,
-                     radial_eigenvalue, tm_frequency)
+from .cavity import C_LIGHT, Geometry, ModeIndex, _check_geometry, _omega, tm_frequency
 from .errors import ConditioningError, DomainError, _finite_real, _integer, _memo, _record
-from .roots import bessel_zeros
+from .roots import _gamma, bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
 from .specfun import _cached_ladder, _ladder, _slope
 
@@ -56,18 +55,6 @@ class RadialSolution:
     coeff_j: float
     coeff_n: float
 
-    def _value_and_slope(self, rho: float) -> tuple[float, float]:
-        # (R, dR/drho) from one ladder
-        m = self.m
-        x = self.gamma * rho
-        ladder = _cached_ladder(m, x, bool(self.coeff_n))
-        r = self.coeff_j * ladder[0]
-        s = self.coeff_j * _slope(m, x, ladder[0], ladder[1])
-        if self.coeff_n:
-            r += self.coeff_n * ladder[2]
-            s += self.coeff_n * _slope(m, x, ladder[2], ladder[3])
-        return r, self.gamma * s
-
     def value(self, rho: float) -> float:
         """R(rho), read through the ladder memo."""
         ladder = _cached_ladder(self.m, self.gamma * rho, bool(self.coeff_n))
@@ -78,20 +65,27 @@ class RadialSolution:
 
     def slope(self, rho: float) -> float:
         """dR/drho (not d/dx)."""
-        return self._value_and_slope(rho)[1]
+        return self.profile(rho)[1]
 
     def profile(self, rho: float) -> tuple[float, float, float]:
-        """(R, dR/drho, R/rho), with R/rho at its limit on the axis.
+        """(R, dR/drho, R/rho) from one ladder, with R/rho at its limit on the axis.
 
         On the axis J_1(gamma rho)/rho -> gamma/2 and every other order's
         R/rho -> 0.
         """
-        r, slope = self._value_and_slope(rho)
+        m = self.m
+        x = self.gamma * rho
+        ladder = _cached_ladder(m, x, bool(self.coeff_n))
+        r = self.coeff_j * ladder[0]
+        s = self.coeff_j * _slope(m, x, ladder[0], ladder[1])
+        if self.coeff_n:
+            r += self.coeff_n * ladder[2]
+            s += self.coeff_n * _slope(m, x, ladder[2], ladder[3])
         if rho == 0.0:
-            over = 0.5 * self.gamma * self.coeff_j if self.m == 1 else 0.0
+            over = 0.5 * self.gamma * self.coeff_j if m == 1 else 0.0
         else:
             over = r / rho
-        return r, slope, over
+        return r, self.gamma * s, over
 
 
 @_record
@@ -148,7 +142,7 @@ def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
 # entries hold at most about 0.45 MiB
 @_memo(1_024, typed=True)
 def _radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
-    return _build_radial(geometry, m, radial_eigenvalue(geometry, m, n))
+    return _build_radial(geometry, m, _gamma(m, n, geometry.a, geometry.b))
 
 
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
@@ -452,7 +446,7 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
 # plain ints and a float, not the caller's objects, so the memo pins none of them
 @_memo(4_096)
 def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: float) -> float:
-    gamma = radial_eigenvalue(geometry, m, n) * gamma_scale
+    gamma = _gamma(m, n, geometry.a, geometry.b) * gamma_scale
     sol = _build_radial(geometry, m, gamma)
     l = geometry.l
     kz = p * math.pi / l

@@ -66,6 +66,11 @@ M_a M_b, from the tuple the polish hands back with the root, by lying in
 its window, and by exceeding the entry before it; entries are therefore
 strictly increasing.
 
+Every question about gamma_mn is asked here by (m, n, a, b), [a, b] the
+radial interval a cavity spans (a = 0.0: the cylinder, gamma = x_mn / b):
+``_gamma`` reads entry n, ``_gamma_floor`` bounds it from below in closed
+form, and ``_count_bound`` bounds how many lie below k.
+
 Tables live in one memo of at most 256, ``_table`` (``errors._memo``),
 which evicts the least recently used. Rows are only appended, so a table
 that holds the entries asked for is read without a lock or a copy; a
@@ -148,7 +153,7 @@ def _polish(f: Callable[[float], tuple[float, ...]], lo: float, hi: float,
         x = nxt
 
 
-# about 5x what verify (52) or a library session (36) leaves
+# about 9x what verify (27) or 7x what a library session (36) leaves
 @_memo(256)
 def _table(*key) -> tuple[list[tuple[float, float, float]], threading.Lock]:
     """A new table for ``key``: its (root, residual, Phi') rows, only ever
@@ -378,3 +383,40 @@ def cross_product_zeros(m: int, a: float, b: float, count: int) -> ZeroTable:
                      zeros=tuple(row[0] for row in rows),
                      residuals=tuple(row[1] for row in rows),
                      geometry_tag=(a, b))
+
+
+def _gamma(m: int, n: int, a: float, b: float) -> float:
+    """gamma_mn in rad/m of a checked interval [a, b], read in place from its live table."""
+    if a == 0.0:
+        return _bessel_rows(m, n)[n - 1][0] / b
+    return _cross_rows(m, a, b, n)[n - 1][0]
+
+
+def _gamma_floor(m: int, n: int, a: float, b: float) -> float:
+    """A closed-form lower bound on gamma_mn, at or below its computed entry.
+
+    Annulus: the low end of Sturm window n, which ``_extend_table`` checks
+    every entry against. Cylinder: j_mn >= j_0n > (n - 1/4) pi (DLMF 10.21),
+    and for m >= 1 j_mn >= j_m1 + (n - 1) pi, since the gaps exceed pi, with
+    j_m1 above the low end of its Qu-Wong window. Both margins lie far above
+    rounding; 4 eps relative off covers the bound's own rounding.
+    """
+    if a:
+        return _sturm_window(m, a, b, n)[0]
+    x = (n - 0.25) * math.pi
+    if m:
+        x = max(x, _bessel_window(m, 1, 0.0)[0] + (n - 1) * math.pi)
+    return x * (1.0 - 4.0 * _EPS) / b
+
+
+def _count_bound(k: float, a: float, b: float) -> float:
+    """A number above every order's count of gamma_mn <= k, or COUNT_MAX where
+    the windows certify none: k b/pi + 1 for the cylinder (``_gamma_floor``);
+    in the annulus, root n of every order lies above the low end of window n
+    of order 0, near sqrt((n pi/(b-a))^2 - 1/(4a^2)), and that window, slack
+    included, certifies the first n past this estimate.
+    """
+    if a == 0.0:
+        return k * b / math.pi + 1.0
+    n = int(min((b - a) / math.pi * math.hypot(k, 0.5 / a), COUNT_MAX)) + 1
+    return n if _sturm_window(0, a, b, n)[0] > k else COUNT_MAX

@@ -419,6 +419,39 @@ class TestOrderEnvelope:
         with pytest.raises(DomainError, match="angular orders beyond"):
             enumerate_modes_below(CylinderGeometry(b=1.0, l=1e-3), omega)
 
+    # (a, b, l): a = 0.0 is the cylinder. The cylinder of radius 2e-3 puts
+    # the envelope's 10^7 mode limit near c gamma_{50,1}
+    SWEEP = [(0.0, 1.0, 1e-3), (0.0, 1.0, 1.0), (0.0, 2e-3, 1.0), (0.5, 1.0, 1e-3),
+             (0.5, 1.0, 1.0), (1e-3, 1.0, 1e-3), (0.999, 1.0, 1.0)]
+
+    @staticmethod
+    def _outcome(a, b, l, omega_max):
+        try:
+            return cavity._towers(a, b, l, omega_max)
+        except (DomainError, ResourceLimitError) as error:
+            return type(error), str(error)
+
+    @pytest.mark.parametrize("limits", ["package", "lowered"])
+    def test_the_pre_check_raises_the_scans_own_error(self, limits, monkeypatch):
+        # every cutoff keeps the error the scan would give: with the pre-check
+        # and without it, each case gives the same towers or the same error.
+        # Lowered limits put COUNT_MAX and the mode cap near c gamma_{50,1} too
+        if limits == "lowered":
+            monkeypatch.setattr(roots, "COUNT_MAX", 20)
+            monkeypatch.setattr(cavity, "ENUMERATION_CAP", 20_000)
+        rng = random.Random(34)
+        fired = 0
+        for a, b, l in self.SWEEP:
+            edge = C_LIGHT * roots._gamma(50, 1, a, b)
+            scales = [1.0 - 1e-12, 1.0, 1.0 + 1e-12] + [rng.uniform(0.9, 1.2) for _ in range(3)]
+            for omega_max in (edge * scale for scale in scales):
+                fired += cavity._stops_at_order_envelope(a, b, l, omega_max)
+                checked = self._outcome(a, b, l, omega_max)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cavity, "_stops_at_order_envelope", lambda *args: False)
+                    assert self._outcome(a, b, l, omega_max) == checked, (a, b, l, omega_max)
+        assert fired >= 6
+
 
 class TestVerifySuite:
     SUITE_CUTS = ((CYL, 6.0), (ANN, 5.0))
@@ -487,7 +520,8 @@ class TestVerifySuite:
             verify._brute_force_modes(geom, C_LIGHT * cut)
             admitted.update(
                 (geom, m, n) for m in range(21) for n in range(1, 21)
-                if cavity._omega(verify._gamma_floor(geom, m, n), 0, geom.l) <= C_LIGHT * cut)
+                if cavity._omega(roots._gamma_floor(m, n, geom.a, geom.b), 0, geom.l)
+                <= C_LIGHT * cut)
         assert len(reads) == len(set(reads))
         assert set(reads) == admitted
         assert len(admitted) < len(self.SUITE_CUTS) * 21 * 20 // 10
@@ -507,20 +541,3 @@ class TestVerifySuite:
         assert all(r.passed for r in results)
         assert 0 < len(polished) <= 64
 
-
-class TestGammaFloor:
-    """The brute force's premise: each closed-form bound lies at or below its entry."""
-
-    @pytest.mark.parametrize("b", [1.0, 0.3])
-    def test_cylinder(self, b):
-        geom = CylinderGeometry(b=b, l=1.0)
-        for m in range(51):
-            for n in range(1, 201):
-                assert verify._gamma_floor(geom, m, n) <= radial_eigenvalue(geom, m, n), (m, n)
-
-    @pytest.mark.parametrize("ratio", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.999])
-    def test_annulus(self, ratio):
-        geom = AnnulusGeometry(a=ratio, b=1.0, l=1.0)
-        for m in (0, 1, 5, 20, 50):
-            for n in range(1, 51):
-                assert verify._gamma_floor(geom, m, n) <= radial_eigenvalue(geom, m, n), (m, n)

@@ -3,6 +3,7 @@ from a cold start."""
 
 import ast
 import importlib
+import inspect
 import math
 import os
 import pathlib
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import coaxmode
-from coaxmode import verify
+from coaxmode import cavity, verify
 from coaxmode.cli import main
 
 # the public API of coaxmode 0.2.0: defining layer -> the names it exports
@@ -486,22 +487,57 @@ class TestCaches:
                     assert isinstance(bound, ast.Constant) and type(bound.value) is int \
                         and bound.value > 0, f"{path.name}:{node.lineno}"
 
+    @staticmethod
+    def _names(node, calls=True):
+        # every name and attribute in node; with calls=False, none inside a call
+        if not calls and isinstance(node, ast.Call):
+            return set()
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)}
+        for child in ast.iter_child_nodes(node):
+            names |= TestCaches._names(child, calls)
+        return names
+
     def test_only_cavity_tests_a_geometry_type(self):
         # the cross-section is decided in cavity alone: no other module names a
-        # geometry class in an isinstance or issubclass call or a type() comparison
+        # geometry class in an isinstance or issubclass call or a type() comparison,
+        # and cavity names one in a single isinstance call, in _check_geometry.
+        # Every bound on gamma_mn is asked of roots by radial interval: no other
+        # module names a window or its rounding slack, cavity and verify branch
+        # on no wall, and the scan takes checked numbers
         geometries = {"CylinderGeometry", "AnnulusGeometry"}
+        windows = {"_sturm_window", "_bessel_window", "_EPS"}
         for path in sorted(_SRC.glob("*.py")):
-            if path.name == "cavity.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # the innermost function around each node: ast.walk reaches outer ones first
+            owner = {id(node): func.name for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+            found = []
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
-                    tests = getattr(node.func, "id", None) in ("isinstance", "issubclass")
+                    test = getattr(node.func, "id", None)
+                    tests = test in ("isinstance", "issubclass")
                 elif isinstance(node, ast.Compare):
+                    test = "type"
                     tests = any(isinstance(part, ast.Call) and getattr(part.func, "id", None)
                                 == "type" for part in (node.left, *node.comparators))
                 else:
                     continue
-                named = {getattr(part, "id", None) or getattr(part, "attr", None)
-                         for part in ast.walk(node)}
-                assert not (tests and named & geometries), f"{path.name}:{node.lineno}"
+                if tests and self._names(node) & geometries:
+                    found.append((owner.get(id(node)), test, node.lineno))
+            if path.name == "cavity.py":
+                assert [entry[:2] for entry in found] == [("_check_geometry", "isinstance")]
+            else:
+                assert not found, f"{path.name}: {found}"
+            if path.name != "roots.py":
+                imported = {alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names}
+                assert not (self._names(tree) | imported) & windows, path.name
+            if path.name in ("cavity.py", "verify.py"):
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.If, ast.IfExp)):
+                        assert "a" not in self._names(node.test, calls=False), \
+                            f"{path.name}:{node.lineno}"
+        for scan in (cavity._towers, cavity._stops_at_order_envelope):
+            assert list(inspect.signature(scan).parameters) == ["a", "b", "l", "omega_max"]
         assert "__name__.removesuffix" not in (_SRC / "cli.py").read_text(encoding="utf-8")
+

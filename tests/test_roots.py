@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from coaxmode import (AnnulusGeometry, bessel_j, bessel_zeros, clear_caches,
+from coaxmode import (AnnulusGeometry, CylinderGeometry, bessel_j, bessel_zeros, clear_caches,
                       cross_product_zeros, neumann_n, radial_eigenvalue)
 from coaxmode import roots
 from coaxmode.errors import _MEMOS, DomainError, GeometryError, OrderError, RootFindingError
@@ -440,6 +440,60 @@ class TestSturmWindows:
             roots._table.cache_clear()
         assert cross_product_zeros(m, a, b, 2).zeros == (first, second)
 
+
+
+class TestGammaFloor:
+    """The brute force's premise: each closed-form bound lies at or below its entry."""
+
+    @pytest.mark.parametrize("b", [1.0, 0.3])
+    def test_cylinder(self, b):
+        geom = CylinderGeometry(b=b, l=1.0)
+        for m in range(51):
+            for n in range(1, 201):
+                floor = roots._gamma_floor(m, n, geom.a, geom.b)
+                assert floor <= radial_eigenvalue(geom, m, n), (m, n)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.999])
+    def test_annulus(self, ratio):
+        geom = AnnulusGeometry(a=ratio, b=1.0, l=1.0)
+        for m in (0, 1, 5, 20, 50):
+            for n in range(1, 51):
+                floor = roots._gamma_floor(m, n, geom.a, geom.b)
+                assert floor <= radial_eigenvalue(geom, m, n), (m, n)
+
+
+class TestCountBound:
+    """The order envelope's premise: no order has as many gamma_mn <= k as the bound.
+
+    Order 0 has the most, as root n of every order lies above root n of
+    order 0, so its table entries at or below k are what the bound must exceed.
+    """
+
+    @staticmethod
+    def _entries_at_or_below(k, a, b):
+        n = 0
+        while roots._gamma(0, n + 1, a, b) <= k:
+            n += 1
+        return n
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.3)]
+                             + [(ratio, 1.0) for ratio in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.999)])
+    def test_exceeds_the_order_0_count(self, a, b):
+        rng = random.Random(33)
+        # up to about 150 entries; the entries themselves are the tightest cutoffs
+        ks = [rng.uniform(0.0, 150.0) * math.pi / (b - a) for _ in range(40)]
+        ks += [roots._gamma(0, n, a, b) for n in (1, 2, 10, 100)]
+        for k in ks:
+            assert roots._count_bound(k, a, b) > self._entries_at_or_below(k, a, b), k
+
+    @pytest.mark.parametrize("ratio, n", [(1e-3, 170), (1e-3, 200), (0.5, 1), (0.5, 5),
+                                          (0.5, 40), (0.999, 1), (0.999, 40)])
+    def test_an_uncertified_count_is_count_max(self, ratio, n):
+        # at the low end of window n (above 0) the window cannot put root n above k
+        k = roots._sturm_window(0, ratio, 1.0, n)[0]
+        assert k > 0.0
+        assert roots._count_bound(k, ratio, 1.0) == roots.COUNT_MAX
+        assert self._entries_at_or_below(k, ratio, 1.0) < n
 
 def _count_determinant_evaluations(monkeypatch) -> list[int]:
     """Patch roots._cross_determinant so that each evaluation adds 1 to the list's entry."""
