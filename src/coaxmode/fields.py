@@ -18,6 +18,11 @@ non-finite phi is a DomainError. On the axis the removable 1/rho
 singularities are replaced by their limits: J_1(gamma rho)/rho -> gamma/2,
 everything else -> 0.
 
+A mode's constants (radial solution, kz, the factors the amplitude multiplies)
+are held per (m, n, p, sign, a, b, l): a warm call reads them with one lookup
+and hashes no record. An index, point or term not exactly a ModeIndex,
+FieldPoint or ModeAmplitude is a DomainError, raised after the geometry check.
+
 ``field_grid`` samples one mode over a rho x phi x z product grid. The mode
 separates into R(rho), e^{ismphi} and cos/sin(kz z), so the grid evaluates
 one radial profile per rho, one phase per phi and one axial pair per z,
@@ -34,7 +39,8 @@ import random
 import sys
 from typing import Iterable, Iterator
 
-from .cavity import C_LIGHT, Geometry, ModeIndex, _check_geometry, _omega, tm_frequency
+from .cavity import (C_LIGHT, Geometry, ModeIndex, _check_geometry, _foreign, _omega,
+                     tm_frequency)
 from .errors import ConditioningError, DomainError, _finite_real, _integer, _memo, _record
 from .roots import _gamma, bessel_zeros
 # the ladder memo lives in specfun, where the public calls read it too
@@ -126,33 +132,54 @@ class ModeAmplitude:
     amplitude: complex
 
 
-def _build_radial(geometry: Geometry, m: int, gamma: float) -> RadialSolution:
-    if geometry.a == 0.0:  # the cylinder
+def _build_radial(m: int, gamma: float, a: float) -> RadialSolution:
+    if a == 0.0:  # the cylinder
         return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=0.0)
-    ja, _, na, _ = _ladder(m, gamma * geometry.a, True)  # its caller memoizes the build
+    ja, _, na, _ = _ladder(m, gamma * a, True)  # its caller memoizes the build
     if not 1e-300 <= abs(na) < math.inf:
         raise ConditioningError(
             f"N_{m}(gamma a) = {na!r} is too close to underflow or overflow to divide by")
     return RadialSolution(m=m, gamma=gamma, coeff_j=1.0, coeff_n=-ja / na)
 
 
-# typed, so an order of 1.0 or True misses the entry of 1 and reaches the validators.
-# A full verify holds 5 entries, warm-up plus 400 library-session blocks 42 and a
-# field job 1; each entry pins its geometry, about 450 B with an annulus, so 1,024
-# entries hold at most about 0.45 MiB
+# keyed by radial interval, so cavities of one cross-section share an entry; typed,
+# so an order of 1.0 or True misses the entry of 1 and reaches the validators. A verify
+# holds 5 entries, a library session 42, a field job 1; 1,024 of about 440 B, 0.45 MB
 @_memo(1_024, typed=True)
-def _radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
-    return _build_radial(geometry, m, _gamma(m, n, geometry.a, geometry.b))
+def _radial_solution(m: int, n: int, a: float, b: float) -> RadialSolution:
+    return _build_radial(m, _gamma(m, n, a, b), a)
 
 
 def radial_solution(geometry: Geometry, m: int, n: int) -> RadialSolution:
     """Radial profile of mode (m, n): unit J coefficient, both walls matched."""
-    return _radial_solution(_check_geometry(geometry), m, n)  # before the memo hashes it
+    return _radial_solution(m, n, _check_geometry(geometry).a, geometry.b)  # checked first
 
 
-def _require_inside(geometry: Geometry, rho: float, phi: float,
-                    z: float) -> tuple[float, float, float]:
-    """(rho, phi, z) as floats, once each is a finite real and the point is inside."""
+# a mode's radial solution, kz and the factors of E_rho, E_phi, B_rho and B_phi, each
+# formed as the per-call product formed it, so factor * amplitude keeps its bits. A
+# library session holds 336 entries, a verify 5; 4,096 of at most 650 B hold 2.7 MB
+@_memo(4_096)
+def _mode(m: int, n: int, p: int, sign: int, a: float, b: float, l: float) -> tuple:
+    sol = _radial_solution(m, n, a, b)
+    kz = p * math.pi / l
+    inv_g2 = 1.0 / (sol.gamma * sol.gamma)
+    b_coeff = _omega(sol.gamma, p, l) * inv_g2 / (C_LIGHT * C_LIGHT)
+    return (sol, kz, -(kz * inv_g2), -1j * (sign * m * kz * inv_g2), sign * m * b_coeff,
+            1j * b_coeff)
+
+
+def _mode_of(geometry: Geometry, index: ModeIndex, sign: int) -> tuple:
+    """The ``_mode`` entry of a checked geometry and sign, once index is a ModeIndex."""
+    if type(index) is not ModeIndex:  # exact, and before the memo hashes its numbers
+        _foreign(geometry, index, ModeIndex)
+    return _mode(index.m, index.n, index.p, sign, geometry.a, geometry.b, geometry.l)
+
+
+def _require_inside(geometry: Geometry, point: FieldPoint) -> tuple[float, float, float]:
+    """(rho, phi, z) as floats, once point is a FieldPoint, each a finite real, and inside."""
+    if type(point) is not FieldPoint:  # exact, and before a coordinate is read
+        _foreign(geometry, point, FieldPoint)
+    rho, phi, z = point.rho, point.phi, point.z
     # three floats, the usual case, skip the type test: one call runs per sample
     floats = type(rho) is float and type(phi) is float and type(z) is float
     if not floats:
@@ -198,9 +225,8 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
     """Axial field of one mode at one point."""
     _check_sign(sign)
     amplitude = _check_amplitude(amplitude)
-    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
-    sol = _radial_solution(geometry, index.m, index.n)
-    kz = index.p * math.pi / geometry.l
+    rho, phi, z = _require_inside(geometry, point)
+    sol, kz = _mode_of(geometry, index, sign)[:2]
     e_z = amplitude * sol.value(rho) * _angular(index.m, sign, phi) * math.cos(kz * z)
     if not cmath.isfinite(e_z):
         raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
@@ -208,52 +234,42 @@ def ez_mode(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
     return e_z
 
 
-def _mode_factors(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
-                  gamma: float) -> tuple[float, complex, complex, complex, complex]:
-    """kz and the amplitude-carrying factors of E_rho, E_phi, B_rho and B_phi.
+def _scaled(index: ModeIndex, amplitude: complex, factors: tuple) -> tuple[complex, ...]:
+    """The amplitude-carrying factors of E_rho, E_phi, B_rho and B_phi, for an
+    amplitude ``_check_amplitude`` passed; one that overflows is a DomainError.
 
     Each component is factor * radial * axial * angular, multiplied left to
-    right in that order; the grid and the per-point path both rely on it to
-    give the same bits. The amplitude is one ``_check_amplitude`` passed; one
-    that overflows a factor is a DomainError.
+    right: the grid and the per-point path both rely on it to give the same bits.
     """
-    kz = index.p * math.pi / geometry.l
-    omega = _omega(gamma, index.p, geometry.l)
-    inv_g2 = 1.0 / (gamma * gamma)
-    b_coeff = omega * inv_g2 / (C_LIGHT * C_LIGHT)
-    m = index.m
-    k_rho = -(kz * inv_g2) * amplitude
-    k_phi = -1j * (sign * m * kz * inv_g2) * amplitude
-    k_brho = (sign * m * b_coeff) * amplitude
-    k_bphi = 1j * b_coeff * amplitude
-    finite = cmath.isfinite
-    if not (finite(k_rho) and finite(k_phi) and finite(k_brho) and finite(k_bphi)):
+    scaled = tuple(factor * amplitude for factor in factors)
+    if not all(map(cmath.isfinite, scaled)):
         raise DomainError(f"amplitude {amplitude!r} overflows the transverse fields "
                           f"of mode ({index.m}, {index.n}, {index.p})")
-    return kz, k_rho, k_phi, k_brho, k_bphi
+    return scaled
 
 
 def _components(geometry: Geometry, index: ModeIndex, sign: int, amplitude: complex,
                 rho: float, phi: float,
                 z: float) -> tuple[complex, complex, complex, complex, complex]:
     """(E_z, E_rho, E_phi, B_rho, B_phi) of one mode at a point ``_require_inside``
-    passed, for a sign ``_check_sign`` passed; the amplitude is checked here."""
-    sol = _radial_solution(geometry, index.m, index.n)
+    passed, for a sign ``_check_sign`` passed; the index and amplitude are checked here."""
+    sol, kz, f_rho, f_phi, f_brho, f_bphi = _mode_of(geometry, index, sign)
     amplitude = _check_amplitude(amplitude)
-    kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
-                                                     sol.gamma)
     ang = _angular(index.m, sign, phi)
     cz = math.cos(kz * z)
     sz = math.sin(kz * z)
     r_val, slope, r_over_rho = sol.profile(rho)
     e_z = amplitude * r_val * ang * cz
-    e_rho = k_rho * slope * sz * ang
-    e_phi = k_phi * r_over_rho * sz * ang
-    b_rho = k_brho * r_over_rho * cz * ang
-    b_phi = k_bphi * slope * cz * ang
+    # (factor * amplitude) * radial * axial * phase, as in _scaled and the grid
+    e_rho = f_rho * amplitude * slope * sz * ang
+    e_phi = f_phi * amplitude * r_over_rho * sz * ang
+    b_rho = f_brho * amplitude * r_over_rho * cz * ang
+    b_phi = f_bphi * amplitude * slope * cz * ang
     finite = cmath.isfinite
     if not (finite(e_z) and finite(e_rho) and finite(e_phi) and finite(b_rho)
             and finite(b_phi)):
+        # an overflowing factor leaves its component non-finite: name it first
+        _scaled(index, amplitude, (f_rho, f_phi, f_brho, f_bphi))
         raise DomainError(f"amplitude {amplitude!r} overflows the fields of mode "
                           f"({index.m}, {index.n}, {index.p}) at rho = {rho!r}")
     return e_z, e_rho, e_phi, b_rho, b_phi
@@ -263,7 +279,7 @@ def transverse_fields(geometry: Geometry, index: ModeIndex, sign: int,
                       amplitude: complex, point: FieldPoint) -> FieldSample:
     """All five TM components of one mode at one point."""
     _check_sign(sign)
-    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
+    rho, phi, z = _require_inside(geometry, point)
     return FieldSample(*_components(geometry, index, sign, amplitude, rho, phi, z))
 
 
@@ -288,13 +304,12 @@ def field_grid(geometry: Geometry, index: ModeIndex, sign: int, amplitude: compl
     _check_sign(sign)
     _check_geometry(geometry)  # here too, as an axis may be empty
     # each coordinate once, the other two at a point every cavity contains
-    rhos = [_require_inside(geometry, rho, 0.0, 0.0)[0] for rho in rhos]
-    phis = [_require_inside(geometry, geometry.b, phi, 0.0)[1] for phi in phis]
-    zs = [_require_inside(geometry, geometry.b, 0.0, z)[2] for z in zs]
-    sol = _radial_solution(geometry, index.m, index.n)
+    rhos = [_require_inside(geometry, FieldPoint(rho, 0.0, 0.0))[0] for rho in rhos]
+    phis = [_require_inside(geometry, FieldPoint(geometry.b, phi, 0.0))[1] for phi in phis]
+    zs = [_require_inside(geometry, FieldPoint(geometry.b, 0.0, z))[2] for z in zs]
+    sol, kz, *factors = _mode_of(geometry, index, sign)
     amplitude = _check_amplitude(amplitude)
-    kz, k_rho, k_phi, k_brho, k_bphi = _mode_factors(geometry, index, sign, amplitude,
-                                                     sol.gamma)
+    k_rho, k_phi, k_brho, k_bphi = _scaled(index, amplitude, factors)
     profiles = [sol.profile(rho) for rho in rhos]
     # each component is factor * radial * axial * phase, and |axial|, |phase| <= 1,
     # so every part of every partial product is at most |factor| max|radial|
@@ -336,9 +351,11 @@ def superpose(geometry: Geometry, amplitudes: Iterable[ModeAmplitude],
     The point is checked once; each term is checked as ``transverse_fields``
     checks it, and its sum is bit-identical to adding those samples.
     """
-    rho, phi, z = _require_inside(geometry, point.rho, point.phi, point.z)
+    rho, phi, z = _require_inside(geometry, point)
     e_z = e_rho = e_phi = b_rho = b_phi = 0j
     for term in amplitudes:
+        if type(term) is not ModeAmplitude:
+            _foreign(geometry, term, ModeAmplitude)
         sign = _check_sign(term.sign)
         t_z, t_rho, t_phi, t_brho, t_bphi = _components(geometry, term.index, sign,
                                                         term.amplitude, rho, phi, z)
@@ -410,9 +427,14 @@ def _unit_overlap(nu: int, n: int, k: int) -> tuple[float, float]:
 _GRID = 64
 
 
-def _inset(geometry: Geometry) -> list[float]:
-    # the midpoints of _GRID equal cells of [a, b]: both probes' interior grid
-    return [geometry.a + (geometry.b - geometry.a) * (i + 0.5) / _GRID for i in range(_GRID)]
+# the solution and its peaks of |R|, |dR/drho| and |R/rho| over the midpoints of
+# _GRID equal cells of [a, b]: boundary_residual's interior, helmholtz_residual's
+# scale. A library session holds 42 entries; 1,024 of about 560 B hold 0.6 MB
+@_memo(1_024)
+def _interior(m: int, n: int, a: float, b: float, gamma_scale: float) -> tuple:
+    sol = _build_radial(m, _gamma(m, n, a, b) * gamma_scale, a)
+    inset = [a + (b - a) * (i + 0.5) / _GRID for i in range(_GRID)]
+    return (sol, *(max(map(abs, c)) for c in zip(*map(sol.profile, inset))))
 
 
 def _axial_maxima(kz: float, l: float) -> tuple[float, float, float]:
@@ -433,27 +455,29 @@ def boundary_residual(geometry: Geometry, index: ModeIndex,
     probe); the annular solution is rebuilt so the inner wall stays
     matched and only the outer-wall mismatch shows.
 
-    The result is memoized per (geometry, m, n, p, float(gamma_scale)) after
+    The result is memoized per (m, n, p, float(gamma_scale), a, b, l) after
     the checks; an error is not, so the next call raises it again.
     """
     if not (_finite_real(gamma_scale) and gamma_scale > 0.0):
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale!r}")
-    # before the memo hashes it: a foreign geometry may not be hashable
-    return _wall_residual(_check_geometry(geometry), index.m, index.n, index.p,
-                          float(gamma_scale))
+    # before the memo hashes them: a foreign geometry or index may not be hashable
+    _check_geometry(geometry)
+    if type(index) is not ModeIndex:
+        _foreign(geometry, index, ModeIndex)
+    return _wall_residual(index.m, index.n, index.p, float(gamma_scale),
+                          geometry.a, geometry.b, geometry.l)
 
 
-# plain ints and a float, not the caller's objects, so the memo pins none of them
+# plain numbers, not the caller's objects, so the memo pins none of them
 @_memo(4_096)
-def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: float) -> float:
-    gamma = _gamma(m, n, geometry.a, geometry.b) * gamma_scale
-    sol = _build_radial(geometry, m, gamma)
-    l = geometry.l
+def _wall_residual(m: int, n: int, p: int, gamma_scale: float, a: float, b: float,
+                   l: float) -> float:
+    sol, value_peak, slope_in, over_in = _interior(m, n, a, b, gamma_scale)
     kz = p * math.pi / l
-    inv_g2 = 1.0 / (gamma * gamma)
+    inv_g2 = 1.0 / (sol.gamma * sol.gamma)
     cos_max, sin_max, sin_plate = _axial_maxima(kz, l)
 
-    walls = [geometry.b] if geometry.a == 0.0 else [geometry.a, geometry.b]
+    walls = [b] if a == 0.0 else [a, b]
 
     # radial-wall tangentials E_z and E_phi, both proportional to R(wall)
     wall_peak = 0.0
@@ -464,18 +488,15 @@ def _wall_residual(geometry: Geometry, m: int, n: int, p: int, gamma_scale: floa
             wall_peak = max(wall_peak, (m / w) * kz * inv_g2 * r_w * sin_max)
 
     # end-plate tangentials E_rho, E_phi: sin(0) = 0 exactly, the far plate
-    # carries only the rounding of sin(p pi)
-    rhos = [geometry.a + (geometry.b - geometry.a) * i / (_GRID - 1) for i in range(_GRID)]
-    # peaks of |R|, |dR/drho| and |R/rho| over each radial grid
-    _, slope_peak, over_peak = (max(map(abs, c)) for c in zip(*map(sol.profile, rhos)))
+    # carries only the rounding of sin(p pi), and for p = 0 nothing to scan for
     if kz:
+        rhos = [a + (b - a) * i / (_GRID - 1) for i in range(_GRID)]
+        _, slope_peak, over_peak = (max(map(abs, c)) for c in zip(*map(sol.profile, rhos)))
         wall_peak = max(wall_peak, kz * inv_g2 * slope_peak * sin_plate)
         if m:
             wall_peak = max(wall_peak, m * kz * inv_g2 * over_peak * sin_plate)
 
-    # interior peak across E_z, E_rho, E_phi on an inset grid
-    value_peak, slope_in, over_in = (max(map(abs, c))
-                                     for c in zip(*map(sol.profile, _inset(geometry))))
+    # interior peak across E_z, E_rho, E_phi on the inset grid
     zs_in = [l * (i + 0.5) / _GRID for i in range(_GRID)]
     cos_in = max(abs(math.cos(kz * z)) for z in zs_in)
     sin_in = max(abs(math.sin(kz * z)) for z in zs_in)
@@ -497,20 +518,18 @@ def helmholtz_residual(geometry: Geometry, index: ModeIndex, sign: int = 1,
     term, and compared against -(omega/c)^2 E_z. The result is limited by
     the O(h^2) stencil, not by the field evaluation.
     """
-    _integer(npoints, "npoints", 1, 10_000)  # ~23 us a point: at most about 0.25 s
+    _integer(npoints, "npoints", 1, 10_000)  # 13-47 us a point: at most about 0.5 s
     rnd = random.Random(_integer(seed, "seed", 0))
     _check_sign(sign)
-    entry = tm_frequency(geometry, index)
-    k2 = (entry.omega / C_LIGHT) ** 2
+    k2 = (tm_frequency(geometry, index).omega / C_LIGHT) ** 2
     inner = geometry.a
     h = 1e-3 * (geometry.b - inner)
     g = 1e-3 * geometry.l
     m2 = index.m * index.m
-    kz = index.p * math.pi / geometry.l
 
-    sol = _radial_solution(geometry, index.m, index.n)
-    # boundary_residual's inset grid, so these reads stay on the ladder memo
-    scale = k2 * max(abs(sol.value(r)) for r in _inset(geometry))
+    sol, kz = _mode_of(geometry, index, sign)[:2]
+    # the peak of |R| over boundary_residual's inset grid, held with its scan
+    scale = k2 * _interior(index.m, index.n, inner, geometry.b, 1.0)[1]
     m, gamma, cj, cn = sol.m, sol.gamma, sol.coeff_j, sol.coeff_n
     with_n = bool(cn)
 

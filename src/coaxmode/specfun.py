@@ -43,8 +43,9 @@ The public calls and ``fields`` read ladder tuples through one memo,
 ``_cached_ladder`` (``errors._memo``; 24,576 entries, about 8 MB), so a
 value, its slope and every family read the same bits. Root finding, the
 ``fields.helmholtz_residual`` stencil and the inner-wall match of a radial
-profile (memoized itself) read ``_ladder`` directly: their arguments do not
-come again, and would only evict the ones that do.
+profile (memoized itself, per m, n and radial interval) read ``_ladder``
+directly: their arguments do not come again, and would only evict the ones
+that do.
 
 Every operation is a pure function of its arguments and safe to call from
 any number of threads.

@@ -1,9 +1,12 @@
 import cmath
 import functools
 import gc
+import importlib.util
+import json
 import math
 import operator
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -67,9 +70,9 @@ class TestRadialSolution:
 
     def test_annulus_sweep_keeps_the_store_at_its_bound(self):
         # four times as many fresh annuli as the store holds: it fills to its
-        # bound and stays there, and peak RSS grows by under 2.5 MB (1.5-1.8 MB
-        # on CPython 3.10-3.13, most of it the ladder memo's entries for the
-        # inner walls; 3.3 MB with the earlier 65,536-entry bound)
+        # bound and stays there, and peak RSS grows by under 2.5 MB (0-0.25 MB
+        # on CPython 3.11, as the build leaves no ladder-memo entry and the key
+        # holds plain numbers; 3.3 MB with the earlier 65,536-entry bound)
         code = (
             "import resource\n"
             "from coaxmode import AnnulusGeometry, radial_solution\n"
@@ -231,9 +234,13 @@ class TestNonFiniteAmplitude:
         geom = CylinderGeometry(b=1.0, l=0.01)
         idx = ModeIndex(1, 1, 3)
         point = FieldPoint(0.5, 0.0, 0.001)
-        with pytest.raises(DomainError, match="overflows"):
+        # named as the factor's overflow, before any component is formed
+        factor = r"overflows the transverse fields of mode \(1, 1, 3\)$"
+        with pytest.raises(DomainError, match=factor):
             transverse_fields(geom, idx, 1, 1e308, point)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match=factor):
+            superpose(geom, [ModeAmplitude(idx, 1, 1e308)], point)
+        with pytest.raises(DomainError, match=factor):
             field_grid(geom, idx, 1, 1e308, [0.5], [0.0], [0.001])
         # E_z carries A R cos(kz z) alone, which stays finite
         assert cmath.isfinite(ez_mode(geom, idx, 1, 1e308, point))
@@ -463,9 +470,17 @@ class TestHelmholtz:
     def test_stencil_evaluates_five_points(self, monkeypatch):
         # five E_z values per point from three ladder runs (rho and rho +- h):
         # the axial neighbours share R(rho), and the radial second difference
-        # and slope share R(rho +- h); 64 memo reads set the scale
+        # and slope share R(rho +- h); the scale is the inset peak that
+        # boundary_residual holds, so a warm call reads no profile for it
+        idx = ModeIndex(2, 1, 2)
+        fields._interior.cache_clear()
+        boundary_residual(ANN, idx)
+        helmholtz_residual(ANN, idx, npoints=1, seed=1)
+        interior = fields._interior.cache_info()
+        assert (interior.currsize, interior.hits) == (1, 1)
         runs, reads = [], []
-        real_ladder, real_value = fields._ladder, fields.RadialSolution.value
+        real_ladder = fields._ladder
+        real_value, real_profile = fields.RadialSolution.value, fields.RadialSolution.profile
 
         def counted_ladder(m, x, with_n):
             runs.append((m, x, with_n))
@@ -475,11 +490,16 @@ class TestHelmholtz:
             reads.append(rho)
             return real_value(self, rho)
 
+        def counted_profile(self, rho):
+            reads.append(rho)
+            return real_profile(self, rho)
+
         monkeypatch.setattr(fields, "_ladder", counted_ladder)
         monkeypatch.setattr(fields.RadialSolution, "value", counted_value)
-        helmholtz_residual(ANN, ModeIndex(2, 1, 2), npoints=12)
-        # the scale reads go through the memo, the stencil runs past it
-        assert len(reads) == 64
+        monkeypatch.setattr(fields.RadialSolution, "profile", counted_profile)
+        helmholtz_residual(ANN, idx, npoints=12)
+        # no scale read, and the stencil runs past the ladder memo
+        assert reads == []
         assert len(runs) == 3 * 12
         assert {(m, with_n) for m, _, with_n in runs} == {(2, True)}
 
@@ -638,6 +658,77 @@ class TestProbeMemo:
         assert ref() is None
 
 
+
+class TestModeStore:
+    """Each mode's constants are resolved once, in stores keyed by plain numbers."""
+
+    RECORDS = ("CylinderGeometry", "AnnulusGeometry", "ModeIndex", "FieldPoint",
+               "ModeAmplitude", "RadialSolution", "FieldSample", "ModeEntry")
+
+    def _count_hashes(self, monkeypatch):
+        import coaxmode
+        hashed = []
+        for name in self.RECORDS:
+            cls = getattr(coaxmode, name)
+            real = cls.__hash__
+
+            def counting(self, real=real, name=name):
+                hashed.append(name)
+                return real(self)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+        return hashed
+
+    @pytest.mark.parametrize("geom", [CYL, ANN], ids=["cyl", "ann"])
+    def test_a_warm_call_is_one_lookup_and_hashes_no_record(self, monkeypatch, geom):
+        idx, point = ModeIndex(2, 1, 1), FieldPoint(0.7 * geom.b, 0.3, 0.4)
+        terms = [ModeAmplitude(idx, 1, 0.5j), ModeAmplitude(ModeIndex(0, 2, 0), -1, 1.0),
+                 ModeAmplitude(idx, -1, 2.0)]
+        calls = [(lambda: transverse_fields(geom, idx, -1, 0.5 + 1j, point), 1),
+                 (lambda: ez_mode(geom, idx, 1, 2, point), 1),
+                 (lambda: superpose(geom, terms, point), len(terms))]
+        for call, _ in calls:
+            call()
+        hashed = self._count_hashes(monkeypatch)
+        for call, lookups in calls:
+            before = fields._mode.cache_info()
+            call()
+            after = fields._mode.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (lookups, 0)
+        assert hashed == []
+
+    def test_cavities_of_one_cross_section_share_the_radial_entry(self):
+        fields._radial_solution.cache_clear()
+        short, tall = CylinderGeometry(b=1.0, l=1.0), CylinderGeometry(b=1.0, l=2.5)
+        sol = radial_solution(short, 3, 2)
+        assert radial_solution(tall, 3, 2) is sol
+        transverse_fields(tall, ModeIndex(3, 2, 1), 1, 1.0, FieldPoint(0.5, 0.0, 0.5))
+        info = fields._radial_solution.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+
+    def test_cold_p0_wall_residual_skips_the_plate_scan(self, monkeypatch):
+        # for p = 0 the end plates carry no tangential field: the 64-point
+        # interior scan runs, the 64-point wall-grid scan does not
+        calls = []
+        real = fields.RadialSolution.profile
+
+        def counted(self, rho):
+            calls.append(rho)
+            return real(self, rho)
+
+        monkeypatch.setattr(fields.RadialSolution, "profile", counted)
+        for geom in (CYL, ANN):
+            fields._wall_residual.cache_clear()
+            fields._interior.cache_clear()
+            calls.clear()
+            boundary_residual(geom, ModeIndex(0, 1, 0))
+            assert len(calls) == 64
+            # p = 1 shares the interior scan and adds the wall grid
+            calls.clear()
+            boundary_residual(geom, ModeIndex(0, 1, 1))
+            assert len(calls) == 64
+
+
 class TestRadialValue:
     def test_value_is_the_profile_value(self):
         for geom, idx in ((CYL, ModeIndex(0, 1, 1)), (CYL, ModeIndex(3, 2, 0)),
@@ -647,3 +738,51 @@ class TestRadialValue:
             for i in range(17):
                 rho = lo + (geom.b - lo) * i / 16
                 assert sol.value(rho).hex() == sol.profile(rho)[0].hex()
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, pathlib.Path(__file__).parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFieldBits:
+    """The field calls' frozen bits, written by tests/tools/gen_field_bits.py.
+
+    A change to how a mode's constants are held is meant to keep every float
+    operation of every public field call, so it must give these bits exactly.
+    """
+
+    TOOL = _load_tool("gen_field_bits")
+    ROWS = json.loads((pathlib.Path(__file__).parent / "data" / "field_bits.json")
+                      .read_text())["rows"]
+
+    def test_the_sweep_covers_every_case(self):
+        assert [[call, args] for call, args, _ in self.ROWS] == \
+            [list(case) for case in json.loads(json.dumps(self.TOOL.cases()))]
+        calls = {call for call, *_ in self.ROWS}
+        assert calls == {"ez_mode", "transverse_fields", "superpose", "field_grid",
+                         "helmholtz_residual", "boundary_residual", "tm_frequency"}
+        point_rows = [args for call, args, _ in self.ROWS
+                      if call in ("ez_mode", "transverse_fields")]
+        assert {(g, m, p, s) for g, (m, _, p), s, *_ in point_rows} == {
+            (g, m, p, s) for g in ("cylinder", "annulus") for m in (0, 1, 6, 50)
+            for p in range(4) for s in (1, -1)}
+        assert {amp[0] for *_, amp, _ in point_rows} == {"complex", "float", "int", "Decimal"}
+        rhos = {(g, point[0]) for g, *_, point in point_rows}
+        assert {("cylinder", 0.0), ("cylinder", 0.8), ("annulus", 0.3), ("annulus", 0.9)} <= rhos
+        assert {args[2] for call, args, _ in self.ROWS if call == "boundary_residual"} == \
+            {1.0, 1.01}
+
+    def test_every_call_keeps_its_bits(self):
+        changed = [(call, args) for call, args, bits in self.ROWS
+                   if " ".join(v.hex() for v in self.TOOL.call_of(call, args)) != bits]
+        assert not changed, (len(changed), changed[:3])
+
+    def test_cold_calls_keep_their_bits(self):
+        # every store empty: the first call of each mode builds its entries
+        from coaxmode import clear_caches
+        clear_caches()
+        self.test_every_call_keeps_its_bits()

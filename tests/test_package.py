@@ -295,6 +295,79 @@ class TestForeignGeometry:
             cylinder.a = 0.5
 
 
+# a bare object, a tuple of the record's fields, and a duck that carries them
+def _foreign_record(which, kind, *fields):
+    duck = SimpleNamespace(**dict(zip(kind.__match_args__, fields)))
+    return (object(), tuple(fields), duck)[which]
+
+
+_LOOK_ALIKES = pytest.mark.parametrize("which", range(3), ids=["object", "tuple", "duck"])
+
+
+class TestForeignIndex:
+    # every public call refuses anything but a ModeIndex, FieldPoint or
+    # ModeAmplitude with DomainError, after the geometry check and before a
+    # store hashes the numbers read from it
+    INDEX_CALLS = {
+        "tm_frequency": lambda g, i: coaxmode.tm_frequency(g, i),
+        "ez_mode": lambda g, i: coaxmode.ez_mode(g, i, 1, 1.0, _POINT),
+        "transverse_fields": lambda g, i: coaxmode.transverse_fields(g, i, 1, 1.0, _POINT),
+        "superpose": lambda g, i: coaxmode.superpose(g, [coaxmode.ModeAmplitude(i, 1, 1.0)],
+                                                     _POINT),
+        "field_grid": lambda g, i: coaxmode.field_grid(g, i, 1, 1.0, [0.75], [0.0], [0.5]),
+        "boundary_residual": lambda g, i: coaxmode.boundary_residual(g, i),
+        "helmholtz_residual": lambda g, i: coaxmode.helmholtz_residual(g, i),
+    }
+    POINT_CALLS = {
+        "ez_mode": lambda g, p: coaxmode.ez_mode(g, _MODE, 1, 1.0, p),
+        "transverse_fields": lambda g, p: coaxmode.transverse_fields(g, _MODE, 1, 1.0, p),
+        "superpose_empty": lambda g, p: coaxmode.superpose(g, [], p),
+        "superpose": lambda g, p: coaxmode.superpose(
+            g, [coaxmode.ModeAmplitude(_MODE, 1, 1.0)], p),
+    }
+
+    @staticmethod
+    def _refused(call, *args):
+        sizes = {name: store.cache_info().currsize
+                 for name, store in coaxmode.errors._MEMOS.items()}
+        with pytest.raises(coaxmode.errors.DomainError) as caught:
+            call(*args)
+        assert type(caught.value) is coaxmode.errors.DomainError
+        assert {name: store.cache_info().currsize
+                for name, store in coaxmode.errors._MEMOS.items()} == sizes
+        return str(caught.value)
+
+    @pytest.mark.parametrize("call", INDEX_CALLS.values(), ids=INDEX_CALLS.keys())
+    @pytest.mark.parametrize("geometry", [_CYL, _ANN], ids=["cyl", "ann"])
+    @_LOOK_ALIKES
+    def test_foreign_index_is_a_domain_error(self, call, geometry, which):
+        call(geometry, _MODE)  # warm: a hit must not pass a look-alike either
+        index = _foreign_record(which, coaxmode.ModeIndex, 1, 1, 1)
+        message = self._refused(call, geometry, index)
+        assert message == f"expected a ModeIndex, got {index!r}"
+
+    @pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+    @_LOOK_ALIKES
+    def test_foreign_point_is_a_domain_error(self, call, which):
+        call(_ANN, coaxmode.FieldPoint(0.7, 0.1, 0.2))
+        point = _foreign_record(which, coaxmode.FieldPoint, 0.7, 0.1, 0.2)
+        assert self._refused(call, _ANN, point) == f"expected a FieldPoint, got {point!r}"
+
+    @_LOOK_ALIKES
+    def test_foreign_term_is_a_domain_error(self, which):
+        term = _foreign_record(which, coaxmode.ModeAmplitude, _MODE, 1, 1.0)
+        terms = [coaxmode.ModeAmplitude(_MODE, 1, 1.0), term]
+        assert self._refused(coaxmode.superpose, _ANN, terms, _POINT) == \
+            f"expected a ModeAmplitude, got {term!r}"
+
+    @pytest.mark.parametrize("call", [*INDEX_CALLS.values(), *POINT_CALLS.values()],
+                             ids=[*INDEX_CALLS.keys(), *(f"point-{k}" for k in POINT_CALLS)])
+    def test_the_geometry_is_checked_first(self, call):
+        # a foreign geometry with a foreign index or point is a GeometryError
+        with pytest.raises(coaxmode.errors.GeometryError, match="unsupported geometry"):
+            call(object(), (1, 1, 1))
+
+
 def _unit(t):
     return t * t
 
@@ -430,7 +503,8 @@ def _bits(result):
 
 # the stores clear_caches() empties, by the name the registry gives each
 _STORES = ("coaxmode.specfun._ladder", "coaxmode.roots._table", "coaxmode.cavity._spectrum",
-           "coaxmode.fields._radial_solution", "coaxmode.fields._unit_overlap",
+           "coaxmode.cavity._resolved", "coaxmode.fields._radial_solution",
+           "coaxmode.fields._mode", "coaxmode.fields._interior", "coaxmode.fields._unit_overlap",
            "coaxmode.fields._wall_residual", "coaxmode.quadrature.gauss_legendre_rule")
 _SRC = pathlib.Path(coaxmode.__file__).parent
 
@@ -440,7 +514,9 @@ class TestCaches:
         ann = coaxmode.AnnulusGeometry(0.5, 1.0, 1.0)
         return [coaxmode.bessel_j(3, 7.5), coaxmode.bessel_zeros(2, 5),
                 coaxmode.cross_product_zeros(1, 0.5, 1.0, 5),
-                coaxmode.radial_solution(ann, 2, 3), coaxmode.boundary_residual(ann, _MODE),
+                coaxmode.radial_solution(ann, 2, 3), coaxmode.tm_frequency(ann, _MODE),
+                coaxmode.transverse_fields(ann, _MODE, -1, 0.5j, _POINT),
+                coaxmode.boundary_residual(ann, _MODE),
                 coaxmode.boundary_residual(_CYL, _MODE, 1.01),
                 coaxmode.orthogonality_check(1, 2, 3, 1.5),
                 coaxmode.orthogonality_check(2, 4, 4, 1.0), coaxmode.gauss_legendre_rule(10),

@@ -457,16 +457,14 @@ class TestLadderMemo:
                              ids=["cyl", "ann"])
     def test_fresh_helmholtz_seed_leaves_the_memo_alone(self, geometry):
         # the stencil's seeded points call _ladder itself; only the 64-point
-        # scale grid reads the memo, and once warm those reads are all hits,
-        # however many points the stencil takes
+        # scale grid reads the memo, once, and its peak is held with the mode:
+        # a warm call reads the memo not at all, however many points it takes
         index = ModeIndex(2, 1, 1)
         fields.helmholtz_residual(geometry, index, npoints=5, seed=11)
         for npoints, seed in ((5, 12), (40, 13)):
             before = specfun._cached_ladder.cache_info()
             fields.helmholtz_residual(geometry, index, npoints=npoints, seed=seed)
-            after = specfun._cached_ladder.cache_info()
-            assert after.currsize == before.currsize
-            assert (after.hits - before.hits, after.misses - before.misses) == (64, 0)
+            assert specfun._cached_ladder.cache_info() == before
 
     def test_threads_on_overlapping_arguments_get_the_serial_bits(self):
         points = [(m, 2.345 + 0.6113 * i) for i, m in
