@@ -29,7 +29,12 @@ of its per-step constants (``_STEPS`` for the backward run, ``_ASYM_TERMS``
 for the expansion, ``_Y01_TERMS`` for the limit series, ``_ORDERS`` for the
 climbs and the series' leading term), and the series' own counter is a
 float. A small integer converts to the same double, so every value keeps
-its bits; ``tests/data/ladder_bits.json`` pins them.
+its bits; ``tests/data/ladder_bits.json`` pins them. The set-up around the
+loops follows the same rule, since a short run pays more for it than for
+its steps: no builtin call where a comparison gives the value, no tuple
+built only to be sliced, one loop where two walk the same counter.
+``tests/test_kernel_bits.py`` holds each kernel to a frozen copy of its
+earlier form.
 
 Derivatives come from the same run as dX_m/dx = m X_m/x - X_{m+1}. Negative
 orders use J_{-m} = (-1)^m J_m and N_{-m} = (-1)^m N_m, applied as an exact
@@ -105,40 +110,55 @@ def _check_x(x: float, positive: bool) -> float:
 _ORDERS = tuple(map(float, range(ORDER_MAX + 1)))
 
 
-def _series(t: float, q: float, mf: float) -> float:
-    """J_m from its leading term t, with q = (x/2)^2 and mf = m, by ``math.fsum``.
-
-    Stops at the first term below 1e-18 of the largest, or at term 400; a
-    leading term of 0 gives 0.
-    """
-    terms = [t]
-    peak = abs(t)
-    live = t != 0.0
-    jf = 0.0
-    while live:
-        jf += 1.0
-        t = -t * q / (jf * (jf + mf))
-        at = t if t > 0.0 else -t
-        terms.append(t)
-        if at > peak:
-            peak = at
-        live = at > 1e-18 * peak and jf < 400.0
-    return math.fsum(terms)
-
-
 def _series_pair(m: int, x: float) -> tuple[float, float]:
-    """(J_m, J_{m+1}) from their ascending series.
+    """(J_m, J_{m+1}) from their ascending series, summed in one loop of two lanes.
 
     The leading term of order m+1 is that of order m times (x/2)/(m+1), the
-    product the order-(m+1) series would form.
+    product the order-(m+1) series would form. Each lane keeps its own terms
+    and peak, stops at its first term below 1e-18 of its peak, or at term
+    400, and is summed by ``math.fsum``; a leading term of 0 gives 0. The
+    lane that lives longer finishes alone. Term k is t_{k-1} * (-q) / (k (k
+    + n)) at the lane's order n, with q = (x/2)^2: negating q rather than
+    t_{k-1} rounds to the same bits.
     """
     half = 0.5 * x
     t0 = 1.0
     for kf in _ORDERS[1:m + 1]:
         t0 *= half / kf
     mf = _ORDERS[m]
-    q = half * half
-    return _series(t0, q, mf), _series(t0 * (half / (mf + 1.0)), q, mf + 1.0)
+    mf1 = mf + 1.0
+    nq = -(half * half)
+    a, b = t0, t0 * (half / mf1)
+    terms_a, terms_b = [a], [b]
+    peak_a, peak_b = a, b           # leading terms are >= 0, as x is
+    floor_a, floor_b = 1e-18 * a, 1e-18 * b  # each lane's stop level, 1e-18 of its peak
+    live_a, live_b = a != 0.0, b != 0.0
+    jf = 0.0
+    while live_a and live_b and jf < 400.0:
+        jf += 1.0
+        a = a * nq / (jf * (jf + mf))
+        b = b * nq / (jf * (jf + mf1))
+        at = a if a > 0.0 else -a
+        bt = b if b > 0.0 else -b
+        terms_a.append(a)
+        terms_b.append(b)
+        if at > peak_a:
+            peak_a, floor_a = at, 1e-18 * at
+        if bt > peak_b:
+            peak_b, floor_b = bt, 1e-18 * bt
+        live_a = at > floor_a
+        live_b = bt > floor_b
+    terms, t, peak, live, mf = (terms_b, b, peak_b, live_b, mf1) if live_b else \
+        (terms_a, a, peak_a, live_a, mf)
+    while live and jf < 400.0:
+        jf += 1.0
+        t = t * nq / (jf * (jf + mf))
+        at = t if t > 0.0 else -t
+        terms.append(t)
+        if at > peak:
+            peak = at
+        live = at > 1e-18 * peak
+    return math.fsum(terms_a), math.fsum(terms_b)
 
 
 def _series_is_safe(m: int, x: float) -> bool:
@@ -162,7 +182,8 @@ def _miller_start(m: int, x: float) -> int:
     whose double-precision errors were no worse than those of the earlier
     start, 14 x^(1/3) + 22 orders up.
     """
-    start = max(m + 1, int(x)) + int(11.0 * max(1.0, x) ** (1.0 / 3.0)) + 6
+    k = int(x)
+    start = (k if k > m else m + 1) + int(11.0 * (x if x > 1.0 else 1.0) ** (1.0 / 3.0)) + 6
     return start + start % 2
 
 
@@ -181,9 +202,10 @@ _N1_WEIGHTS = (0.0, 1.0) + tuple((-1) ** (k // 2) * k / ((k // 2) * (k // 2 + 1)
 # the highest start (the J-only run's, at m = 50 and x just below 57) down to
 # 4, so step k sits at (_STEPS_TOP - k) / 2: (k, k-1) as floats, and the N_0
 # weight at k-2 and the N_1 weight at k-1 (0 past the weights). A run walks
-# it with islice: slices of every length would each keep an allocator pool
-# in use, about 0.4 MB more peak RSS over a library session. The J-only run
-# walks _J_STEPS, the same rows without the weights.
+# it through an iterator, bounded by islice down to its cut: slices of every
+# length would each keep an allocator pool in use, about 0.4 MB more peak RSS
+# over a library session. The J-only run walks _J_STEPS, the same rows
+# without the weights.
 _STEPS_TOP = _miller_start(ORDER_MAX, 57.0)
 _STEPS = tuple((float(k), float(k - 1),
                 _N0_WEIGHTS[k - 2] if k - 2 < _N_WEIGHTS_LEN else 0.0,
@@ -198,9 +220,10 @@ def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     The run steps two orders at a time through ``_STEPS`` from the even
     order ``_miller_start`` gives, above both m and x, so every second value
     is an even order and enters the normalization sum without a parity
-    test. It keeps the pair it holds at ``cut``, the even order at or just
-    above m; at odd m, J_m is the next step's first value, formed from that
-    pair as the run forms it. It starts at 1e-30 and needs no rescaling: it
+    test. It walks the table in two plain loops, down to ``cut``, the even
+    order at or just above m, then on below it, and keeps the pair it holds
+    between them; at odd m, J_m is the next step's first value, formed from
+    that pair as the run forms it. It starts at 1e-30 and needs no rescaling: it
     runs only for 1 <= x < 57 and m <= 50, where its values stay below
     ~1e87 (below ~1e34 at the arguments the ladder passes it). With
     ``with_n`` (1 <= x < 18) the same loop sums N_0 = (2/pi) [lg J_0 +
@@ -212,44 +235,51 @@ def _miller(m: int, x: float, with_n: bool) -> tuple[float, ...]:
     cut = m + m % 2 or 2            # at m = 0 the run's last step gives the pair
     two_over_x = 2.0 / x
     jp, jc, half = 0.0, 1e-30, 0.0  # J_{k+1}, J_k, sum of J_2i over 2i >= k
-    at_cut = (_STEPS_TOP - cut) // 2
-    table = _STEPS if with_n else _J_STEPS
-    parts = (islice(table, (_STEPS_TOP - _miller_start(m, x)) // 2, at_cut),
-             islice(table, at_cut, None))
-    kept = ()                       # (J_{cut+1}, J_cut)
+    steps = iter(_STEPS if with_n else _J_STEPS)
+    first = (_STEPS_TOP - _miller_start(m, x)) // 2
+    steps.__setstate__(first)       # a tuple iterator seeks to its row at once
+    above = islice(steps, (_STEPS_TOP - cut) // 2 - first)  # the rows down to cut
     if with_n:
         s0 = s1 = 0.0               # the N_0 and N_1 sums over the orders passed
-        for steps in parts:
-            for kf, km1, w0, w1 in steps:
-                jp = kf * two_over_x * jc - jp
-                jc = km1 * two_over_x * jp - jc
-                half += jc
-                s0 += w0 * jc
-                s1 += w1 * jp
-            kept = kept or (jp, jc)
+        for kf, km1, w0, w1 in above:
+            jp = kf * two_over_x * jc - jp
+            jc = km1 * two_over_x * jp - jc
+            half += jc
+            s0 += w0 * jc
+            s1 += w1 * jp
+        kp, kc = jp, jc             # (J_{cut+1}, J_cut)
+        for kf, km1, w0, w1 in steps:
+            jp = kf * two_over_x * jc - jp
+            jc = km1 * two_over_x * jp - jc
+            half += jc
+            s0 += w0 * jc
+            s1 += w1 * jp
     else:
-        for steps in parts:
-            for kf, km1 in steps:
-                jp = kf * two_over_x * jc - jp
-                jc = km1 * two_over_x * jp - jc
-                half += jc
-            kept = kept or (jp, jc)
+        for kf, km1 in above:
+            jp = kf * two_over_x * jc - jp
+            jc = km1 * two_over_x * jp - jc
+            half += jc
+        kp, kc = jp, jc
+        for kf, km1 in steps:
+            jp = kf * two_over_x * jc - jp
+            jc = km1 * two_over_x * jp - jc
+            half += jc
     jp = 2.0 * two_over_x * jc - jp  # J_1
     jc = two_over_x * jp - jc        # J_0, which enters the sum once
     # doubling is exact and commutes with each rounding (no value nears
     # overflow or the subnormals), so this is the sum of 2 J_2i, step by step
     inv = 1.0 / (2.0 * half + jc)
     if m % 2:
-        kept = kept[1], _ORDERS[cut] * two_over_x * kept[1] - kept[0]
+        kp, kc = kc, _ORDERS[cut] * two_over_x * kc - kp
     elif m == 0:
-        kept = jp, jc
-    pair = kept[1] * inv, kept[0] * inv
+        kp, kc = jp, jc
     if not with_n:
-        return pair
+        return kc * inv, kp * inv
     scale = _TWO_OVER_PI * inv
     lg = math.log(0.5 * x) + _EULER_GAMMA
     # J_1 takes its weight 1 here, outside the loop
-    return pair + (scale * (lg * jc + s0), scale * (lg * jp - jc / x - (s1 + jp)))
+    return (kc * inv, kp * inv,
+            scale * (lg * jc + s0), scale * (lg * jp - jc / x - (s1 + jp)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +402,8 @@ def _y01_small(x: float) -> tuple[float, float]:
         a1 += t1
         b0 += t0 * (2.0 * h)
         b1 += t1 * (2.0 * h + inv_k1)
-        if abs(t0) + abs(t1) <= 1e-18 * (abs(a0) + abs(a1)):
+        if (t0 if t0 > 0.0 else -t0) + (t1 if t1 > 0.0 else -t1) <= 1e-18 * (
+                (a0 if a0 > 0.0 else -a0) + (a1 if a1 > 0.0 else -a1)):
             break
     lg = math.log(half) + _EULER_GAMMA
     return (_TWO_OVER_PI * (lg * a0 - 0.5 * b0),
@@ -433,11 +464,14 @@ def _ladder(m: int, x: float, with_n: bool) -> tuple[float, ...]:
             j0, j1, y0, y1 = _asym(0, x)
             if climb:
                 return _climb(m, x, j0, j1, y0, y1) if with_n else _climb(m, x, j0, j1)
-        pair = _series_pair(m, x) if _series_is_safe(m, x) else _miller(m, x, False)
+        # the series is never safe here: (x/2)^2 >= 81 > (m+1)/2 at every m <= 50
+        pair = _miller(m, x, False)
         return pair + _climb(m, x, y0, y1) if with_n else pair
     if not _series_is_safe(m, x):
-        run = _miller(m, x, with_n)
-        return run[:2] + _climb(m, x, *run[2:]) if with_n else run
+        if not with_n:
+            return _miller(m, x, False)
+        jm, jm1, y0, y1 = _miller(m, x, True)
+        return (jm, jm1) + _climb(m, x, y0, y1)
     pair = _series_pair(m, x)
     if not with_n:
         return pair

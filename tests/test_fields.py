@@ -728,6 +728,29 @@ class TestModeStore:
             boundary_residual(geom, ModeIndex(0, 1, 1))
             assert len(calls) == 64
 
+    def test_undetuned_interior_shares_the_radial_entry(self, monkeypatch):
+        # gamma * 1.0 is gamma, so the interior holds the field calls' solution:
+        # a cold annulus matches its inner wall once for both
+        runs = []
+        real = fields._ladder
+
+        def counted(m, x, with_n):
+            runs.append((m, x, with_n))
+            return real(m, x, with_n)
+
+        monkeypatch.setattr(fields, "_ladder", counted)
+        for store in (fields._wall_residual, fields._interior, fields._radial_solution):
+            store.cache_clear()
+        boundary_residual(ANN, ModeIndex(2, 1, 1))
+        radial_solution(ANN, 2, 1)
+        transverse_fields(ANN, ModeIndex(2, 1, 1), 1, 1.0, FieldPoint(1.5, 0.0, 0.5))
+        assert len(runs) == 1
+        a, b = ANN.a, ANN.b
+        assert fields._interior(2, 1, a, b, 1.0)[0] is fields._radial_solution(2, 1, a, b)
+        detuned = fields._interior(2, 1, a, b, 1.01)[0]
+        assert detuned.gamma == fields._radial_solution(2, 1, a, b).gamma * 1.01
+        assert len(runs) == 2
+
 
 class TestRadialValue:
     def test_value_is_the_profile_value(self):

@@ -279,6 +279,11 @@ class TestLadderOracle:
         assert not specfun._series_is_safe(m, x)
         assert all(math.isfinite(v) for v in specfun._ladder(m, x, True))
 
+    def test_series_is_never_safe_from_the_expansion_switch(self):
+        # so _ladder runs no series at x >= 18: the test fails at the largest
+        # order there, and fails at every larger x or smaller order too
+        assert not specfun._series_is_safe(ORDER_MAX, 18.0)
+
     def test_step_table_covers_every_backward_start(self):
         # the run walks the table from its start; the J-only run starts
         # highest at m = 50 and x just below 51 / 0.9, where the climb takes over
